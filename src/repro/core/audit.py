@@ -20,7 +20,7 @@ request returns a transaction's images to the BACKOUTPROCESS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
 from ..discprocess.blocks import VolumeBlockStore
 from ..discprocess.entryseq import EntrySequencedFile
@@ -29,9 +29,11 @@ from ..discprocess.entryseq import EntrySequencedFile
 from ..discprocess.ops import AppendAudit, AuditRecord
 from ..guardian import ConcurrentPair, Message, NodeOs, OsProcess
 from ..hardware import MirroredVolume
+from ..sim import register_immutable
 from .transid import Transid
 
 __all__ = [
+    "AuditChain",
     "AuditRecord",
     "CompletionRecord",
     "AuditTrail",
@@ -62,6 +64,30 @@ class ForceAudit:
 @dataclass(frozen=True)
 class GetAudit:
     transid: Transid
+
+
+@register_immutable
+class AuditChain:
+    """One transaction's audit images: an immutable linked list, newest first.
+
+    Appending an image links it to the chain so far, so checkpointing an
+    append ships only the new links, which the backup shares, however
+    large the transaction.  Iterating yields the images oldest first.
+    """
+
+    __slots__ = ("prev", "record")
+
+    def __init__(self, prev: Optional["AuditChain"], record: AuditRecord):
+        self.prev = prev
+        self.record = record
+
+    def __iter__(self) -> Iterator[AuditRecord]:
+        records = []
+        link: Optional[AuditChain] = self
+        while link is not None:
+            records.append(link.record)
+            link = link.prev
+        return reversed(records)
 
 
 class AuditTrail:
@@ -230,8 +256,8 @@ class AuditProcess(ConcurrentPair):
 
     * ``buffer``   — images received but not yet on the trail, keyed by
       arrival index (order preserved);
-    * ``by_tx``    — per-transid image lists (buffered *and* durable),
-      used to answer the BACKOUTPROCESS;
+    * ``by_tx``    — per-transid :class:`AuditChain` of images (buffered
+      *and* durable), used to answer the BACKOUTPROCESS;
     * ``high_seq`` — per-volume highest audit sequence seen (suppresses
       duplicates re-forwarded after a DISCPROCESS takeover);
     * ``durable_high`` — per-volume highest sequence forced to the trail.
@@ -286,25 +312,31 @@ class AuditProcess(ConcurrentPair):
         fresh = [r for r in payload.records if r.seq > high]
         if fresh:
             buffer_updates = {}
-            tx_snapshot = {}
+            by_tx = self.state["by_tx"]
+            tx_updates: Dict[str, AuditChain] = {}
             for record in fresh:
                 index = self.state["next_index"]
                 self.state["next_index"] = index + 1
                 buffer_updates[index] = record
                 tx_key = str(record.transid)
-                self.state["by_tx"].setdefault(tx_key, []).append(record)
-                # Snapshot now: a concurrent commit's cleanup may drop the
-                # by_tx entry while the checkpoint below is in flight.
-                tx_snapshot[tx_key] = list(self.state["by_tx"][tx_key])
+                tx_updates[tx_key] = AuditChain(
+                    tx_updates.get(tx_key) or by_tx.get(tx_key), record
+                )
             # One physical checkpoint message carries all the tables.
             yield from self.checkpoint_multi(
                 [
                     ("buffer", buffer_updates, ()),
                     ("high_seq", {payload.volume: max(r.seq for r in fresh)}, ()),
-                    ("by_tx", tx_snapshot, ()),
+                    ("by_tx", tx_updates, ()),
                 ],
                 scalars={"next_index": self.state["next_index"]},
             )
+            # A transaction forgotten while the checkpoint was in flight
+            # stays forgotten: the late mirror must not revive its entry.
+            backup_by_tx = self.backup_state.get("by_tx", {})
+            for tx_key in tx_updates:
+                if tx_key not in by_tx:
+                    backup_by_tx.pop(tx_key, None)
         proc.reply(message, {"ok": True, "accepted": len(fresh)})
 
     def _force(self, proc: OsProcess, message: Message) -> Generator:
@@ -360,7 +392,7 @@ class AuditProcess(ConcurrentPair):
         proc.reply(message, {"ok": True, "trail_records": self.trail.total_records})
 
     def _records_for(self, transid: Transid) -> List[AuditRecord]:
-        return list(self.state["by_tx"].get(str(transid), []))
+        return list(self.state["by_tx"].get(str(transid), ()))
 
     # ------------------------------------------------------------------
     def cold_restart(self, primary_cpu: int, backup_cpu: Optional[int] = None) -> None:
@@ -370,11 +402,12 @@ class AuditProcess(ConcurrentPair):
         self.trail.attach_existing(
             AuditTrail.discover_file_names(self.trail.volume, self.trail.prefix)
         )
-        by_tx: Dict[str, List[AuditRecord]] = {}
+        by_tx: Dict[str, AuditChain] = {}
         high_seq: Dict[str, int] = {}
         for record in self.trail.scan_all():
             if isinstance(record, AuditRecord):
-                by_tx.setdefault(str(record.transid), []).append(record)
+                tx_key = str(record.transid)
+                by_tx[tx_key] = AuditChain(by_tx.get(tx_key), record)
                 high_seq[record.volume] = max(
                     high_seq.get(record.volume, -1), record.seq
                 )

@@ -328,6 +328,11 @@ class TmfNode:
         proceed = yield from self._settle_guard(record)
         if not proceed:
             return record.done
+        if self.dispositions.get(transid) == "committed":
+            # Its coordinator died in phase two, after the commit point:
+            # the transaction IS committed, too late to abort.
+            yield from self._commit_tail(proc, record)
+            return "committed"
         yield from self._abort_core(proc, record, reason)
         return "aborted"
 
@@ -626,14 +631,7 @@ class TmfNode:
         record = self.records.get(transid)
         if record is None or record.done is not None or record.settling:
             return
-        if self.dispositions.get(transid) == "committed":
-            proceed = yield from self._settle_guard(record)
-            if proceed:
-                yield from self._commit_tail(proc, record)
-        else:
-            yield from self.do_abort(
-                proc, transid, "coordinator failed during commit/abort"
-            )
+        yield from self.do_abort(proc, transid, "coordinator failed during commit/abort")
 
     def pump(self, proc: OsProcess) -> Generator:
         """Background loop: safe-delivery retries, auto-aborts, sweep.
@@ -641,22 +639,28 @@ class TmfNode:
         Runs as a sim process owned by the current TMP primary; dies
         with its CPU and is restarted by the new primary.
         """
+        return _while_alive(proc, self._pump(proc))
+
+    def _pump(self, proc: OsProcess) -> Generator:
+        # Each pass takes the work queued before it started, item by item
+        # in place, so a pump that dies mid-pass leaves the rest to the
+        # next primary's (on_tmp_takeover re-queues a half-settled one).
         while proc.alive:
             # 0. Decisions interrupted by a TMP primary failure.
-            interrupted, self._interrupted = self._interrupted, []
-            for transid in interrupted:
-                yield from self._resolve_interrupted(proc, transid)
+            for _ in range(len(self._interrupted)):
+                yield from self._resolve_interrupted(proc, self._interrupted.pop(0))
             # 1. Queued automatic aborts.
-            aborts, self._auto_aborts = self._auto_aborts, []
-            for transid, reason in aborts:
+            for _ in range(len(self._auto_aborts)):
+                transid, reason = self._auto_aborts.pop(0)
                 record = self.records.get(transid)
                 if record is not None and record.done is None:
                     yield from self.do_abort(proc, transid, reason)
             # 2. Safe-delivery retries ("the sending of safe-delivery
             #    messages — whenever transmission becomes possible — is
             #    guaranteed").
-            queue, self._safe_queue = self._safe_queue, []
-            for dest_node, payload in queue:
+            queue = self._safe_queue
+            for _ in range(len(queue)):
+                dest_node, payload = queue[0]
                 try:
                     yield from self.filesystem.send(
                         proc,
@@ -665,7 +669,8 @@ class TmfNode:
                         timeout=self.config.phase1_timeout,
                     )
                 except FileSystemError:
-                    self._safe_queue.append((dest_node, payload))
+                    queue.append((dest_node, payload))
+                del queue[0]
             # 3. Unilateral-abort sweep: a non-home node that has not yet
             #    acked phase 1 aborts transactions whose parent became
             #    unreachable ("complete loss of communication with a
@@ -691,3 +696,27 @@ class TmfNode:
     def _trace(self, kind: str, **fields: Any) -> None:
         if self.tracer is not None:
             self.tracer.emit(self.env.now, kind, node=self.node_name, **fields)
+
+
+def _while_alive(proc: OsProcess, work: Generator) -> Generator:
+    """Drive ``work`` as ``yield from`` would, abandoning it once ``proc`` dies.
+
+    A CPU failure kills pair sub-handlers but not the pump; left running,
+    a dead primary's pump would finish a decision that the new primary
+    adopted and finishes too — one transaction settled twice.
+    """
+    value: Any = None
+    error: Optional[BaseException] = None
+    while True:
+        try:
+            target = work.send(value) if error is None else work.throw(error)
+        except StopIteration as stop:
+            return stop.value
+        value = error = None
+        try:
+            value = yield target
+        except Exception as exc:  # noqa: BLE001 - a failed event, forwarded as yield from would
+            error = exc
+        if not proc.alive:
+            work.close()
+            return None

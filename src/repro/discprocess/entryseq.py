@@ -49,16 +49,14 @@ class EntrySequencedFile:
 
     def append(self, record: Any) -> int:
         """Add ``record`` at the end; returns its ESN."""
-        header = self._header()
-        esn = header[1]
+        esn = self._header()[1]
         block_number = esn // self.entries_per_block + 1
         block = self.store.get(self.name, block_number)
         if block is None:
             block = ["E", []]
         new_block = ["E", list(block[1]) + [record]]
         self.store.put(self.name, block_number, new_block)
-        header[1] = esn + 1
-        self.store.put(self.name, _HEADER, header)
+        self.store.put(self.name, _HEADER, ["H", esn + 1])
         return esn
 
     def void(self, esn: int) -> Optional[Any]:

@@ -25,7 +25,8 @@ __all__ = ["KeySequencedFile", "DuplicateKey", "KeyNotFound"]
 
 Key = Tuple[Any, ...]
 
-# Block layouts (plain lists so they copy cheaply):
+# Block layouts (plain lists; a stored block is never edited in place —
+# every change, header included, puts a fresh copy):
 #   header (block 0):  ["H", root_id, next_block_number, record_count]
 #   internal:          ["I", [sep_key, ...], [child_id, ...]]  (len(children) == len(keys)+1)
 #   leaf:              ["L", [key, ...], [record, ...]]
@@ -97,7 +98,7 @@ class KeySequencedFile:
 
     def insert(self, key: Key, record: Any) -> None:
         """Store a new record; raises :class:`DuplicateKey` if present."""
-        header = self._header()
+        header = list(self._header())  # copy-on-write
         split = self._insert(header, header[1], key, record)
         if split is not None:
             sep_key, new_child = split
@@ -122,7 +123,7 @@ class KeySequencedFile:
 
     def delete(self, key: Key) -> Any:
         """Remove the record under ``key``; returns it."""
-        header = self._header()
+        header = list(self._header())  # copy-on-write
         leaf_id, block = self._find_leaf_id(header[1], key)
         keys = block[1]
         idx = bisect_left(keys, key)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from ..sim import fast_deepcopy, register_fastcopy
+from ..sim import register_immutable
 from .records import FileSchema
 
 __all__ = [
@@ -201,6 +201,7 @@ class BackoutOp:
     audit_record: Any
 
 
+@register_immutable
 @dataclass(frozen=True)
 class AuditRecord:
     """One before/after image of a logical data base update.
@@ -209,6 +210,11 @@ class AuditRecord:
     provides 'before-images' and 'after-images' of data base updates"),
     consumed by the AUDITPROCESS and ROLLFORWARD above it — which is why
     the carrier lives here, at the layer that writes it.
+
+    An immutable value: its images are private copies made when the
+    DISCPROCESS builds it, and whoever applies an image (backout,
+    ROLLFORWARD) copies it first, so checkpoints, buffers and the trail
+    share one record instead of copying it.
     """
 
     transid: Any               # core.transid.Transid (typed Any: the
@@ -221,19 +227,6 @@ class AuditRecord:
     before: Any                # record image prior to the update (or None)
     after: Any                 # record image after the update (or None)
     seq: int                   # per-volume audit sequence number
-
-
-# Audit images are checkpointed and archived constantly; a custom copier
-# keeps them on fast_deepcopy's plain-data path.  Only ``before``/
-# ``after`` (record images) are mutable — every other field is a scalar
-# or a Transid, shared as-is.
-register_fastcopy(
-    AuditRecord,
-    lambda r: AuditRecord(
-        r.transid, r.volume, r.file, r.op, r.key,
-        fast_deepcopy(r.before), fast_deepcopy(r.after), r.seq,
-    ),
-)
 
 
 @dataclass(frozen=True)

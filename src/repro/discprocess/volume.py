@@ -97,6 +97,11 @@ def _err(code: str, **extra: Any) -> Dict[str, Any]:
 class DiscProcess(ConcurrentPair):
     """The process-pair controlling one logical disc volume."""
 
+    # Stored blocks are never edited in place (the structured files
+    # path-copy what they change, headers included), so the backup
+    # shares the primary's dirty block images.
+    shared_tables = frozenset({"dirty"})
+
     def __init__(
         self,
         node_os: NodeOs,
@@ -382,7 +387,7 @@ class DiscProcess(ConcurrentPair):
         elif isinstance(payload, (LockRecord, LockFile)):
             reply = yield from self._explicit_lock(proc, message, payload)
         elif isinstance(payload, ReadSlot):
-            reply = yield from self._read_slot(proc, message, payload)
+            reply = yield from self._read_record(proc, message, payload)
         elif isinstance(payload, WriteSlot):
             reply = yield from self._write_slot(proc, message, payload)
         elif isinstance(payload, AppendSlot):
@@ -449,20 +454,26 @@ class DiscProcess(ConcurrentPair):
     # ------------------------------------------------------------------
     # Reads and explicit locks
     # ------------------------------------------------------------------
-    def _read_record(self, proc: OsProcess, message: Message, payload: ReadRecord) -> Generator:
-        file = self._file(payload.file, KEY_SEQUENCED)
+    def _read_record(self, proc: OsProcess, message: Message, payload: Any) -> Generator:
+        """A ReadRecord (key-sequenced) or ReadSlot (relative), maybe locking."""
+        if isinstance(payload, ReadSlot):
+            file = self._file(payload.file, RELATIVE)
+            key, read = payload.record_number, file.read_slot
+        else:
+            file = self._file(payload.file, KEY_SEQUENCED)
+            key, read = payload.key, file.read
         lock_delta = {}
         if payload.lock:
             if message.transid is None:
                 return _err("bad_request", detail="lock requires a transaction")
             self._check_tx_active(message.transid)
             self._register(message.transid)
-            target = ("rec", payload.file, payload.key)
+            target = ("rec", payload.file, key)
             yield from self.locks.acquire_record(
-                message.transid, payload.file, payload.key, payload.lock_timeout
+                message.transid, payload.file, key, payload.lock_timeout
             )
             lock_delta[target] = message.transid
-        record = file.read(payload.key)
+        record = read(key)
         if lock_delta:
             yield from self.checkpoint_update("locks", updates=lock_delta)
         return {"ok": True, "record": fast_deepcopy(record)}
@@ -484,25 +495,6 @@ class DiscProcess(ConcurrentPair):
             )
         yield from self.checkpoint_update("locks", updates={target: message.transid})
         return {"ok": True}
-
-    def _read_slot(self, proc: OsProcess, message: Message, payload: ReadSlot) -> Generator:
-        file = self._file(payload.file, RELATIVE)
-        lock_delta = {}
-        if payload.lock:
-            if message.transid is None:
-                return _err("bad_request", detail="lock requires a transaction")
-            self._check_tx_active(message.transid)
-            self._register(message.transid)
-            target = ("rec", payload.file, payload.record_number)
-            yield from self.locks.acquire_record(
-                message.transid, payload.file, payload.record_number,
-                payload.lock_timeout,
-            )
-            lock_delta[target] = message.transid
-        record = file.read_slot(payload.record_number)
-        if lock_delta:
-            yield from self.checkpoint_update("locks", updates=lock_delta)
-        return {"ok": True, "record": fast_deepcopy(record)}
 
     # ------------------------------------------------------------------
     # Mutations (key-sequenced)
@@ -555,7 +547,7 @@ class DiscProcess(ConcurrentPair):
         # paper's "locks on the primary key values of all records
         # deleted".
         audit = self._make_audit(transid, file, "delete", payload.key, old, None)
-        reply = {"ok": True, "record": old}
+        reply = {"ok": True, "record": fast_deepcopy(old)}
         yield from self._finish_mutation(proc, message, audit, {}, reply)
         return reply
 
@@ -577,7 +569,7 @@ class DiscProcess(ConcurrentPair):
         audit = self._make_audit(
             transid, file, "write_slot", payload.record_number, old, record
         )
-        reply = {"ok": True, "old": old}
+        reply = {"ok": True, "old": fast_deepcopy(old)}
         yield from self._finish_mutation(proc, message, audit, lock_delta, reply)
         return reply
 
@@ -1003,7 +995,7 @@ class DiscProcess(ConcurrentPair):
                 for number in sorted(rows):
                     structured.base.write(number, fast_deepcopy(rows[number]))
                 if next_numbers.get(file_name, 0) > structured.base.next_record_number:
-                    header = structured.base._header()
+                    header = list(structured.base._header())
                     header[1] = next_numbers[file_name]
                     structured.base.store.put(file_name, 0, header)
             else:

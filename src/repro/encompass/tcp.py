@@ -38,7 +38,7 @@ from ..guardian import (
     NodeOs,
     OsProcess,
 )
-from ..sim import Tracer
+from ..sim import Tracer, fast_deepcopy, register_fastcopy
 from .server import ServerClass
 from .verbs import (
     AbortTransaction,
@@ -57,6 +57,10 @@ class TerminalInput:
 
     terminal_id: str
     data: Any
+
+
+# Checkpointed once per unit; the terminal owns ``data``, so the backup copies it.
+register_fastcopy(TerminalInput, lambda t: TerminalInput(t.terminal_id, fast_deepcopy(t.data)))
 
 
 @dataclass(frozen=True)

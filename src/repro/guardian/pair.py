@@ -132,133 +132,91 @@ class ProcessPair:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
+    #: tables whose values are immutable images (a DISCPROCESS's stored
+    #: blocks): the backup shares them instead of copying them.
+    shared_tables: frozenset = frozenset()
+
     def checkpoint(self, _charge: bool = True, **entries: Any) -> Generator:
-        """Replicate ``entries`` of ``self.state`` to the backup image.
+        """Replicate ``entries`` of ``self.state`` to the backup image."""
+        return self._replicate((), entries, _charge, "keys", sorted(entries))
 
-        Costs one interprocessor checkpoint message (``_charge=False``
-        piggybacks on the preceding checkpoint in the same operation and
-        costs nothing extra).  A deep copy isolates the backup image from
-        later in-place mutation by the primary — the two processes have
-        separate memories.
-        """
-        for key, value in entries.items():
-            self.state[key] = value
-        if self.backup_cpu is not None:
-            if _charge:
-                # A checkpoint is an interprocessor message: it occupies
-                # a bus for its duration.
-                node = self.node_os.node
-                latency = node.latencies.checkpoint
-                node.buses.record_transfer(latency)
-                yield self.env.timeout(latency)
-                self.checkpoints_sent += 1
-                metrics = self.env.metrics
-                if metrics is not None and metrics.enabled:
-                    metrics.inc("pair.checkpoints")
-                if self.tracer is not None:
-                    self._trace("checkpoint", keys=sorted(entries))
-            backup_state = self.backup_state
-            for key, value in entries.items():
-                backup_state[key] = fast_deepcopy(value)
-
-    def checkpoint_update(
-        self,
-        table: str,
-        updates: Optional[Dict[Any, Any]] = None,
-        removals: Any = (),
-        _charge: bool = True,
-    ) -> Generator:
+    def checkpoint_update(self, table: str, updates: Optional[Dict[Any, Any]] = None,
+                          removals: Any = (), _charge: bool = True) -> Generator:
         """Delta-checkpoint entries of the dict ``self.state[table]``.
 
-        Applies ``updates`` and ``removals`` to the primary's table and
-        mirrors them (deep-copied) into the backup image, at the cost of
-        a single checkpoint message (``_charge=False`` piggybacks).
         Used for large tables (dirty blocks, lock grants, duplicate-
         suppression entries) where re-copying the whole table per
         operation would be wrong.
         """
-        table_state = self.state.setdefault(table, {})
-        if updates:
-            table_state.update(updates)
-        for key in removals:
-            table_state.pop(key, None)
-        if self.backup_cpu is not None:
-            if _charge:
-                node = self.node_os.node
-                latency = node.latencies.checkpoint
-                node.buses.record_transfer(latency)
-                yield self.env.timeout(latency)
-                self.checkpoints_sent += 1
-                metrics = self.env.metrics
-                if metrics is not None and metrics.enabled:
-                    metrics.inc("pair.checkpoints")
-                if self.tracer is not None:
-                    self._trace("checkpoint", table=table)
-            backup_table = self.backup_state.setdefault(table, {})
-            if updates:
-                atomic = ATOMIC_TYPES
-                for key, value in updates.items():
-                    backup_table[key] = (
-                        value if value.__class__ in atomic
-                        else fast_deepcopy(value)
-                    )
-            for key in removals:
-                backup_table.pop(key, None)
+        return self._replicate(((table, updates, removals),), None, _charge, "table", table)
 
-    def checkpoint_multi(
-        self,
-        parts: Any,
-        scalars: Optional[Dict[str, Any]] = None,
-        _charge: bool = True,
-    ) -> Generator:
+    def checkpoint_multi(self, parts: Any, scalars: Optional[Dict[str, Any]] = None,
+                         _charge: bool = True) -> Generator:
         """Delta-checkpoint several tables (plus scalars) in one message.
 
-        ``parts`` is a sequence of ``(table, updates, removals)``.
-        Semantically equivalent to one :meth:`checkpoint_update` per part
-        plus a :meth:`checkpoint` of the scalars, but the whole
-        multi-part payload costs a *single* checkpoint message — the
-        coalescing the real pairs did: one IPC carries every delta an
-        operation produced.
+        ``parts`` is a sequence of ``(table, updates, removals)``.  The
+        whole multi-part payload costs a *single* checkpoint message —
+        the coalescing the real pairs did: one IPC carries every delta
+        an operation produced.
         """
+        return self._replicate(
+            parts, scalars, _charge, "tables", [table for table, _u, _r in parts]
+        )
+
+    def _replicate(self, parts: Any, scalars: Optional[Dict[str, Any]], charge: bool,
+                   trace_key: str, trace_value: Any) -> Generator:
+        """The one checkpoint body behind the three entry points above.
+
+        Applies ``parts`` and ``scalars`` to the primary's state; with a
+        backup, costs one checkpoint message (``charge=False`` piggybacks
+        on the operation's previous one) and mirrors them.  The backup
+        has its own memory, so it gets private copies — except of
+        immutable values (registered types, ``shared_tables``), which
+        it shares.
+        """
+        state = self.state
         for table, updates, removals in parts:
-            table_state = self.state.setdefault(table, {})
+            table_state = state.setdefault(table, {})
             if updates:
                 table_state.update(updates)
             for key in removals:
                 table_state.pop(key, None)
         if scalars:
-            for key, value in scalars.items():
-                self.state[key] = value
-        if self.backup_cpu is not None:
-            if _charge:
-                node = self.node_os.node
-                latency = node.latencies.checkpoint
-                node.buses.record_transfer(latency)
-                yield self.env.timeout(latency)
-                self.checkpoints_sent += 1
-                metrics = self.env.metrics
-                if metrics is not None and metrics.enabled:
-                    metrics.inc("pair.checkpoints")
-                if self.tracer is not None:
-                    self._trace(
-                        "checkpoint",
-                        tables=[table for table, _u, _r in parts],
-                    )
-            atomic = ATOMIC_TYPES
-            backup_state = self.backup_state
-            for table, updates, removals in parts:
-                backup_table = backup_state.setdefault(table, {})
-                if updates:
+            state.update(scalars)
+        if self.backup_cpu is None:
+            return
+        if charge:
+            # A checkpoint is an interprocessor message: it occupies a
+            # bus for its duration.
+            node = self.node_os.node
+            latency = node.latencies.checkpoint
+            node.buses.record_transfer(latency)
+            yield self.env.timeout(latency)
+            self.checkpoints_sent += 1
+            metrics = self.env.metrics
+            if metrics is not None and metrics.enabled:
+                metrics.inc("pair.checkpoints")
+            if self.tracer is not None:
+                self._trace("checkpoint", **{trace_key: trace_value})
+        atomic = ATOMIC_TYPES
+        backup_state = self.backup_state
+        for table, updates, removals in parts:
+            backup_table = backup_state.setdefault(table, {})
+            if updates:
+                if table in self.shared_tables:
+                    backup_table.update(updates)
+                else:
                     for key, value in updates.items():
                         backup_table[key] = (
-                            value if value.__class__ in atomic
-                            else fast_deepcopy(value)
+                            value if value.__class__ in atomic else fast_deepcopy(value)
                         )
-                for key in removals:
-                    backup_table.pop(key, None)
-            if scalars:
-                for key, value in scalars.items():
-                    backup_state[key] = fast_deepcopy(value)
+            for key in removals:
+                backup_table.pop(key, None)
+        if scalars:
+            for key, value in scalars.items():
+                backup_state[key] = (
+                    value if value.__class__ in atomic else fast_deepcopy(value)
+                )
 
     # ------------------------------------------------------------------
     # Failure handling
@@ -285,19 +243,22 @@ class ProcessPair:
             self._trace("pair_down", last_cpu=failed_cpu)
             self.on_pair_down()
             return
-        # Promote: the backup's knowledge is exactly the checkpointed image.
         self.takeovers += 1
-        self.primary_cpu, self.backup_cpu = self.backup_cpu, None
-        self.state = fast_deepcopy(self.backup_state)
-        self._apply_state_defaults()
-        self.on_takeover()
-        self.primary_process = self.node_os.spawn(
-            self.name, self.primary_cpu, self._serve
-        )
+        new_primary_cpu, self.backup_cpu = self.backup_cpu, None
+        self._promote(new_primary_cpu)
         self._trace("takeover", new_primary_cpu=self.primary_cpu)
         replacement = self._pick_backup_cpu()
         if replacement is not None:
             self._adopt_backup(replacement)
+
+    def _promote(self, cpu_number: int) -> None:
+        """Start a primary in ``cpu_number`` from the checkpointed image:
+        the backup's knowledge is exactly what was checkpointed."""
+        self.primary_cpu = cpu_number
+        self.state = fast_deepcopy(self.backup_state)
+        self._apply_state_defaults()
+        self.on_takeover()
+        self.primary_process = self.node_os.spawn(self.name, cpu_number, self._serve)
 
     def _lose_backup(self) -> None:
         self.backup_cpu = None
@@ -334,13 +295,7 @@ class ProcessPair:
         """
         if self.available:
             raise RuntimeError(f"pair {self.name} is still available")
-        self.primary_cpu = primary_cpu
-        self.state = fast_deepcopy(self.backup_state)
-        self._apply_state_defaults()
-        self.on_takeover()
-        self.primary_process = self.node_os.spawn(
-            self.name, primary_cpu, self._serve
-        )
+        self._promote(primary_cpu)
         if backup_cpu is not None and backup_cpu != primary_cpu:
             self._adopt_backup(backup_cpu)
         else:

@@ -1,30 +1,22 @@
-"""Fast deep copies of plain-data trees (the checkpoint hot path).
+"""Fast deep copies of plain-data trees (checkpoints, replies, recovery).
 
-Profiling the debit/credit workload shows the simulator spending more
-than half its wall-clock inside :func:`copy.deepcopy`: every checkpoint
-mirrors record images into the backup process's memory, every
-DISCPROCESS reply isolates records from later in-place mutation, and
-every audit image carries before/after record copies.  The values being
-copied are overwhelmingly *plain data* — dicts, lists, tuples and
-scalars (records are dicts of field values; B-tree blocks are nested
-lists) — for which the generic ``deepcopy`` machinery (memo dict,
-reduce protocol, per-object dispatch) is pure overhead.
+A process-pair's backup has its own memory, so a checkpointed value that
+the primary (or a reply holder) may still mutate reaches the backup as a
+private copy; so do DISCPROCESS record replies.  Those values are plain
+data — dicts, lists, tuples and scalars — for which the generic
+:func:`copy.deepcopy` machinery (memo dict, reduce protocol) is pure
+overhead.  :func:`fast_deepcopy` copies exactly those shapes by direct
+recursion and falls back to :func:`copy.deepcopy` for anything else; it
+suits value data only (no aliasing within the tree, no cycles).
 
-:func:`fast_deepcopy` handles exactly those shapes with direct
-recursion and falls back to :func:`copy.deepcopy` for anything it does
-not recognize, so it is a drop-in replacement wherever the copied value
-has *value semantics* (no reliance on aliasing within the copied tree,
-no cycles).  Checkpoint images, record replies and audit images all
-qualify: the copy exists precisely so the original can be mutated
-independently.
+Values that are never edited after they are built are not copied at all
+(stored blocks and audit images are shared by checkpoints).  Layers
+above ``sim`` declare their carrier types:
 
-Layers above ``sim`` register their own value-like carrier types:
-
-* :func:`register_immutable` — the type is deeply immutable (e.g. a
-  frozen dataclass of scalars); instances are returned as-is.
+* :func:`register_immutable` — instances are immutable values, returned
+  as-is (transids, audit records);
 * :func:`register_fastcopy` — a custom copier for a type whose fields
-  are themselves plain data (e.g. an audit record carrying two record
-  images).
+  are plain data (a terminal's input screen).
 """
 
 from __future__ import annotations

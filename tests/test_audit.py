@@ -164,6 +164,23 @@ class TestAuditProcess:
         reply = rig.request(GetAudit(T1))
         assert reply["records"] == ()
 
+    def test_forget_during_append_checkpoint_stays_forgotten(self):
+        # The transaction is forgotten while its append's checkpoint is
+        # in flight: the late mirror must not revive it in the backup.
+        rig = AuditRig()
+        env = rig.cluster.env
+
+        def forget_mid_checkpoint(proc):
+            while str(T1) not in rig.audit.state["by_tx"]:
+                yield env.timeout(0.01)
+            assert str(T1) not in rig.audit.backup_state.get("by_tx", {})
+            rig.audit.forget_transaction(T1)
+
+        rig.node_os.spawn("$cleanup", 1, forget_mid_checkpoint, register=False)
+        rig.request(AppendAudit("$data", (record(0, T1),)))
+        assert str(T1) not in rig.audit.backup_state.get("by_tx", {})
+        assert rig.request(GetAudit(T1))["records"] == ()
+
     def test_cold_restart_rebuilds_from_trail(self):
         rig = AuditRig()
         rig.request(AppendAudit("$data", (record(0), record(1))))
