@@ -588,7 +588,7 @@ def e11_boxcar(scale: str) -> Dict[str, Any]:
     policies: List[Tuple[str, Any]] = [
         ("sync", False),
         ("default", True),
-        ("wide", BoxcarPolicy(max_records=64, max_wait_ms=20.0)),
+        ("wide", BoxcarPolicy(max_records=64)),
     ]
     counters: Dict[str, int] = {}
     info: Dict[str, Any] = {}

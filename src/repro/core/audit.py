@@ -256,8 +256,11 @@ class AuditProcess(ConcurrentPair):
 
     * ``buffer``   — images received but not yet on the trail, keyed by
       arrival index (order preserved);
-    * ``by_tx``    — per-transid :class:`AuditChain` of images (buffered
-      *and* durable), used to answer the BACKOUTPROCESS;
+    * ``by_tx``    — per-transid :class:`AuditChain` of the images
+      backout may have to undo (buffered *and* durable), used to answer
+      the BACKOUTPROCESS.  Backout's own compensation images go to the
+      trail only: they may arrive after the aborted transaction was
+      forgotten, and indexing them would revive its entry for good;
     * ``high_seq`` — per-volume highest audit sequence seen (suppresses
       duplicates re-forwarded after a DISCPROCESS takeover);
     * ``durable_high`` — per-volume highest sequence forced to the trail.
@@ -318,6 +321,8 @@ class AuditProcess(ConcurrentPair):
                 index = self.state["next_index"]
                 self.state["next_index"] = index + 1
                 buffer_updates[index] = record
+                if record.op == "backout":
+                    continue
                 tx_key = str(record.transid)
                 tx_updates[tx_key] = AuditChain(
                     tx_updates.get(tx_key) or by_tx.get(tx_key), record
@@ -340,43 +345,44 @@ class AuditProcess(ConcurrentPair):
         proc.reply(message, {"ok": True, "accepted": len(fresh)})
 
     def _force(self, proc: OsProcess, message: Message) -> Generator:
-        """Write every buffered image to the trail (group commit)."""
+        """Write every buffered image to the trail (group commit).
+
+        The images are claimed from the buffer before the disc wait, so
+        a force arriving meanwhile does not write them again; it queues
+        behind this write instead and so never replies before it ends.
+        """
         t0 = self.env.now
-        batch_writes = 0
         buffer: Dict[int, AuditRecord] = self.state["buffer"]
-        if buffer:
-            indices = sorted(buffer)
-            records = [buffer[i] for i in indices]
-            block_writes = self.trail.append_many(records)
-            self.forced_block_writes += block_writes
-            batch_writes = block_writes
-            # Physical write time: sequential trail writes; the mirrored
-            # pair proceeds in parallel (one disc_write per two blocks),
-            # and concurrent forces queue behind each other.
-            cost = block_writes * self.node_os.node.latencies.disc_write / 2
-            self.busy_ms += cost
-            start = max(self.env.now, self._disc_free_at)
-            self._disc_free_at = start + cost
-            yield self.env.timeout(self._disc_free_at - self.env.now)
-            durable_updates = {}
+        indices = sorted(buffer)
+        records = [buffer.pop(i) for i in indices]
+        batch_writes = self.trail.append_many(records)
+        self.forced_block_writes += batch_writes
+        # Physical write time: sequential trail writes (an empty force
+        # still costs one rotation to write the commit-fence block); the
+        # mirrored pair proceeds in parallel (one disc_write per two
+        # blocks), and concurrent forces queue behind each other.
+        blocks = batch_writes if records else 1
+        cost = blocks * self.node_os.node.latencies.disc_write / 2
+        self.busy_ms += cost
+        start = max(self.env.now, self._disc_free_at)
+        self._disc_free_at = start + cost
+        yield self.env.timeout(self._disc_free_at - self.env.now)
+        if records:
+            durable_updates: Dict[str, int] = {}
             for record in records:
                 volume = record.volume
                 durable_updates[volume] = max(
                     durable_updates.get(volume, -1), record.seq
                 )
             # One multi-part checkpoint (buffer drain + durable marks)
-            # instead of two charged messages.
+            # instead of two charged messages; the primary's buffer
+            # already lost the indices above.
             yield from self.checkpoint_multi(
                 [
                     ("buffer", None, indices),
                     ("durable_high", durable_updates, ()),
                 ]
             )
-        else:
-            # An empty force still costs one rotation to write the
-            # commit-fence block.
-            self.busy_ms += self.node_os.node.latencies.disc_write / 2
-            yield self.env.timeout(self.node_os.node.latencies.disc_write / 2)
         self.forces += 1
         metrics = self.env.metrics
         if metrics is not None and metrics.enabled:
@@ -406,8 +412,9 @@ class AuditProcess(ConcurrentPair):
         high_seq: Dict[str, int] = {}
         for record in self.trail.scan_all():
             if isinstance(record, AuditRecord):
-                tx_key = str(record.transid)
-                by_tx[tx_key] = AuditChain(by_tx.get(tx_key), record)
+                if record.op != "backout":
+                    tx_key = str(record.transid)
+                    by_tx[tx_key] = AuditChain(by_tx.get(tx_key), record)
                 high_seq[record.volume] = max(
                     high_seq.get(record.volume, -1), record.seq
                 )

@@ -89,14 +89,13 @@ class BackoutProcess(ConcurrentPair):
             )
             if reply.get("ok"):
                 records.extend(reply["records"])
-        # Undo only forward images; 'backout' images are the undo's own
-        # audit (replaying them would redo the damage).
-        forward = [r for r in records if r.op != "backout"]
-        # Reverse order per volume stream; global reverse by (volume, seq)
-        # is safe because streams are independent per volume.
-        forward.sort(key=lambda r: (r.volume, r.seq), reverse=True)
+        # The AUDITPROCESS answers with forward images only (never the
+        # undo's own audit).  Reverse order per volume stream; global
+        # reverse by (volume, seq) is safe because streams are
+        # independent per volume.
+        records.sort(key=lambda r: (r.volume, r.seq), reverse=True)
         undone = 0
-        for record in forward:
+        for record in records:
             reply = yield from self.filesystem.send(
                 proc, record.volume, BackoutOp(record), timeout=5000.0
             )

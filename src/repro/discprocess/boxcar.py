@@ -1,22 +1,23 @@
 """BOXCAR: group-commit batching policy for the audit forward path.
 
 The paper's §Audit Trails has audit images *buffered* at the
-AUDITPROCESS and forced only during phase one of commit — nothing in the
-protocol requires each operation to pay a forward round-trip of its own.
-BOXCAR exploits that: the DISCPROCESS accumulates unforwarded audit
-images (already checkpointed, so a takeover re-forwards them) and ships
-them to the AUDITPROCESS asynchronously in batches, leaving only two
-forces on the commit critical path — the boxcar drain and the trail
-force — exactly the "which log forces matter" split of Gray & Lamport's
-*Consensus on Transaction Commit*.
+AUDITPROCESS and "write-forced to disc as part of the two-phase
+commit" — nothing reads them before phase one, so no operation needs a
+forward round-trip of its own.  BOXCAR exploits that: the DISCPROCESS
+accumulates unforwarded audit images (already checkpointed, so a
+takeover re-forwards them) and ships them to the AUDITPROCESS in
+batches, only when something needs them:
 
-:class:`BoxcarPolicy` is the flush policy knob:
+* a full boxcar — ``max_records`` images aboard — departs on its own,
+  off the operation's critical path;
+* phase one's ``ForceBoxcar`` drains it before the trail force;
+* the quiesce that precedes a backout drains it, because backout reads
+  the images back from the AUDITPROCESS;
+* a takeover re-forwards whatever the new primary inherited.
 
-* ``max_records`` — flush as soon as this many images are unforwarded;
-* ``max_wait_ms`` — flush at most this long after the oldest unflushed
-  image arrived (the boxcar never idles with cargo);
-* an explicit **force** (phase-one drain, abort quiesce, takeover
-  re-forward) always flushes immediately and synchronously.
+That leaves two forces on the commit critical path — the boxcar drain
+and the trail force — exactly the "which log forces matter" split of
+Gray & Lamport's *Consensus on Transaction Commit*.
 
 ``resolve_boxcar`` normalizes the user-facing spellings (``True`` /
 ``False`` / a policy instance) used by ``SystemBuilder(boxcar=...)`` and
@@ -33,13 +34,11 @@ __all__ = [
     "FLUSH_FORCE",
     "FLUSH_MAX_RECORDS",
     "FLUSH_TAKEOVER",
-    "FLUSH_TIMER",
     "resolve_boxcar",
 ]
 
 #: flush reasons, used as XRAY counter suffixes and TRACE fields.
 FLUSH_MAX_RECORDS = "max_records"
-FLUSH_TIMER = "timer"
 FLUSH_FORCE = "force"
 FLUSH_TAKEOVER = "takeover"
 
@@ -48,20 +47,16 @@ FLUSH_TAKEOVER = "takeover"
 class BoxcarPolicy:
     """When an asynchronous audit boxcar departs on its own.
 
-    The defaults are deliberately small: a boxcar exists to absorb the
-    per-operation round-trip, not to delay phase one (which drains it
-    explicitly anyway, so ``max_wait_ms`` only bounds how stale the
-    AUDITPROCESS's buffered view of a volume may get).
+    ``max_records`` bounds how many images wait aboard (and so how
+    large one ``AppendAudit`` gets); below it, cargo waits for an
+    explicit drain.
     """
 
     max_records: int = 16
-    max_wait_ms: float = 5.0
 
     def __post_init__(self) -> None:
         if self.max_records < 1:
             raise ValueError("max_records must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
 
 
 def resolve_boxcar(boxcar: Any) -> Optional[BoxcarPolicy]:

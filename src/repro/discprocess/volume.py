@@ -23,15 +23,15 @@ Fidelity notes:
   are checkpointed so a retried-but-already-applied mutation answers
   from the record instead of re-executing.
 * **Audit flow (BOXCAR)**: images are checkpointed into the pair's
-  ``unforwarded`` table within each operation, then shipped to the
-  volume's AUDITPROCESS *asynchronously* in batches by a per-volume
-  boxcar coroutine (flush policy: :class:`~.boxcar.BoxcarPolicy`).
-  Durability is unaffected: phase one of commit (and the quiesce that
-  precedes a backout) sends an explicit :class:`~.ops.ForceBoxcar` that
-  drains the boxcar before the trail force, so a transaction never
-  completes phase one — and backout never runs — with its images still
-  aboard.  With ``boxcar=False`` the legacy synchronous
-  forward-per-operation behaviour is restored.
+  ``unforwarded`` table within each operation and shipped to the
+  volume's AUDITPROCESS in batches, only when something needs them: a
+  full boxcar (:class:`~.boxcar.BoxcarPolicy`), phase one of commit and
+  the quiesce that precedes a backout (an explicit
+  :class:`~.ops.ForceBoxcar` drain before the trail force), or a
+  takeover.  A transaction therefore never completes phase one — and
+  backout never runs — with its images still aboard.  With
+  ``boxcar=False`` the legacy synchronous forward-per-operation
+  behaviour is restored.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .boxcar import (
     FLUSH_FORCE,
     FLUSH_MAX_RECORDS,
     FLUSH_TAKEOVER,
-    FLUSH_TIMER,
     resolve_boxcar,
 )
 from .cache import BlockCache, CachedVolumeStore
@@ -124,6 +123,7 @@ class DiscProcess(ConcurrentPair):
         self.crashed = False
         self.boxcar = resolve_boxcar(boxcar)
         self._flushed_keys: List[BlockKey] = []
+        self._forwarded_seqs: List[int] = []
         self._completed_order: Deque[int] = deque(maxlen=_COMPLETED_LIMIT)
         #: plain counters surfaced by VolumeStats: AppendAudit batches
         #: shipped and the images they carried (records/batches > 1 is
@@ -132,11 +132,8 @@ class DiscProcess(ConcurrentPair):
         self.audit_records_forwarded = 0
         # Boxcar runtime (volatile; reset by _build_runtime on takeover):
         # the departure event of the batch currently on the wire (None =
-        # idle), whether the departure timer is alive, and when the
-        # oldest unforwarded image boarded.
+        # idle).
         self._forward_event: Optional[Event] = None
-        self._flusher_alive = False
-        self._boxcar_oldest_at: Optional[float] = None
         # In-flight audited mutations per transid (volatile: handlers die
         # with the primary).  Lets QuiesceTransaction order backout after
         # every straggling operation of an aborting transaction.
@@ -191,6 +188,7 @@ class DiscProcess(ConcurrentPair):
         )
         self.store.pin_writes = True
         self._flushed_keys = []
+        self._forwarded_seqs = []
         # Blocks checkpointed but not yet on disc: the new primary's
         # knowledge of the data base beyond the platters.
         for key, block in self.state.get("dirty", {}).items():
@@ -215,8 +213,6 @@ class DiscProcess(ConcurrentPair):
             self.state["unforwarded"] = dict(sorted(unforwarded.items()))
         # Boxcar coroutines died with the old primary.
         self._forward_event = None
-        self._flusher_alive = False
-        self._boxcar_oldest_at = None
 
     def _physical_read(self, key: BlockKey) -> Any:
         return self.volume.read_block(key)
@@ -704,9 +700,11 @@ class DiscProcess(ConcurrentPair):
         journal = self._take_journal()
         prune = [key for key in self._flushed_keys if key not in journal]
         self._flushed_keys = []
+        forwarded, self._forwarded_seqs = self._forwarded_seqs, []
         audit_updates = {record.seq: record for record in audit_records}
         # One physical checkpoint message carries data blocks, the
-        # completed-reply record, lock grants, audit images, and the
+        # completed-reply record, lock grants, audit images (and the
+        # removal of images forwarded since the last one), and the
         # audit cursor.
         parts: List[Tuple[str, Optional[Dict[Any, Any]], Any]] = [
             ("dirty", journal, prune),
@@ -714,9 +712,10 @@ class DiscProcess(ConcurrentPair):
         ]
         if lock_delta:
             parts.append(("locks", lock_delta, ()))
+        if audit_updates or forwarded:
+            parts.append(("unforwarded", audit_updates, forwarded))
         scalars = None
         if audit_updates:
-            parts.append(("unforwarded", audit_updates, ()))
             scalars = {"audit_seq": self.state["audit_seq"]}
         yield from self.checkpoint_multi(parts, scalars=scalars)
         self._remember_completed(message.msg_id)
@@ -761,16 +760,15 @@ class DiscProcess(ConcurrentPair):
         run.callbacks.append(lambda _event: self._active_handlers.discard(run))
 
     def _boxcar_note(self, proc: OsProcess) -> None:
-        """Note freshly-checkpointed cargo; schedule its departure.
+        """Note freshly-checkpointed cargo; send a full boxcar on its way.
 
         Never blocks the operation that loaded the cargo — that is the
         point: the forward round-trip leaves the operation's critical
         path, and only an explicit force (phase one, quiesce) waits for
-        the AUDITPROCESS.
+        the AUDITPROCESS.  Cargo below ``max_records`` waits for that
+        force.
         """
         pending = self.state["unforwarded"]
-        if self._boxcar_oldest_at is None:
-            self._boxcar_oldest_at = self.env.now
         metrics = self.env.metrics
         if metrics is not None and metrics.enabled:
             metrics.observe("boxcar.occupancy", len(pending))
@@ -779,40 +777,12 @@ class DiscProcess(ConcurrentPair):
             and self._forward_event is None
         ):
             self._spawn_boxcar(self._flush_once(proc, FLUSH_MAX_RECORDS), "boxcar")
-        elif not self._flusher_alive:
-            self._flusher_alive = True
-            self._spawn_boxcar(self._boxcar_timer(proc), "boxcar-timer")
 
     def _flush_once(self, proc: OsProcess, reason: str) -> Generator:
         try:
             yield from self._forward_audit(proc, reason)
         except VolumeUnavailable:
             pass  # self-crash recorded; pending requests see volume_down
-
-    def _boxcar_timer(self, proc: OsProcess) -> Generator:
-        """Departure timer: flush when the oldest cargo outwaits the policy."""
-        try:
-            while True:
-                if (
-                    self.crashed
-                    or self.primary_process is not proc
-                    or not self.state["unforwarded"]
-                ):
-                    return
-                oldest = (
-                    self._boxcar_oldest_at
-                    if self._boxcar_oldest_at is not None
-                    else self.env.now
-                )
-                deadline = oldest + self.boxcar.max_wait_ms
-                if deadline > self.env.now:
-                    yield self.env.timeout(deadline - self.env.now)
-                    continue
-                yield from self._forward_audit(proc, FLUSH_TIMER)
-        except VolumeUnavailable:
-            return
-        finally:
-            self._flusher_alive = False
 
     def _drain_boxcar(self, proc: OsProcess, reason: str) -> Generator:
         """Flush until nothing is aboard or on the wire; returns the count."""
@@ -843,6 +813,11 @@ class DiscProcess(ConcurrentPair):
         interleave AppendAudit messages, and because ``unforwarded`` is
         append-only by seq, ``.values()`` is already the wire order — no
         sort.  Returns the number of images shipped by *this* call.
+
+        The primary drops the shipped images at once; their removal
+        reaches the backup with the next write's checkpoint.  A takeover
+        before that re-forwards them, and the AUDITPROCESS discards the
+        repeats by sequence number.
         """
         if self.audit_process is None:
             return 0
@@ -871,14 +846,12 @@ class DiscProcess(ConcurrentPair):
             self._forward_event = None
             departed.succeed()
         if result.get("ok"):
-            yield from self.checkpoint_update(
-                "unforwarded", removals=[record.seq for record in batch]
-            )
+            pending = self.state["unforwarded"]
+            for record in batch:
+                pending.pop(record.seq, None)
+                self._forwarded_seqs.append(record.seq)
             self.audit_batches_sent += 1
             self.audit_records_forwarded += len(batch)
-            self._boxcar_oldest_at = (
-                self.env.now if self.state["unforwarded"] else None
-            )
             metrics = self.env.metrics
             if metrics is not None and metrics.enabled:
                 metrics.inc(f"boxcar.flush.{reason}")

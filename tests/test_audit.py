@@ -148,6 +148,35 @@ class TestAuditProcess:
         assert reply["ok"]
         assert rig.trail.total_records == 1  # nothing written twice
 
+    def test_overlapping_forces_write_each_image_once(self):
+        # A second force arrives while the first one's trail write is
+        # still on the disc: it must neither write the same images again
+        # nor reply before that write ends.
+        rig = AuditRig()
+        env = rig.cluster.env
+        fs = rig.cluster.fs("alpha")
+        rig.request(AppendAudit("$data", tuple(record(i) for i in range(100))))
+        seen = {}
+
+        def first(proc):
+            yield from fs.send(proc, "$aud", ForceAudit(T1))
+
+        def second(proc):
+            while rig.trail.total_records == 0:
+                yield env.timeout(0.01)
+            seen["write_end"] = rig.audit._disc_free_at
+            seen["sent"] = env.now
+            yield from fs.send(proc, "$aud", ForceAudit(T2))
+            seen["replied"] = env.now
+
+        rig.node_os.spawn("$f1", 0, first, register=False)
+        proc = rig.node_os.spawn("$f2", 1, second, register=False)
+        rig.cluster.run(proc.sim_process)
+        assert seen["sent"] < seen["write_end"], "the forces overlapped"
+        assert seen["replied"] >= seen["write_end"]
+        on_trail = [(r.volume, r.seq) for r in rig.trail.scan_all()]
+        assert sorted(on_trail) == [("$data", i) for i in range(100)]
+
     def test_takeover_preserves_buffer(self):
         rig = AuditRig()
         rig.request(AppendAudit("$data", (record(0), record(1))))

@@ -2,12 +2,14 @@
 
 The boxcar decouples audit forwarding from the operation that produced
 the images: writes checkpoint their after-images into ``unforwarded``
-and return; a per-volume coroutine ships them to the AUDITPROCESS in
-batches (policy-driven), and only an explicit force — TMF phase one,
-quiesce — waits for the trail.  The tests here pin down the three
-flush triggers and, above all, the failure contract: **a committed
-transaction's audit is never silently dropped**, whatever fails.
+and return; the images leave for the AUDITPROCESS in batches only when
+something needs them — a full boxcar, TMF phase one, the quiesce before
+backout, or a takeover.  The tests here pin down those departure rules
+and, above all, the failure contract: **a committed transaction's audit
+is never silently dropped**, whatever fails.
 """
+
+import math
 
 import pytest
 
@@ -17,9 +19,9 @@ from repro.discprocess import FileSchema, KEY_SEQUENCED, PartitionSpec
 
 from conftest import TmfRig
 
-#: a policy whose timer never plausibly fires inside a test episode —
-#: cargo departs only on max_records or an explicit force.
-PATIENT = BoxcarPolicy(max_records=1000, max_wait_ms=10_000_000.0)
+#: a boxcar too large to fill inside a test episode — cargo departs
+#: only on an explicit force.
+PATIENT = BoxcarPolicy(max_records=1000)
 
 
 def schema_for(node):
@@ -59,7 +61,7 @@ class TestPolicy:
         assert resolve_boxcar(True) == BoxcarPolicy()
 
     def test_explicit_policy_passes_through(self):
-        policy = BoxcarPolicy(max_records=64, max_wait_ms=20.0)
+        policy = BoxcarPolicy(max_records=64)
         assert resolve_boxcar(policy) is policy
 
     def test_garbage_rejected(self):
@@ -69,17 +71,14 @@ class TestPolicy:
     def test_policy_validates_bounds(self):
         with pytest.raises(ValueError):
             BoxcarPolicy(max_records=0)
-        with pytest.raises(ValueError):
-            BoxcarPolicy(max_wait_ms=-1.0)
 
 
 # ----------------------------------------------------------------------
-# Flush triggers: max_records, timer, force
+# Departure rules: max_records, force — and nothing else
 # ----------------------------------------------------------------------
 class TestFlushPolicies:
     def test_max_records_triggers_one_batch(self):
-        rig = make_rig(boxcar=BoxcarPolicy(max_records=3,
-                                           max_wait_ms=10_000_000.0))
+        rig = make_rig(boxcar=BoxcarPolicy(max_records=3))
         dp = rig.disc_processes[("alpha", "$data")]
 
         def body(proc):
@@ -97,8 +96,10 @@ class TestFlushPolicies:
         assert dp.audit_batches_sent == 1
         assert dp.audit_records_forwarded == 3
 
-    def test_timer_flushes_waiting_cargo(self):
-        rig = make_rig(boxcar=BoxcarPolicy(max_records=1000, max_wait_ms=40.0))
+    def test_cargo_waits_for_the_commit_drain(self):
+        # No departure clock: an idle boxcar below max_records keeps its
+        # cargo until phase one needs it.
+        rig = make_rig()
         dp = rig.disc_processes[("alpha", "$data")]
 
         def body(proc):
@@ -106,18 +107,39 @@ class TestFlushPolicies:
             yield from client.insert(
                 proc, "alpha_accts", {"aid": 1, "balance": 1}, transid=transid
             )
+            yield rig.cluster.env.timeout(300)
             aboard = len(dp.state["unforwarded"])
-            yield rig.cluster.env.timeout(300)  # > max_wait_ms + round-trip
-            return aboard, len(dp.state["unforwarded"])
+            sent = dp.audit_batches_sent
+            yield from tmf.end(proc, transid)
+            return aboard, sent
 
-        aboard, after = rig.run("alpha", body)
-        assert aboard == 1, "cargo waits aboard until the timer"
-        assert after == 0
-        assert dp.audit_batches_sent == 1
+        aboard, sent = rig.run("alpha", body)
+        assert (aboard, sent) == (1, 0), "cargo stayed aboard while idle"
+        assert dp.state["unforwarded"] == {}
+        assert dp.audit_batches_sent == 1, "it left with the commit drain"
+
+    def test_large_transaction_ships_full_boxcars(self):
+        rig = make_rig()
+        dp = rig.disc_processes[("alpha", "$data")]
+        inserts = 50
+
+        def body(proc):
+            tmf, client, transid = yield from create_and_begin(rig, proc)
+            for i in range(inserts):
+                yield from client.insert(
+                    proc, "alpha_accts", {"aid": i, "balance": i},
+                    transid=transid,
+                )
+            yield from tmf.end(proc, transid)
+
+        rig.run("alpha", body)
+        full = BoxcarPolicy().max_records
+        assert dp.audit_records_forwarded == inserts
+        assert dp.audit_batches_sent <= math.ceil(inserts / full) + 1
 
     def test_commit_forces_the_drain(self):
         # Phase one's ForceBoxcar drains a patient boxcar before the
-        # trail force: commit durability never waits on the lazy timer.
+        # trail force.
         rig = make_rig(boxcar=PATIENT)
         dp = rig.disc_processes[("alpha", "$data")]
 
@@ -138,6 +160,30 @@ class TestFlushPolicies:
         assert dp.audit_batches_sent == 1, "one batch, not one per record"
         trail = rig.audit_processes["alpha"].trail
         assert trail.total_records >= 2, "commit made the images durable"
+
+    def test_late_backout_images_do_not_revive_an_aborted_transaction(self):
+        # Backout's compensation images stay aboard past the abort (no
+        # one needs them) and reach the AUDITPROCESS with a later drain,
+        # after the aborted transaction was forgotten there.
+        rig = make_rig()
+        audit = rig.audit_processes["alpha"]
+
+        def body(proc):
+            tmf, client, aborted = yield from create_and_begin(rig, proc)
+            yield from client.insert(
+                proc, "alpha_accts", {"aid": 1, "balance": 1}, transid=aborted
+            )
+            yield from tmf.abort(proc, aborted)
+            transid = yield from tmf.begin(proc)
+            yield from client.insert(
+                proc, "alpha_accts", {"aid": 2, "balance": 2}, transid=transid
+            )
+            yield from tmf.end(proc, transid)
+
+        rig.run("alpha", body)
+        assert audit.state["by_tx"] == {}
+        ops = sorted(record.op for record in audit.trail.scan_all())
+        assert ops == ["backout", "insert", "insert"]
 
     def test_sync_mode_forwards_inline(self):
         rig = make_rig(boxcar=False)
@@ -233,6 +279,51 @@ class TestBoxcarFaults:
         assert len(reply["records"]) == 2, (
             "every checkpointed image reached the AUDITPROCESS"
         )
+
+    def test_takeover_before_removal_reaches_backup_reforwards_once(self):
+        """A forward's removal rides on the next write's checkpoint; a
+        takeover before that re-forwards images the AUDITPROCESS already
+        holds, and it keeps each of them once."""
+        rig = make_rig(boxcar=BoxcarPolicy(max_records=2))
+        dp = rig.disc_processes[("alpha", "$data")]
+        audit = rig.audit_processes["alpha"]
+
+        def load(proc):
+            tmf, client, transid = yield from create_and_begin(rig, proc)
+            for i in range(2):
+                yield from client.insert(
+                    proc, "alpha_accts", {"aid": i, "balance": i},
+                    transid=transid,
+                )
+            yield rig.cluster.env.timeout(100)  # let the full boxcar land
+            return transid
+
+        transid = rig.run("alpha", load, cpu=2)
+        assert dp.audit_batches_sent == 1
+        assert dp.state["unforwarded"] == {}, "the primary dropped them"
+        assert len(dp.backup_state["unforwarded"]) == 2, (
+            "no write has carried the removal to the backup yet"
+        )
+        rig.cluster.node("alpha").fail_cpu(0)  # volume primary
+
+        def settle_and_commit(proc):
+            yield rig.cluster.env.timeout(2000)
+            reply = yield from rig.cluster.fs("alpha").send(
+                proc, "$aud", GetAudit(transid)
+            )
+            yield from rig.tmf["alpha"].end(proc, transid)
+            return reply
+
+        reply = rig.run("alpha", settle_and_commit, cpu=2)
+        assert dp.takeovers == 1
+        assert dp.audit_batches_sent == 2, "the new primary re-forwarded"
+        assert sorted(r.seq for r in reply["records"]) == [0, 1]
+        on_trail = [
+            (record.volume, record.seq)
+            for record in audit.trail.scan_all()
+            if record.transid == transid
+        ]
+        assert sorted(on_trail) == [("$data", 0), ("$data", 1)]
 
     def test_commit_aborts_when_drain_fails(self):
         """Phase one votes no if the boxcar cannot drain: the client

@@ -25,12 +25,16 @@ from repro.bench import determinism_digests
 # BOXCAR: asynchronous batched audit forwarding + multi-part checkpoints
 # intentionally change simulated history (fewer AppendAudit round-trips,
 # a ForceBoxcar drain in phase one), so the pre-BOXCAR digests no longer
-# apply.  Any *further* digest change must again be justified.
+# apply.  Re-recorded once more when the boxcar lost its departure
+# timer: images now leave a DISCPROCESS only when a drain, a takeover or
+# a full boxcar needs them, a forward no longer pays a separate removal
+# checkpoint, and an AUDITPROCESS force claims its images before the
+# disc wait.  Any *further* digest change must again be justified.
 GOLDEN = {
     "xray_sha256":
-        "0db2ba9b6426691c5f2fc30aacc4be9e5ddde08304c763b93fb4ef17f371079e",
+        "230a83dd93d100bf609e0dfa2d173aed76cba588efa4f835f1d57cc9d295048e",
     "timeline_sha256":
-        "fa1c54f90fe89023622c45e59106d89243f9715ff48078c3492832668f7146e6",
+        "04a3a772cff2bf399ffb40bdb9d12efdc27ccc6d014e6d66ebc30a41658f2328",
 }
 
 
