@@ -636,12 +636,9 @@ class TmfNode:
     def pump(self, proc: OsProcess) -> Generator:
         """Background loop: safe-delivery retries, auto-aborts, sweep.
 
-        Runs as a sim process owned by the current TMP primary; dies
-        with its CPU and is restarted by the new primary.
+        Runs as a sim process owned by the current TMP primary; killed
+        with it (takeover, pair-down) and restarted by the new primary.
         """
-        return _while_alive(proc, self._pump(proc))
-
-    def _pump(self, proc: OsProcess) -> Generator:
         # Each pass takes the work queued before it started, item by item
         # in place, so a pump that dies mid-pass leaves the rest to the
         # next primary's (on_tmp_takeover re-queues a half-settled one).
@@ -697,26 +694,3 @@ class TmfNode:
         if self.tracer is not None:
             self.tracer.emit(self.env.now, kind, node=self.node_name, **fields)
 
-
-def _while_alive(proc: OsProcess, work: Generator) -> Generator:
-    """Drive ``work`` as ``yield from`` would, abandoning it once ``proc`` dies.
-
-    A CPU failure kills pair sub-handlers but not the pump; left running,
-    a dead primary's pump would finish a decision that the new primary
-    adopted and finishes too — one transaction settled twice.
-    """
-    value: Any = None
-    error: Optional[BaseException] = None
-    while True:
-        try:
-            target = work.send(value) if error is None else work.throw(error)
-        except StopIteration as stop:
-            return stop.value
-        value = error = None
-        try:
-            value = yield target
-        except Exception as exc:  # noqa: BLE001 - a failed event, forwarded as yield from would
-            error = exc
-        if not proc.alive:
-            work.close()
-            return None

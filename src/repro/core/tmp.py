@@ -119,9 +119,9 @@ class TmpProcess(ConcurrentPair):
 
     def on_start(self, proc: OsProcess) -> None:
         # The background pump: safe-delivery retries, the unilateral-
-        # abort sweep, and queued automatic aborts.  Restarted with each
-        # new primary.
-        self.env.process(self.tmf.pump(proc), name=f"{self.name}.pump")
+        # abort sweep, and queued automatic aborts.  Dies with this
+        # primary and is restarted by the next one.
+        self.spawn(self.tmf.pump(proc), "pump")
 
     def on_takeover(self) -> None:
         super().on_takeover()

@@ -235,7 +235,7 @@ class DiscProcess(ConcurrentPair):
 
     def on_start(self, proc: OsProcess) -> None:
         if self.state.get("unforwarded"):
-            self._spawn_boxcar(self._reforward(proc), "reforward")
+            self.spawn(self._reforward(proc), "reforward")
 
     def _reforward(self, proc: OsProcess) -> Generator:
         """Re-ship images a takeover inherited (checkpointed, unforwarded)."""
@@ -753,12 +753,6 @@ class DiscProcess(ConcurrentPair):
         """
         return self._forward_event is not None or bool(self.state["unforwarded"])
 
-    def _spawn_boxcar(self, generator: Generator, suffix: str) -> None:
-        """Run a boxcar coroutine that dies with this primary (takeover-safe)."""
-        run = self.env.process(generator, name=f"{self.name}.{suffix}")
-        self._active_handlers.add(run)
-        run.callbacks.append(lambda _event: self._active_handlers.discard(run))
-
     def _boxcar_note(self, proc: OsProcess) -> None:
         """Note freshly-checkpointed cargo; send a full boxcar on its way.
 
@@ -776,7 +770,7 @@ class DiscProcess(ConcurrentPair):
             len(pending) >= self.boxcar.max_records
             and self._forward_event is None
         ):
-            self._spawn_boxcar(self._flush_once(proc, FLUSH_MAX_RECORDS), "boxcar")
+            self.spawn(self._flush_once(proc, FLUSH_MAX_RECORDS), "boxcar")
 
     def _flush_once(self, proc: OsProcess, reason: str) -> Generator:
         try:

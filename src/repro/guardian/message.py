@@ -25,7 +25,7 @@ invisible to transaction processing.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
+from typing import Any, Dict, Optional, TYPE_CHECKING
 
 from ..hardware import Latencies, Network, NoRoute
 from ..sim import Environment, Event, Tracer
@@ -90,6 +90,10 @@ class Message:
         self.transid = transid
         self.reply_event: Optional[Event] = None
         self.replied = False
+        #: the requester's reply timeout (ms), and the simulated time it
+        #: expires at once the request is delivered.
+        self.timeout: Optional[float] = None
+        self.deadline = float("inf")
         self.source_cpu = 0
         self.dest_cpu = 0
         #: trace context stamped by the TraceHub on traced runs (None on
@@ -183,6 +187,12 @@ class MessageSystem:
 
         Returns the reply payload; raises a :class:`DeliveryError` on
         failure.  Use as ``reply = yield from ms.request(...)``.
+
+        The requester yields once, on the reply event.  The transit
+        timer's callback delivers the request (:meth:`_deliver`), and
+        :meth:`reply` schedules the reply event to land after the
+        reply's own transit: a request costs two engine events, plus
+        one pop of the deadline timer when there is a timeout.
         """
         message = Message(
             source_node=caller.node_name,
@@ -199,12 +209,10 @@ class MessageSystem:
         hub = self.env.trace
         trace_ctx = hub.on_send(message, caller.cpu.number) if hub is not None else None
         try:
-            # One registry resolution up front for the transit accounting;
-            # the post-transit re-resolution below is semantic (the
-            # destination may die or take over while the request is in
-            # flight), so only the node_os dict access is hoisted.
-            dest_os = self._node_os[dest_node]
-            pre_target = dest_os.lookup(dest_name)
+            # The destination is resolved twice: here for the transit
+            # accounting, and again on arrival, since it may die or take
+            # over while the request is in flight.
+            pre_target = self._node_os[dest_node].lookup(dest_name)
             transit = self._transit_latency(
                 caller.node_name,
                 caller.cpu.number,
@@ -212,35 +220,53 @@ class MessageSystem:
                 pre_target.cpu.number if pre_target is not None else 0,
             )
             self._count(caller.node_name, dest_node)
-            yield self.env.timeout(transit)
-            target = dest_os.lookup(dest_name)
-            if target is None or not target.alive:
-                raise ProcessUnavailable(f"{dest_node}.{dest_name}")
             message.source_cpu = caller.cpu.number
-            message.dest_cpu = target.cpu.number
-            message.reply_event = Event(self.env)
-            target.accept(message)
-            if timeout is None:
-                reply = yield message.reply_event
-                return reply
-            deadline = self.env.timeout(timeout)
-            outcome = yield self.env.any_of([message.reply_event, deadline])
-            if message.reply_event in outcome:
-                return outcome[message.reply_event]
-            raise RequestTimeout(f"{message!r} after {timeout}ms")
+            message.timeout = timeout
+            reply_event = message.reply_event = Event(self.env)
+            self.env.timeout(transit, message).callbacks.append(self._deliver)
+            reply = yield reply_event
+            return reply
         finally:
             # The requester-observed end of the span: reply, error, or
             # the caller's death (GeneratorExit runs this too).
             if trace_ctx is not None:
                 hub.on_rpc_done(trace_ctx)
 
+    def _deliver(self, transit: Event) -> None:
+        """Transit timer callback: hand the request to its destination."""
+        message: Message = transit._value
+        event = message.reply_event
+        if not event.callbacks:
+            # The requester died in transit: nobody is left to answer.
+            return
+        target = self._node_os[message.dest_node].lookup(message.dest_name)
+        if target is None:
+            event.fail(ProcessUnavailable(f"{message.dest_node}.{message.dest_name}"))
+            return
+        message.dest_cpu = target.cpu.number
+        timeout = message.timeout
+        if timeout is not None:
+            message.deadline = self.env.now + timeout
+            self.env.timeout(timeout, message).callbacks.append(self._expire)
+        target.accept(message)
+
+    def _expire(self, deadline: Event) -> None:
+        """Deadline timer callback: fail a reply that has not been sent."""
+        message: Message = deadline._value
+        event = message.reply_event
+        if not event.triggered:
+            event.fail(RequestTimeout(f"{message!r} after {message.timeout}ms"))
+
     def reply(self, message: Message, payload: Any) -> None:
         """Deliver the reply to ``message``.  Callable from handlers.
 
-        The reply transits the same media as the request.  If no path
-        exists at reply time (partition formed mid-request) the reply is
-        dropped and the requester's timeout fires — the end-to-end
-        protocol's job is exactly to surface that as an error.
+        The reply transits the same media as the request and lands as
+        the reply event, scheduled here.  If no path exists at reply
+        time (partition formed mid-request) the reply is dropped and the
+        requester's timeout fires — the end-to-end protocol's job is
+        exactly to surface that as an error.  A reply that would land at
+        or after the requester's deadline is dropped too: the timeout
+        wins a tie.
         """
         if message.replied:
             # The request was already answered — usually failed with
@@ -250,7 +276,7 @@ class MessageSystem:
             return
         message.replied = True
         event = message.reply_event
-        if event is None or event.triggered:
+        if event is None:
             return
         try:
             delay = self._transit_latency(
@@ -262,7 +288,11 @@ class MessageSystem:
         except PathDown:
             self._trace("reply_lost", message=message.msg_id)
             return
-        self._later(delay, lambda: None if event.triggered else event.succeed(payload))
+        if event.triggered or self.env.now + delay >= message.deadline:
+            return
+        event._ok = True
+        event._value = payload
+        self.env.schedule(event, delay)
 
     def fail_request(self, message: Message, error: DeliveryError) -> None:
         """Fail the requester (destination died holding the message)."""
@@ -281,10 +311,6 @@ class MessageSystem:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _later(self, delay: float, fn: Callable[[], None]) -> None:
-        timer = self.env.timeout(delay)
-        timer.callbacks.append(lambda _event: fn())
-
     def _count(self, source_node: str, dest_node: str) -> None:
         if self.tracer is None:
             return

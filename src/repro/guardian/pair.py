@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
-from ..sim import ATOMIC_TYPES, Tracer, fast_deepcopy
+from ..sim import ATOMIC_TYPES, Process, Tracer, fast_deepcopy
 from .message import Message
 from .process import NodeOs, OsProcess
 
@@ -320,8 +320,9 @@ class ConcurrentPair(ProcessPair):
 
     The real DISCPROCESS (and TMP) multiplex many outstanding requests;
     a lock wait by one transaction must not stall the unlock that would
-    release it.  ``handle`` therefore spawns one sub-coroutine per
-    request; subclasses implement :meth:`serve_request`.
+    release it.  Each request therefore runs in its own sub-coroutine,
+    started inside the step that delivers it (no inbox, no dispatcher
+    loop); subclasses implement :meth:`serve_request`.
 
     Sub-handlers are killed on primary failure (their in-progress work
     is exactly what the checkpoint discipline makes recoverable).
@@ -331,35 +332,63 @@ class ConcurrentPair(ProcessPair):
         self._active_handlers: set = set()
         super().__init__(*args, **kwargs)
 
-    def handle(self, proc: OsProcess, message: Message) -> Generator:
-        handler = self.env.process(
-            self._run_handler(proc, message),
-            name=f"{self.name}.h{message.msg_id}",
-        )
-        self._active_handlers.add(handler)
-        handler.callbacks.append(
-            lambda _event: self._active_handlers.discard(handler)
-        )
+    def _serve(self, proc: OsProcess) -> Generator:
+        self.on_start(proc)
+        # Requests that reached this primary before it started waited in
+        # its inbox; from now on each one is dispatched as it arrives.
+        for message in proc.inbox.drain():
+            self._start_handler(proc, message)
+        proc.dispatch = self._start_handler
         return
         yield  # pragma: no cover - generator marker
 
-    def _run_handler(self, proc: OsProcess, message: Message) -> Generator:
-        hub = self.env.trace
-        if hub is None:
-            yield from self.serve_request(proc, message)
-            return
+    def _start_handler(self, proc: OsProcess, message: Message) -> None:
+        """Start the request's handler inside the delivering step."""
+        work = self.serve_request(proc, message)
+        if self.env.trace is not None:
+            work = self._traced(proc, message, work)
+        self.spawn(work, f"h{message.msg_id}", inline=True)
+
+    def _traced(self, proc: OsProcess, message: Message, work: Generator) -> Generator:
         # Causal tracing: the sub-handler is one serve span, child of
         # the message's send span.  The span closes even when the
         # handler is killed mid-request (takeover): GeneratorExit runs
         # the finally, and serve_end only emits — it never yields.
+        hub = self.env.trace
         ctx = hub.serve_begin(
             message, node=self.node_name, proc_name=self.name,
             cpu=proc.cpu.number,
         )
         try:
-            yield from self.serve_request(proc, message)
+            yield from work
         finally:
             hub.serve_end(ctx)
+
+    def spawn(self, work: Generator, suffix: str, inline: bool = False) -> Process:
+        """Run ``work`` as a coroutine that dies with this primary.
+
+        The one way to start one: request handlers, boxcar flushes and
+        the TMP pump all run this way, and ``_kill_handlers`` kills them
+        on takeover and on pair-down.  An ``inline`` start runs the
+        first segment in the caller's step.
+        """
+        run = self.env.process(
+            self._owned(work), name=f"{self.name}.{suffix}", inline=inline
+        )
+        if run.is_alive:
+            # A scheduled start has not run yet: a takeover before its
+            # first step must still kill it.
+            self._active_handlers.add(run)
+        return run
+
+    def _owned(self, work: Generator) -> Generator:
+        run = self.env.active_process
+        # An inline start registers here, before its first segment runs.
+        self._active_handlers.add(run)
+        try:
+            yield from work
+        finally:
+            self._active_handlers.discard(run)
 
     def serve_request(self, proc: OsProcess, message: Message) -> Generator:
         raise NotImplementedError

@@ -45,6 +45,11 @@ class OsProcess:
         self._held_messages: List[Message] = []
         self._body = body
         self.sim_process: Optional[Process] = None
+        #: set by a server that takes requests as they arrive (a
+        #: ConcurrentPair primary past ``on_start``): :meth:`accept`
+        #: hands it each message in the delivering step, bypassing the
+        #: inbox.
+        self.dispatch: Optional[Callable[["OsProcess", Message], None]] = None
         self._dead = False
 
     @property
@@ -67,7 +72,10 @@ class OsProcess:
     def accept(self, message: Message) -> None:
         """Called by the message system to deliver a request."""
         self._held_messages.append(message)
-        self.inbox.put(message)
+        if self.dispatch is not None:
+            self.dispatch(self, message)
+        else:
+            self.inbox.put(message)
 
     def receive(self, timeout: Optional[float] = None):
         """Wait for the next request.  (Generator helper.)

@@ -60,6 +60,8 @@ class Component:
         if not self._up:
             return
         self._up = False
+        # Before the watchers: one of them may already route a message.
+        self.env.topology_epoch += 1
         self._trace("component_failed", reason=reason)
         self.on_fail(reason)
         for watcher in list(self._failure_watchers):
@@ -70,6 +72,7 @@ class Component:
         if self._up:
             return
         self._up = True
+        self.env.topology_epoch += 1
         self._trace("component_restored")
         self.on_restore()
         for watcher in list(self._restore_watchers):

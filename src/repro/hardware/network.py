@@ -75,6 +75,11 @@ class Network:
         self.nodes: Dict[str, Node] = {}
         self.lines: List[CommLine] = []
         self._adjacency: Dict[str, List[CommLine]] = {}
+        #: best path and its latency per (source, destination), or None
+        #: for no route; valid while ``env.topology_epoch`` equals
+        #: ``_routes_epoch``.
+        self._routes: Dict[Tuple[str, str], Optional[Tuple[List[CommLine], float]]] = {}
+        self._routes_epoch = -1
 
     # ------------------------------------------------------------------
     # Construction
@@ -84,6 +89,7 @@ class Network:
             raise ValueError(f"duplicate node name {node.name}")
         self.nodes[node.name] = node
         self._adjacency.setdefault(node.name, [])
+        self._routes.clear()
         return node
 
     def connect(self, a: str, b: str, latency: Optional[float] = None) -> CommLine:
@@ -99,6 +105,7 @@ class Network:
         self.lines.append(line)
         self._adjacency[a].append(line)
         self._adjacency[b].append(line)
+        self._routes.clear()
         return line
 
     def connect_all(self, latency: Optional[float] = None) -> None:
@@ -119,12 +126,45 @@ class Network:
         """
         if source == destination:
             return []
+        return list(self._cached_route(source, destination)[0])
+
+    def connected(self, source: str, destination: str) -> bool:
+        if source == destination:
+            return self.nodes[source].alive
+        try:
+            self._cached_route(source, destination)
+            return True
+        except NoRoute:
+            return False
+
+    def latency(self, source: str, destination: str) -> float:
+        """End-to-end latency of the current best path."""
+        if source == destination:
+            return 0
+        return self._cached_route(source, destination)[1]
+
+    def _cached_route(self, source: str, destination: str) -> Tuple[List[CommLine], float]:
+        """The best path and its latency, searched once per topology."""
+        epoch = self.env.topology_epoch
+        if self._routes_epoch != epoch:
+            self._routes.clear()
+            self._routes_epoch = epoch
+        key = (source, destination)
+        try:
+            found = self._routes[key]
+        except KeyError:
+            found = self._routes[key] = self._search(source, destination)
+        if found is None:
+            raise NoRoute(source, destination)
+        return found
+
+    def _search(self, source: str, destination: str) -> Optional[Tuple[List[CommLine], float]]:
         src = self.nodes.get(source)
         dst = self.nodes.get(destination)
         if src is None or dst is None:
             raise ValueError(f"unknown node in route {source}->{destination}")
         if not src.alive or not dst.alive:
-            raise NoRoute(source, destination)
+            return None
         best: Dict[str, Tuple[int, float, List[CommLine]]] = {
             source: (0, 0.0, [])
         }
@@ -144,21 +184,9 @@ class Network:
                     best[neighbour] = candidate
                     frontier.append(neighbour)
         if destination not in best:
-            raise NoRoute(source, destination)
-        return best[destination][2]
-
-    def connected(self, source: str, destination: str) -> bool:
-        if source == destination:
-            return self.nodes[source].alive
-        try:
-            self.route(source, destination)
-            return True
-        except NoRoute:
-            return False
-
-    def latency(self, source: str, destination: str) -> float:
-        """End-to-end latency of the current best path."""
-        return sum(line.latency for line in self.route(source, destination))
+            return None
+        path = best[destination][2]
+        return path, sum(line.latency for line in path)
 
     # ------------------------------------------------------------------
     # Failure drills

@@ -100,7 +100,7 @@ class Node:
     @property
     def alive(self) -> bool:
         """A node is alive while at least one CPU and one bus are up."""
-        return bool(self.alive_cpus()) and self.buses.any_up
+        return any(cpu.up for cpu in self.cpus) and self.buses.any_up
 
     def components(self) -> List[Component]:
         """Every failable component of this node (for the E9 sweep)."""

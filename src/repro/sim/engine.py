@@ -45,6 +45,7 @@ class Environment:
         "metrics",
         "trace",
         "events_processed",
+        "topology_epoch",
     )
 
     def __init__(self, initial_time: float = 0.0):
@@ -61,6 +62,9 @@ class Environment:
         #: as ``metrics``).
         self.trace: Optional[Any] = None
         self.events_processed = 0
+        #: bumped by every hardware up/down transition, so caches derived
+        #: from the topology (the network's routes) can tell they are stale.
+        self.topology_epoch = 0
 
     @property
     def now(self) -> float:
@@ -80,8 +84,9 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def process(self, generator: Generator, name: str = "") -> Process:
-        return Process(self, generator, name=name)
+    def process(self, generator: Generator, name: str = "",
+                inline: bool = False) -> Process:
+        return Process(self, generator, name=name, inline=inline)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

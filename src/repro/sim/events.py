@@ -38,6 +38,17 @@ class _Pending:
 PENDING = _Pending()
 
 
+class _Started:
+    """The already-processed start signal an inline process resumes from."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_STARTED = _Started()
+
+
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel itself."""
 
@@ -157,11 +168,16 @@ class Process(Event):
 
     The process is itself an event that triggers when the generator
     returns (success, with the return value) or raises (failure).
+
+    A process normally starts at its init event, one engine step later;
+    an ``inline`` process runs its first segment inside the constructor,
+    in the caller's step.
     """
 
     __slots__ = ("name", "_generator", "_target", "_kill_pending")
 
-    def __init__(self, env: "Environment", generator, name: str = ""):
+    def __init__(self, env: "Environment", generator, name: str = "",
+                 inline: bool = False):
         if not hasattr(generator, "send"):
             raise SimulationError(
                 f"Process requires a generator, got {generator!r}"
@@ -171,6 +187,12 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self._kill_pending: Optional[Any] = None
+        if inline:
+            # The caller may itself be a running process: restore it.
+            outer = env._active_process
+            self._resume(_STARTED)
+            env._active_process = outer
+            return
         # Kick off the generator at the current simulation time.
         init = Event(env)
         init._ok = True
@@ -284,6 +306,11 @@ class Process(Event):
         self._generator = None
         self._ok = ok
         self._value = value
+        if ok and not self.callbacks:
+            # A clean finish nobody waits on is processed on the spot
+            # instead of being popped later as a no-op event.
+            self.callbacks = None
+            return
         self.env.schedule(self)
 
     def __repr__(self) -> str:

@@ -29,10 +29,14 @@ from repro.bench import determinism_digests
 # timer: images now leave a DISCPROCESS only when a drain, a takeover or
 # a full boxcar needs them, a forward no longer pays a separate removal
 # checkpoint, and an AUDITPROCESS force claims its images before the
-# disc wait.  Any *further* digest change must again be justified.
+# disc wait.  The XRAY digest was re-recorded once more when a guardian
+# request shrank to a transit timer plus a reply event: the report
+# differs only in ``events_processed`` (14,496 -> 6,872), and the TRACE
+# timeline digest is unchanged.  Any *further* digest change must again
+# be justified.
 GOLDEN = {
     "xray_sha256":
-        "230a83dd93d100bf609e0dfa2d173aed76cba588efa4f835f1d57cc9d295048e",
+        "e185fad66f900e1fca02b997436ce10c6e1a015b8c960fb881bc60f807e7660d",
     "timeline_sha256":
         "04a3a772cff2bf399ffb40bdb9d12efdc27ccc6d014e6d66ebc30a41658f2328",
 }

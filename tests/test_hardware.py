@@ -251,3 +251,67 @@ class TestNetwork:
         doubled = base.scaled(2.0)
         assert doubled.disc_read == base.disc_read * 2
         assert doubled.bus_message == base.bus_message * 2
+
+
+class TestRouteCache:
+    """Routes are cached per (source, destination) and per topology."""
+
+    def _net(self, env, names):
+        net = Network(env)
+        for name in names:
+            net.add_node(Node(env, name, cpu_count=2))
+        net.connect_all()
+        return net
+
+    def test_line_failure_reroutes_a_cached_route(self, env):
+        net = self._net(env, ["a", "b", "c"])
+        direct = net.lines_between(["a"], ["b"])[0]
+        assert net.route("a", "b") == [direct]
+        direct.fail()
+        assert len(net.route("a", "b")) == 2
+        assert net.latency("a", "b") == pytest.approx(2 * net.latencies.network_hop)
+
+    def test_partition_raises_no_route(self, env):
+        net = self._net(env, ["a", "b", "c"])
+        assert net.connected("a", "c")
+        net.partition(["a", "b"], ["c"])
+        with pytest.raises(NoRoute):
+            net.route("a", "c")
+        with pytest.raises(NoRoute):
+            net.latency("a", "c")
+        assert net.connected("a", "b")
+
+    def test_heal_restores_the_direct_path(self, env):
+        net = self._net(env, ["a", "b", "c"])
+        direct = net.lines_between(["a"], ["b"])[0]
+        direct.fail()
+        assert len(net.route("a", "b")) == 2
+        net.heal()
+        assert net.route("a", "b") == [direct]
+        assert net.latency("a", "b") == net.latencies.network_hop
+
+    def test_failure_watchers_see_the_new_topology(self, env):
+        # A watcher may route before any other watcher runs (the OS's
+        # CPU-failure watcher fails requests and replies go out), so the
+        # cache must already be stale when the first watcher runs.
+        net = self._net(env, ["a", "b", "c"])
+        direct = net.lines_between(["a"], ["b"])[0]
+        assert net.route("a", "b") == [direct]
+        seen = []
+        direct.watch_failure(lambda _line: seen.append(len(net.route("a", "b"))))
+        direct.fail()
+        assert seen == [2]
+
+    def test_node_death_invalidates_the_cache(self, env):
+        net = self._net(env, ["a", "b"])
+        assert net.connected("a", "b")
+        for cpu in net.nodes["b"].cpus:
+            cpu.fail()
+        assert not net.connected("a", "b")
+        net.nodes["b"].cpus[0].restore()
+        assert net.connected("a", "b")
+
+    def test_returned_path_is_a_copy(self, env):
+        net = self._net(env, ["a", "b"])
+        net.route("a", "b").clear()
+        assert len(net.route("a", "b")) == 1
