@@ -837,8 +837,10 @@ class DiscProcess(ConcurrentPair):
             self._trace("volume_crashed", reason=f"audit unavailable: {exc}")
             raise VolumeUnavailable(str(exc)) from exc
         finally:
+            # Cleared first, so no waiter can attach after this point.
             self._forward_event = None
-            departed.succeed()
+            if departed.callbacks:
+                departed.succeed()
         if result.get("ok"):
             pending = self.state["unforwarded"]
             for record in batch:

@@ -25,10 +25,11 @@ invisible to transaction processing.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Optional, TYPE_CHECKING
+from collections import deque
+from typing import Any, Deque, Dict, Optional, Tuple, TYPE_CHECKING
 
 from ..hardware import Latencies, Network, NoRoute
-from ..sim import Environment, Event, Tracer
+from ..sim import Environment, Event, SimulationError, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from .process import NodeOs, OsProcess
@@ -64,6 +65,9 @@ class RequestTimeout(DeliveryError):
     """The caller's reply deadline expired."""
 
 
+_NEVER = float("inf")
+
+
 class Message:
     """One request in flight, with its pending reply event."""
 
@@ -93,7 +97,7 @@ class Message:
         #: the requester's reply timeout (ms), and the simulated time it
         #: expires at once the request is delivered.
         self.timeout: Optional[float] = None
-        self.deadline = float("inf")
+        self.deadline = _NEVER
         self.source_cpu = 0
         self.dest_cpu = 0
         #: trace context stamped by the TraceHub on traced runs (None on
@@ -105,6 +109,124 @@ class Message:
             f"<Message #{self.msg_id} {self.source_node}.{self.source_name} -> "
             f"{self.dest_node}.{self.dest_name} transid={self.transid}>"
         )
+
+
+class _DeadlineQueue:
+    """Reply deadlines of delivered requests, behind one engine timer.
+
+    A deadline is queued at delivery in the FIFO of its timeout value.
+    Deadlines within one FIFO arrive in key order, so every push drops
+    the answered requests at its head and releases their messages.
+
+    One engine entry is armed for the earliest pending deadline.  Its key
+    is ``(deadline, 0, seq)``, with ``seq`` reserved at delivery: the key
+    a per-request :class:`~repro.sim.Timeout` would have had, so a
+    deadline that fires keeps its place among all other events.  An
+    entry whose request was answered pops as a no-op and re-arms for the
+    next pending deadline; one superseded by a sooner deadline pops as a
+    no-op.  When the last pending request is answered, every entry
+    becomes a tombstone the engine skips without processing, and the
+    armed one is revived by the next delivery while it is still queued.
+    An answered request therefore costs no engine event of its own.
+    """
+
+    __slots__ = ("env", "_fifos", "_pending", "_live", "_armed", "_armed_at")
+
+    def __init__(self, env: Environment):
+        self.env = env
+        self._fifos: Dict[float, Deque[Tuple[float, int, Message]]] = {}
+        #: queued deadlines whose reply event has not triggered.
+        self._pending = 0
+        #: entries in the engine queue that still run their callback.
+        self._live: Dict[int, Event] = {}
+        #: the entry armed for the earliest pending deadline, and its time.
+        self._armed: Optional[Event] = None
+        self._armed_at = _NEVER
+
+    def push(self, message: Message, timeout: float) -> None:
+        """Queue the deadline of ``message``, delivered now."""
+        if timeout < 0:
+            raise SimulationError(f"negative reply timeout {timeout!r}")
+        env = self.env
+        deadline = message.deadline = env.now + timeout
+        seq = env.reserve_seq()
+        fifo = self._fifos.get(timeout)
+        if fifo is None:
+            fifo = self._fifos[timeout] = deque()
+        else:
+            while fifo and fifo[0][2].reply_event.triggered:
+                fifo.popleft()
+        fifo.append((deadline, seq, message))
+        self._pending += 1
+        armed = self._armed
+        # ``seq`` is the newest, so it wins no tie with the armed entry.
+        if deadline < self._armed_at:
+            self._arm(deadline, seq, timeout)
+        elif armed.callbacks is None:
+            # A tombstone since the queue last ran empty.
+            if self._armed_at > env.now:
+                armed.callbacks = [self._pop]
+                self._live[armed._value[0]] = armed
+            else:
+                self._arm(deadline, seq, timeout)
+
+    def answered(self) -> None:
+        """A queued request's reply event was triggered by its reply."""
+        self._pending -= 1
+        if not self._pending:
+            self._drain()
+
+    def _drain(self) -> None:
+        """Nothing is pending: release every message, disarm every entry."""
+        for fifo in self._fifos.values():
+            fifo.clear()
+        for timer in self._live.values():
+            timer.callbacks = None
+        self._live.clear()
+
+    def _arm(self, deadline: float, seq: int, timeout: float) -> None:
+        timer = self._live.get(seq)
+        if timer is None:
+            timer = self._live[seq] = Event(self.env)
+            timer._ok = True
+            timer._value = (seq, timeout)
+            timer.callbacks.append(self._pop)
+            self.env.schedule_at(timer, deadline, seq)
+        self._armed = timer
+        self._armed_at = deadline
+
+    def _pop(self, timer: Event) -> None:
+        """Engine callback of a live entry: fail the reply if it is due."""
+        seq, timeout = timer._value
+        del self._live[seq]
+        if timer is not self._armed:
+            return
+        self._armed = None
+        self._armed_at = _NEVER
+        fifo = self._fifos[timeout]
+        # The armed deadline heads its FIFO unless a push dropped it as
+        # answered.
+        if fifo and fifo[0][1] == seq:
+            message = fifo.popleft()[2]
+            if not message.reply_event.triggered:
+                message.reply_event.fail(
+                    RequestTimeout(f"{message!r} after {message.timeout}ms")
+                )
+                self.answered()
+        if self._pending:
+            self._rearm()
+
+    def _rearm(self) -> None:
+        """Arm the earliest unanswered deadline, dropping answered heads."""
+        best: Optional[Tuple[float, int, float]] = None
+        for timeout, fifo in self._fifos.items():
+            while fifo and fifo[0][2].reply_event.triggered:
+                fifo.popleft()
+            if fifo:
+                deadline, seq, _ = fifo[0]
+                if best is None or (deadline, seq) < best[:2]:
+                    best = (deadline, seq, timeout)
+        self._arm(*best)
 
 
 class MessageSystem:
@@ -122,6 +244,7 @@ class MessageSystem:
         self.latencies = latencies or Latencies()
         self.tracer = tracer
         self._node_os: Dict[str, "NodeOs"] = {}
+        self._deadlines = _DeadlineQueue(env)
 
     def register_node(self, node_os: "NodeOs") -> None:
         self._node_os[node_os.node.name] = node_os
@@ -191,8 +314,10 @@ class MessageSystem:
         The requester yields once, on the reply event.  The transit
         timer's callback delivers the request (:meth:`_deliver`), and
         :meth:`reply` schedules the reply event to land after the
-        reply's own transit: a request costs two engine events, plus
-        one pop of the deadline timer when there is a timeout.
+        reply's own transit: a request costs two engine events.  A
+        ``timeout`` adds none while the request is answered in time: its
+        deadline waits in the message system's deadline queue, and only
+        one that passes unanswered is popped to fail the reply.
         """
         message = Message(
             source_node=caller.node_name,
@@ -244,18 +369,9 @@ class MessageSystem:
             event.fail(ProcessUnavailable(f"{message.dest_node}.{message.dest_name}"))
             return
         message.dest_cpu = target.cpu.number
-        timeout = message.timeout
-        if timeout is not None:
-            message.deadline = self.env.now + timeout
-            self.env.timeout(timeout, message).callbacks.append(self._expire)
+        if message.timeout is not None:
+            self._deadlines.push(message, message.timeout)
         target.accept(message)
-
-    def _expire(self, deadline: Event) -> None:
-        """Deadline timer callback: fail a reply that has not been sent."""
-        message: Message = deadline._value
-        event = message.reply_event
-        if not event.triggered:
-            event.fail(RequestTimeout(f"{message!r} after {message.timeout}ms"))
 
     def reply(self, message: Message, payload: Any) -> None:
         """Deliver the reply to ``message``.  Callable from handlers.
@@ -293,6 +409,8 @@ class MessageSystem:
         event._ok = True
         event._value = payload
         self.env.schedule(event, delay)
+        if message.timeout is not None:
+            self._deadlines.answered()
 
     def fail_request(self, message: Message, error: DeliveryError) -> None:
         """Fail the requester (destination died holding the message)."""
@@ -303,6 +421,8 @@ class MessageSystem:
         if event is None or event.triggered:
             return
         event.fail(error)
+        if message.timeout is not None:
+            self._deadlines.answered()
         # If the requester died in the same failure (e.g. both processes
         # shared the failed CPU), nobody is left to observe this error;
         # it must not abort the simulation.

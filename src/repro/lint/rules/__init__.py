@@ -1,5 +1,5 @@
 """GUARDRAIL rule modules.  Importing this package registers every rule."""
 
-from . import determinism, exceptions, figure3, layering, probes  # noqa: F401
+from . import determinism, engine_private, exceptions, figure3, layering, probes  # noqa: F401
 
-__all__ = ["determinism", "exceptions", "figure3", "layering", "probes"]
+__all__ = ["determinism", "engine_private", "exceptions", "figure3", "layering", "probes"]

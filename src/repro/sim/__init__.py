@@ -7,7 +7,7 @@ structured tracing.
 """
 
 from .channel import Channel, ChannelClosed
-from .engine import EmptySchedule, Environment
+from .engine import Environment
 from .fastcopy import (
     ATOMIC_TYPES,
     fast_deepcopy,
@@ -32,7 +32,6 @@ __all__ = [
     "AnyOf",
     "Channel",
     "ChannelClosed",
-    "EmptySchedule",
     "Environment",
     "Event",
     "Interrupt",

@@ -21,11 +21,7 @@ from .events import (
     Timeout,
 )
 
-__all__ = ["Environment", "EmptySchedule"]
-
-
-class EmptySchedule(Exception):
-    """Raised by :meth:`Environment.step` when no events remain."""
+__all__ = ["Environment"]
 
 
 class Environment:
@@ -102,31 +98,28 @@ class Environment:
         self._eid += 1
         heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
+    def reserve_seq(self) -> int:
+        """Claim the insertion-order number the next event would take.
+
+        Together with :meth:`schedule_at` this lets a caller defer the
+        decision to queue an event without moving it in the tie order:
+        an event pushed later with the reserved number pops exactly
+        where a :class:`Timeout` created now would have.
+        """
+        self._eid += 1
+        return self._eid
+
+    def schedule_at(self, event: Event, when: float, seq: int) -> None:
+        """Queue ``event`` at time ``when`` under a reserved ``seq``.
+
+        ``when`` must not be in the past, and ``seq`` must come from
+        :meth:`reserve_seq` and be queued at most once at a time.
+        """
+        heappush(self._queue, (when, 0, seq, event))
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process the next scheduled event."""
-        if not self._queue:
-            raise EmptySchedule()
-        self._now, _, _, event = heappop(self._queue)
-        self.events_processed += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        if not callbacks:
-            # Zero-listener fast path (bare timeouts nobody awaited yet,
-            # defensively re-stepped events): nothing to run, and a
-            # failure with no listener is handled below.
-            if callbacks is None:
-                return  # event was already processed (defensive)
-        else:
-            for callback in callbacks:
-                callback(event)
-        if event._ok is False and not event.defused:
-            # A failure nobody handled: abort the simulation loudly rather
-            # than silently dropping an error.
-            raise event._value
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -146,10 +139,10 @@ class Environment:
                     f"until={stop_time} is in the past (now={self._now})"
                 )
 
-        # The loop binds the queue once and inlines :meth:`step`'s body:
+        # The loop binds the queue once and processes each event inline:
         # at tens of thousands of iterations per run the attribute
-        # lookups, the ``peek()`` indirection, and the per-event call
-        # are all measurable.  Keep this block in lockstep with step().
+        # lookups, the ``peek()`` indirection, and a per-event call are
+        # all measurable.
         queue = self._queue
         while True:
             if stop_event is not None and stop_event.callbacks is None:
@@ -170,10 +163,10 @@ class Environment:
                 self._now = stop_time
                 break
             self._now, _, _, event = heappop(queue)
-            self.events_processed += 1
             callbacks = event.callbacks
             if callbacks is None:
-                continue  # already processed (defensive re-step)
+                continue  # a tombstone: processed already, or disarmed
+            self.events_processed += 1
             event.callbacks = None
             for callback in callbacks:
                 callback(event)

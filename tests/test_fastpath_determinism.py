@@ -36,7 +36,7 @@ from repro.bench import determinism_digests
 # be justified.
 GOLDEN = {
     "xray_sha256":
-        "e185fad66f900e1fca02b997436ce10c6e1a015b8c960fb881bc60f807e7660d",
+        "e242eb25fda0d2c43aab8f724f3b32068773f0d2c8662e334e94c2f55a6cee0b",
     "timeline_sha256":
         "04a3a772cff2bf399ffb40bdb9d12efdc27ccc6d014e6d66ebc30a41658f2328",
 }

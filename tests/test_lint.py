@@ -182,6 +182,53 @@ class TestLayeringRule:
 
 
 # ----------------------------------------------------------------------
+# engine-private
+# ----------------------------------------------------------------------
+class TestEnginePrivateRule:
+    def test_reads_and_writes_outside_sim(self, tmp_path):
+        write_tree(tmp_path, {
+            "repro/guardian/sneaky.py": """\
+                from heapq import heappush
+
+
+                def jump(env, event, when):
+                    env._eid += 1
+                    heappush(env._queue, (when, 0, env._eid, event))
+                    return env._now, getattr(env, "_active_process")
+                """,
+        })
+        result = lint(tmp_path, select=["engine-private"])
+        assert rules_fired(result) == ["engine-private"]
+        names = sorted(f.message.split("`")[1] for f in result.findings)
+        assert names == ["_active_process", "_eid", "_eid", "_now", "_queue"]
+
+    def test_sim_package_and_public_api_are_legal(self, tmp_path):
+        write_tree(tmp_path, {
+            "repro/sim/loop.py": """\
+                def bump(env):
+                    env._eid += 1
+                    return env._queue, env._now, env._active_process
+                """,
+            "repro/guardian/polite.py": """\
+                def defer(env, event, when):
+                    seq = env.reserve_seq()
+                    env.schedule_at(event, when, seq)
+                    return env.now, env.active_process, env._safe_queue
+                """,
+        })
+        assert not lint(tmp_path, select=["engine-private"]).findings
+
+    def test_suppression_marks_a_deliberate_peek(self, tmp_path):
+        write_tree(tmp_path, {
+            "repro/measure/depth.py": """\
+                def depth(env):
+                    return len(env._queue)  # repro: allow[engine-private]
+                """,
+        })
+        assert not lint(tmp_path, select=["engine-private"]).findings
+
+
+# ----------------------------------------------------------------------
 # figure3
 # ----------------------------------------------------------------------
 class TestFigure3Rule:

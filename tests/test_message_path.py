@@ -3,9 +3,14 @@
 A request to a process-pair costs one transit timer, which delivers the
 message and starts its handler in that step, and one reply event, which
 :meth:`MessageSystem.reply` schedules to land after the reply's transit.
-These tests pin that cost and the semantics the shorter path must keep:
-timeout ties, lost replies, deaths in transit, and takeover races.
+A reply deadline waits in the message system's deadline queue and costs
+an engine event only if it passes unanswered.  These tests pin that cost
+and the semantics the shorter path must keep: timeout ties and order,
+lost replies, deaths in transit, and takeover races.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -23,6 +28,7 @@ class EchoPair(ConcurrentPair):
 
     def __init__(self, *args, **kwargs):
         self.log = []
+        self.served = []
         super().__init__(*args, **kwargs)
 
     def on_start(self, proc):
@@ -30,6 +36,7 @@ class EchoPair(ConcurrentPair):
 
     def serve_request(self, proc, message):
         self.log.append(("serve", message.msg_id))
+        self.served.append(weakref.ref(message))
         wait = message.payload.get("wait", 0.0)
         if wait:
             yield self.env.timeout(wait)
@@ -66,8 +73,24 @@ class TestEngineCost:
         reply, events = run_client(cluster, "alpha", client, cpu=0)
         assert reply == {"n": 1}
         # The transit timer (delivery plus the whole handler) and the
-        # reply event.  A deadline's own timer pops later, not before.
+        # reply event.
         assert events == 2
+
+    def test_answered_deadline_costs_no_event(self):
+        cluster = make_cluster()
+        EchoPair(cluster.os("alpha"), "$echo", 0, 1)
+        env = cluster.env
+        start = []
+
+        def client(proc):
+            start.append(env.events_processed)
+            yield from proc.request("alpha", "$echo", {"n": 1}, timeout=100.0)
+
+        cluster.os("alpha").spawn("$client", 0, client, register=False)
+        cluster.run()
+        # Even at quiescence, past the deadline: a per-request deadline
+        # timer would have made it three.
+        assert env.events_processed - start[0] == 2
 
 
 class TestDeadline:
@@ -120,6 +143,210 @@ class TestDeadline:
 
         assert run_client(cluster, "alpha", client) == ("timeout", hop + 200.0)
         assert [entry[0] for entry in pair.log] == ["start", "serve"]
+
+
+class TestDeadlineQueue:
+    LATENCIES = Latencies(local_message=0.25, bus_message=0.25)
+
+    def test_mixed_timeouts_expire_in_deadline_order(self):
+        cluster = make_cluster(latencies=self.LATENCIES)
+        EchoPair(cluster.os("alpha"), "$echo", 0, 1)
+        env = cluster.env
+        outcomes = []
+        # (send at, timeout, server wait, msg_id).  Each request is
+        # delivered 0.25 ms after it is sent.
+        plan = [
+            (0.0, 60000.0, 70000.0, 1),  # unanswered
+            (0.0, 5000.0, 6000.0, 12),  # unanswered
+            (0.0, 2000.0, 1.0, 3),  # answered at 1.5
+            (1000.0, 2000.0, 3000.0, 4),  # unanswered
+            (3000.0, 2000.0, 2500.0, 5),  # ties #12's deadline, later seq
+            (3000.0, 5000.0, 10.0, 6),  # answered at 3010.5
+            (4000.0, 2000.0, 1999.75, 7),  # reply lands on the deadline
+            (4000.0, 60000.0, 59000.0, 8),  # answered at 63000.5
+            (4500.0, 2000.0, 1500.0, 9),  # answered at 6000.5
+        ]
+
+        def client(at, timeout, wait, msg_id):
+            def body(proc):
+                yield env.timeout(at)
+                try:
+                    yield from proc.request(
+                        "alpha", "$echo", {"wait": wait},
+                        timeout=timeout, msg_id=msg_id,
+                    )
+                except RequestTimeout:
+                    outcomes.append(("timeout", env.now, msg_id))
+                else:
+                    outcomes.append(("reply", env.now, msg_id))
+            return body
+
+        for n, entry in enumerate(plan):
+            cluster.os("alpha").spawn(
+                f"$c{n}", 2 + n % 2, client(*entry), register=False
+            )
+        cluster.run()
+        assert outcomes == [
+            ("reply", 1.5, 3),
+            ("timeout", 3000.25, 4),
+            ("reply", 3010.5, 6),
+            # A tie fires in delivery order, not msg_id order.
+            ("timeout", 5000.25, 12),
+            ("timeout", 5000.25, 5),
+            ("timeout", 6000.25, 7),
+            ("reply", 6000.5, 9),
+            ("timeout", 60000.25, 1),
+            ("reply", 63000.5, 8),
+        ]
+
+    def test_lost_reply_behind_an_answered_head_times_out_on_time(self):
+        # The first request is answered, so the armed timer pops stale at
+        # its deadline and re-arms for the second, whose reply is lost.
+        cluster = make_cluster(nodes=("alpha", "beta"))
+        EchoPair(cluster.os("beta"), "$echo", 0, 1)
+        env = cluster.env
+        hop = cluster.latencies.network_hop
+
+        def partition_later():
+            yield env.timeout(50.0 + hop + 1.0)
+            cluster.network.partition(["alpha"], ["beta"])
+
+        env.process(partition_later())
+
+        def client(proc):
+            first = yield from proc.request(
+                "beta", "$echo", {"n": 1}, timeout=200.0
+            )
+            yield env.timeout(50.0 - env.now)
+            try:
+                yield from proc.request(
+                    "beta", "$echo", {"wait": 5.0}, timeout=200.0
+                )
+            except RequestTimeout:
+                return first, env.now
+            return first, "reply"
+
+        assert run_client(cluster, "alpha", client) == (
+            {"n": 1}, 50.0 + hop + 200.0
+        )
+
+    def test_deadline_after_the_disarmed_entry_popped_fires(self):
+        # The first request empties the queue; its disarmed entry pops
+        # unprocessed at 10.25, before the second request is delivered.
+        cluster = make_cluster(latencies=self.LATENCIES)
+        EchoPair(cluster.os("alpha"), "$echo", 0, 1)
+        env = cluster.env
+
+        def client(proc):
+            yield from proc.request("alpha", "$echo", {}, timeout=10.0)
+            yield env.timeout(20.0)
+            try:
+                yield from proc.request(
+                    "alpha", "$echo", {"wait": 50.0}, timeout=10.0
+                )
+            except RequestTimeout:
+                return env.now
+            return "reply"
+
+        assert run_client(cluster, "alpha", client, cpu=2) == 20.5 + 10.25
+
+    def test_answered_requests_hold_no_queue_entry_or_message(self):
+        cluster = make_cluster()
+        pair = EchoPair(cluster.os("alpha"), "$echo", 0, 1)
+        env = cluster.env
+
+        def client(proc):
+            for n in range(1000):
+                yield from proc.request(
+                    "alpha", "$echo", {"n": n}, timeout=60000.0
+                )
+            return len(env._queue)
+
+        assert run_client(cluster, "alpha", client) <= 5
+        cluster.run()
+        gc.collect()
+        assert len(pair.served) == 1000
+        assert [ref for ref in pair.served if ref() is not None] == []
+
+    def test_push_releases_answered_messages_while_others_pend(self):
+        # One request stays unanswered throughout, so only the pruning
+        # at each push can release the answered ones.
+        cluster = make_cluster()
+        pair = EchoPair(cluster.os("alpha"), "$echo", 0, 1)
+        env = cluster.env
+
+        def straggler(proc):
+            yield from proc.request(
+                "alpha", "$echo", {"wait": 90000.0}, timeout=120000.0
+            )
+
+        cluster.os("alpha").spawn("$slow", 1, straggler, register=False)
+
+        def client(proc):
+            for n in range(1000):
+                yield from proc.request(
+                    "alpha", "$echo", {"n": n}, timeout=60000.0
+                )
+            gc.collect()
+            alive = [ref for ref in pair.served if ref() is not None]
+            return len(alive), len(env._queue)
+
+        alive, queued = run_client(cluster, "alpha", client)
+        # The straggler and the last answered request; the straggler's
+        # handler timer and its deadline entry.
+        assert alive == 2
+        assert queued <= 5
+
+    def test_rearmed_deadline_keeps_its_delivery_tie_order(self):
+        # #2's deadline is armed only when #1's answered entry pops at
+        # 10.25, yet it still fires before a timer created after #2 was
+        # delivered for the same instant.
+        cluster = make_cluster(latencies=self.LATENCIES)
+        pair = EchoPair(cluster.os("alpha"), "$echo", 0, 1)
+        env = cluster.env
+        seen = []
+
+        def client(proc):
+            yield from proc.request("alpha", "$echo", {}, timeout=10.0)
+            yield env.timeout(1.0 - env.now)
+            try:
+                yield from proc.request(
+                    "alpha", "$echo", {"wait": 50.0}, timeout=10.0
+                )
+            except RequestTimeout:
+                return env.now
+
+        def same_instant(_event):
+            seen.append(pair.served[1]().reply_event.triggered)
+
+        def start_timer():
+            yield env.timeout(2.0)
+            env.timeout(9.25).callbacks.append(same_instant)
+
+        env.process(start_timer())
+        assert run_client(cluster, "alpha", client, cpu=2) == 11.25
+        assert seen == [True]
+
+    def test_requester_killed_before_its_deadline_does_not_abort(self):
+        cluster = make_cluster()
+        pair = EchoPair(cluster.os("alpha"), "$echo", 0, 1)
+        env = cluster.env
+
+        def client(proc):
+            yield from proc.request(
+                "alpha", "$echo", {"wait": 50.0}, timeout=20.0
+            )
+
+        cluster.os("alpha").spawn("$client", 2, client, register=False)
+
+        def fail_client_cpu():
+            yield env.timeout(10.0)
+            cluster.node("alpha").fail_cpu(2)
+
+        env.process(fail_client_cpu())
+        cluster.run()
+        assert [entry[0] for entry in pair.log] == ["start", "serve"]
+        assert env.now >= 20.0
 
 
 class TestDeathInTransit:

@@ -7,7 +7,6 @@ from repro.sim import (
     AnyOf,
     Channel,
     ChannelClosed,
-    EmptySchedule,
     Environment,
     Event,
     Interrupt,
@@ -248,10 +247,42 @@ def test_yield_non_event_fails_process():
         env.run(p)
 
 
-def test_step_on_empty_schedule_raises():
+def test_run_on_empty_schedule():
     env = Environment()
-    with pytest.raises(EmptySchedule):
-        env.step()
+    assert env.run() is None
+    assert env.now == 0
+    env.run(until=5.0)
+    assert env.now == 5.0
+    with pytest.raises(SimulationError, match="ran out of events"):
+        env.run(env.event())
+
+
+def test_reserved_seq_keeps_the_tie_order():
+    # An event queued later under a reserved number pops exactly where a
+    # timeout created at reservation time would have.
+    env = Environment()
+    order = []
+
+    def mark(name):
+        return lambda _event: order.append((env.now, name))
+
+    env.timeout(5.0).callbacks.append(mark("before"))
+    seq = env.reserve_seq()
+    env.timeout(5.0).callbacks.append(mark("after"))
+    env.timeout(1.0).callbacks.append(mark("early"))
+
+    def late_push(_event):
+        reserved = env.event()
+        reserved._ok = True
+        reserved._value = None
+        reserved.callbacks.append(mark("reserved"))
+        env.schedule_at(reserved, 5.0, seq)
+
+    env.timeout(2.0).callbacks.append(late_push)
+    env.run()
+    assert order == [
+        (1.0, "early"), (5.0, "before"), (5.0, "reserved"), (5.0, "after"),
+    ]
 
 
 class TestChannel:
