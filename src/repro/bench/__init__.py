@@ -1,8 +1,11 @@
-"""FASTPATH bench harness: pinned-seed experiments with a regression gate.
+"""The paper's experiments, with a regression gate.
 
-``python -m repro.bench`` executes the repository's E1–E10/F1–F4
-experiment suite (scaled-down "smoke" variants by default) at pinned
+``python -m repro.bench`` executes the repository's E1–E11/F1–F4
+experiment registry (scaled-down "smoke" variants by default) at pinned
 seeds and emits one schema-versioned report, ``BENCH_fastpath.json``.
+``--full`` runs the figure-sized scenarios and prints each experiment's
+paper table, as EXPERIMENTS.md quotes it and ``tests/test_paper_claims.py``
+checks it.
 Each experiment contributes two kinds of numbers:
 
 * **deterministic counters** — events stepped, messages sent, commits,
@@ -11,7 +14,7 @@ Each experiment contributes two kinds of numbers:
   and is a **hard failure** (exit code 1): performance work must leave
   behaviour byte-identical.
 * **advisory wall-clock** — the median real time of N repeats.  A
-  regression beyond a generous threshold (default 40%) is a **soft
+  regression beyond a generous threshold (40%) is a **soft
   failure**: surfaced (and annotated in CI) but not fatal, because CI
   runners are noisy.
 

@@ -1,15 +1,19 @@
 """Command-line entry point: ``python -m repro.bench``.
 
 Runs the pinned-seed experiment suite, writes the schema-versioned
-report, and (when a baseline exists) compares against it:
+report, and (when a baseline of the same mode exists) compares against
+it:
 
 * exit 1 on **counter drift** — the simulated history changed;
 * exit 0 with ``::warning::`` lines on a wall-clock **soft fail**;
 * exit 0 silently when clean.
 
-``--update-baseline`` re-records the baseline in place (do this in the
-same change that intentionally alters simulated behaviour, and say why
-in the commit message).
+``--full`` also prints every experiment's paper table.  The committed
+baseline is a smoke report, so a full run skips the compare.
+
+``--update-baseline`` re-records the (smoke) baseline in place (do this
+in the same change that intentionally alters simulated behaviour, and
+say why in the commit message).
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+from repro.workloads import format_table
 
 from .compare import COUNTER_DRIFT, COUNTER_IMPROVEMENT, compare_reports
 from .experiments import EXPERIMENTS, determinism_digests, run_suite
@@ -35,7 +41,8 @@ def main(argv=None) -> int:
     )
     mode.add_argument(
         "--full", action="store_true",
-        help="figure-sized run, 3 repeats per experiment",
+        help="figure-sized run, 3 repeats per experiment; prints the "
+             "paper tables",
     )
     parser.add_argument(
         "--only", action="append", metavar="NAME",
@@ -54,17 +61,17 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--update-baseline", action="store_true",
-        help="write the report to the baseline path instead of comparing",
-    )
-    parser.add_argument(
-        "--threshold", type=float, default=0.40, metavar="FRAC",
-        help="tolerated wall-clock regression (default: %(default)s)",
+        help="write the smoke report to the baseline path instead of "
+             "comparing",
     )
     parser.add_argument(
         "--digest", action="store_true",
         help="print the determinism digests (XRAY/TRACE SHA-256) and exit",
     )
     args = parser.parse_args(argv)
+    if args.full and args.update_baseline:
+        parser.error("--update-baseline records the smoke baseline; "
+                     "it cannot be used with --full")
 
     if args.list:
         for name in EXPERIMENTS:
@@ -88,6 +95,13 @@ def main(argv=None) -> int:
 
     report = run_suite(scale=scale, repeats=repeats, only=args.only,
                        progress=progress)
+    if args.full:
+        for name, section in report["experiments"].items():
+            # An experiment's docstring opens with its table's caption.
+            caption = EXPERIMENTS[name].__doc__.strip().splitlines()[0]
+            print()
+            print(format_table(section["rows"], title=f"{name}: {caption}"))
+        print()
 
     out_path = Path(args.baseline if args.update_baseline else args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -102,6 +116,9 @@ def main(argv=None) -> int:
         print(f"repro.bench: no baseline at {baseline_path}, skipping compare")
         return 0
     baseline = json.loads(baseline_path.read_text())
+    if baseline.get("mode") != scale:
+        print(f"repro.bench: no {scale} baseline, skipping compare")
+        return 0
     if args.only:
         # A partial run compares only the experiments it ran.
         baseline = dict(baseline)
@@ -109,8 +126,7 @@ def main(argv=None) -> int:
             k: v for k, v in baseline.get("experiments", {}).items()
             if k in set(args.only)
         }
-        baseline["mode"] = report["mode"]
-    comparison = compare_reports(baseline, report, threshold=args.threshold)
+    comparison = compare_reports(baseline, report)
     for warning in comparison.warnings:
         print(f"::warning::repro.bench {warning}")
     for improvement in comparison.improvements:

@@ -8,9 +8,11 @@ against the checked-in baseline with two very different standards:
   the gate that lets performance work ship: prove the optimized
   simulator replays the exact same history.
 * ``wall_ms`` is advisory — CI runners are noisy — so only a regression
-  beyond a generous threshold (default +40%) is surfaced, and even then
-  only as a soft failure (``wall-clock-soft-fail``) that annotates the
-  run without breaking it.
+  beyond a generous threshold (``WALL_THRESHOLD``, +40%) is surfaced, and
+  even then only as a soft failure (``wall-clock-soft-fail``) that
+  annotates the run without breaking it.
+
+``rows`` (the paper tables) and ``info`` are never compared.
 
 One refinement to the counter rule: a handful of counters are *costs*
 (message round-trips, audit forces, checkpoint sends — see
@@ -39,11 +41,16 @@ __all__ = [
     "Comparison",
     "SCHEMA",
     "WALL_CLOCK_SOFT_FAIL",
+    "WALL_THRESHOLD",
     "compare_reports",
 ]
 
 #: report schema version; bump on any incompatible shape change.
 SCHEMA = "repro.bench/1"
+
+#: tolerated fractional wall-clock regression before a soft fail (0.40 =
+#: the run may be up to 40% slower than the baseline).
+WALL_THRESHOLD = 0.40
 
 CLEAN = "clean"
 COUNTER_DRIFT = "counter-drift"
@@ -94,15 +101,9 @@ class Comparison:
 
 
 def compare_reports(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    threshold: float = 0.40,
+    baseline: Dict[str, Any], current: Dict[str, Any]
 ) -> Comparison:
-    """Diff ``current`` against ``baseline``.
-
-    ``threshold`` is the tolerated fractional wall-clock regression
-    (0.40 = the run may be up to 40% slower before a soft fail).
-    """
+    """Diff ``current`` against ``baseline``."""
     errors: List[str] = []
     warnings: List[str] = []
     improvements: List[str] = []
@@ -132,7 +133,7 @@ def compare_reports(
             _compare_counters(name, base["counters"], section["counters"],
                               errors, improvements)
             _compare_wall(name, base.get("wall_ms"), section.get("wall_ms"),
-                          threshold, warnings)
+                          warnings)
 
     if errors:
         return Comparison(COUNTER_DRIFT, errors=errors, warnings=warnings,
@@ -174,7 +175,6 @@ def _compare_wall(
     name: str,
     base: Any,
     current: Any,
-    threshold: float,
     warnings: List[str],
 ) -> None:
     if not base or not current:
@@ -186,8 +186,8 @@ def _compare_wall(
         # meaningful regression there will also show up in the big ones.
         return
     ratio = cur_ms / base_ms
-    if ratio > 1.0 + threshold:
+    if ratio > 1.0 + WALL_THRESHOLD:
         warnings.append(
             f"{name}: wall-clock {cur_ms:.1f}ms vs baseline {base_ms:.1f}ms "
-            f"({ratio:.2f}x, threshold {1.0 + threshold:.2f}x)"
+            f"({ratio:.2f}x, threshold {1.0 + WALL_THRESHOLD:.2f}x)"
         )

@@ -1,5 +1,8 @@
 """Shared test fixtures and builders."""
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.discprocess import DataDictionary, DiscProcess, FileClient
@@ -110,3 +113,26 @@ def tmf_rig():
     rig = TmfRig()
     rig.add_volume("alpha", "$data")
     return rig
+
+
+def pytest_collection_finish(session):
+    """Start the figure-sized experiment runs that the selected
+    ``test_paper_claims`` cases check.  One worker process runs them
+    (about 12 s in all) while this process runs the rest of the suite."""
+    names = [item.callspec.params["name"] for item in session.items
+             if getattr(item, "originalname", None) == "test_paper_claims"]
+    if not names or session.config.option.collectonly:
+        return
+    from repro.bench import run_experiment
+
+    pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn"))
+    session.paper_runs = {
+        name: pool.submit(run_experiment, name, "full") for name in names
+    }
+    pool.shutdown(wait=False)  # the submitted runs still complete
+
+
+def pytest_sessionfinish(session):
+    # A session stopped early (-x, ^C) drops the runs no test will read.
+    for run in getattr(session, "paper_runs", {}).values():
+        run.cancel()

@@ -10,6 +10,7 @@ the right reasons.
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,9 @@ from repro.bench import (
     run_experiment,
     run_suite,
 )
+from repro.bench.__main__ import main
+
+BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "BENCH_baseline.json"
 
 
 # ----------------------------------------------------------------------
@@ -197,23 +201,49 @@ def test_mode_mismatch_is_drift():
 # ----------------------------------------------------------------------
 # The committed baseline matches a fresh run (the actual CI gate).
 # ----------------------------------------------------------------------
-def test_committed_baseline_matches_fresh_run(repo_root):
-    baseline_path = repo_root / "benchmarks" / "BENCH_baseline.json"
-    baseline = json.loads(baseline_path.read_text())
+def test_committed_baseline_matches_fresh_run():
+    baseline = json.loads(BASELINE.read_text())
     assert baseline["schema"] == SCHEMA
-    # One representative experiment end to end (the full suite runs in
-    # the bench-smoke CI job; here we keep the tier-1 suite fast).
-    name = "e10_process_pairs"
-    fresh = run_experiment(name, scale="smoke")
-    assert fresh["counters"] == baseline["experiments"][name]["counters"], (
+    # The whole smoke suite (about 2 s): every counter of every
+    # experiment must match.
+    comparison = compare_reports(baseline, run_suite(scale="smoke"))
+    assert comparison.ok, (
         "simulated history drifted from the committed baseline — if the "
         "change is intentional, re-record with "
-        "`python -m repro.bench --smoke --update-baseline`"
+        "`python -m repro.bench --smoke --update-baseline`:\n"
+        + "\n".join(comparison.errors + comparison.improvements)
     )
 
 
-@pytest.fixture
-def repo_root():
-    from pathlib import Path
+# ----------------------------------------------------------------------
+# Command line
+# ----------------------------------------------------------------------
+def test_full_run_skips_the_smoke_baseline(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["--full", "--only", "f1_hardware_paths",
+                 "--baseline", str(BASELINE), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "no full baseline, skipping compare" in printed
+    assert "f1_hardware_paths: single-module failure survey" in printed
+    report = json.loads(out.read_text())
+    assert report["mode"] == "full"
+    assert report["experiments"]["f1_hardware_paths"]["rows"]
 
-    return Path(__file__).resolve().parent.parent
+
+def test_partial_smoke_run_compares_clean(tmp_path, capsys):
+    assert main(["--only", "e10_process_pairs", "--baseline", str(BASELINE),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert "verdict clean" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--full", "--update-baseline"],   # the baseline is a smoke report
+    ["--threshold", "0.1"],            # the threshold is a constant
+])
+def test_rejected_options(tmp_path, argv):
+    baseline = tmp_path / "baseline.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--only", "f1_hardware_paths", "--baseline", str(baseline),
+                     "--out", str(tmp_path / "report.json")])
+    assert exc.value.code == 2
+    assert not baseline.exists()

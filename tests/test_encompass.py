@@ -12,7 +12,7 @@ from repro.apps.banking import (
     install_banking,
     populate_banking,
 )
-from repro.encompass import SystemBuilder, TerminalInput
+from repro.encompass import ServerClass, SystemBuilder, TerminalInput
 
 
 def build_bank(seed=3, cpus=4, server_instances=2, restart_limit=5,
@@ -58,6 +58,49 @@ class TestQuickFlow:
         assert report["history_count"] == 0
         tmf = system.tmf["alpha"]
         assert tmf.aborts >= 1
+
+    def test_inventory_matches_figure2(self):
+        """Figure 2's component classes: a TCP pair, server-class
+        instances, DISCPROCESS and AUDITPROCESS pairs."""
+        system = build_bank()
+        assert system.server_classes[("alpha", "$bank")].live_instances()
+        for pair in (system.tcps[("alpha", "$tcp1")],
+                     system.disc_processes[("alpha", "$data")],
+                     system.audit_processes["alpha"]):
+            assert None not in (pair.primary_cpu, pair.backup_cpu)
+
+    def test_voluntary_abort_backs_out_applied_updates(self):
+        """ABORT-TRANSACTION after updates to two accounts backs both out
+        with no user-coded reversal, and is not restarted."""
+        system = build_bank()
+        before = check_consistency(system, "alpha")
+
+        def fickle_server(ctx, request):
+            a = yield from ctx.read("account", (0,), lock=True)
+            a["balance"] += 1000
+            yield from ctx.update("account", a)
+            b = yield from ctx.read("account", (1,), lock=True)
+            b["balance"] -= 1000
+            yield from ctx.update("account", b)
+            return {"ok": False, "error": "changed_my_mind"}
+
+        def fickle_program(ctx, data):
+            reply = yield from ctx.send("$fickle-1", data)
+            if not reply.get("ok"):
+                ctx.abort_transaction(reply["error"])
+            return True
+
+        ServerClass(system.cluster.os("alpha"), "$fickle", fickle_server,
+                    system.clients["alpha"], instances=1)
+        tcp = system.tcps[("alpha", "$tcp1")]
+        tcp.add_program("fickle", fickle_program)
+        tcp.add_terminal("TF", "fickle")
+        reply = system.drive("alpha", "$tcp1", "TF", {})
+        assert reply["error"] == "aborted"
+        assert reply["attempts"] == 1
+        after = check_consistency(system, "alpha")
+        assert after["consistent"]
+        assert after["account_total"] == before["account_total"]
 
     def test_unknown_terminal_rejected(self):
         system = build_bank()

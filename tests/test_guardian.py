@@ -327,6 +327,25 @@ class TestProcessPair:
         assert pair.available
         assert pair.backup_cpu in (2, 3)
 
+    def test_reprotected_pair_survives_primary_loss(self):
+        """Backup loss, re-protection on another CPU, then primary loss:
+        the checkpointed state survives both."""
+        cluster = make_cluster()
+        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1, cluster.tracer)
+
+        def client(proc):
+            yield from cluster.fs("alpha").send(proc, "$ctr", "inc")
+            cluster.node("alpha").fail_cpu(1)
+            protected = pair.protected
+            yield from cluster.fs("alpha").send(proc, "$ctr", "inc")
+            cluster.node("alpha").fail_cpu(0)
+            value = yield from cluster.fs("alpha").send(proc, "$ctr", "inc")
+            return protected, value
+
+        proc = cluster.os("alpha").spawn("$client", 2, client)
+        assert cluster.run(proc.sim_process) == (True, 3)
+        assert pair.takeovers == 1
+
     def test_unprotected_until_cpu_returns(self):
         cluster = make_cluster(cpus=2)
         pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1, cluster.tracer)

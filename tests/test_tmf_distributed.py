@@ -214,16 +214,20 @@ class TestPartitionAborts:
             # Beta's sweep notices the lost parent and aborts unilaterally.
             yield net_rig.cluster.env.timeout(2000)
             done_during_partition = tmf_b.records[transid].done
+            locks_during_partition = (
+                net_rig.disc_processes[("beta", "$data")].locks.held_count()
+            )
             net_rig.cluster.network.heal()
             try:
                 yield from tmf_a.end(proc, transid)
                 outcome = "committed"
             except TransactionAborted:
                 outcome = "aborted"
-            return done_during_partition, outcome
+            return done_during_partition, locks_during_partition, outcome
 
-        done_during_partition, outcome = net_rig.run("alpha", body)
+        done_during_partition, locks, outcome = net_rig.run("alpha", body)
         assert done_during_partition == "aborted"   # unilateral
+        assert locks == 0                           # ... frees locks early
         assert outcome == "aborted"                 # consensus forced
 
     def test_locks_stranded_after_phase1_ack_until_heal(self, net_rig):
