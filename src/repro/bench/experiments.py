@@ -164,11 +164,11 @@ def _settle(system, ms=1000.0, node="alpha"):
 
 def _base_counters(system) -> Counters:
     """Deterministic counters every full-system experiment reports."""
-    tracer = system.tracer
+    counts = system.probe.counts
     return {
         "events": int(system.env.events_processed),
-        "msg_local": int(tracer.counters["msg_local"]),
-        "msg_network": int(tracer.counters["msg_network"]),
+        "msg_local": counts.get("msg_local", 0),
+        "msg_network": counts.get("msg_network", 0),
         "commits": sum(t.commits for t in system.tmf.values()),
         "aborts": sum(t.aborts for t in system.tmf.values()),
         "audit_forces": sum(
@@ -310,7 +310,7 @@ def e3_commit_protocols(scale: str) -> Dict[str, Any]:
     for shape, touch in enumerate(
         (["n1"], ["n1", "n2"], ["n1", "n2", "n3"]), start=1
     ):
-        net_before = system.tracer.counters["msg_network"]
+        net_before = system.probe.counts.get("msg_network", 0)
         broadcasts_before = _broadcasts(system)
 
         def body(proc, touch=touch, shape=shape):
@@ -330,7 +330,7 @@ def e3_commit_protocols(scale: str) -> Dict[str, Any]:
             return end_ms
 
         end_ms = _run(system, "n1", f"$run{shape}", body)
-        net = system.tracer.counters["msg_network"] - net_before
+        net = system.probe.counts.get("msg_network", 0) - net_before
         net_msgs[f"net_msgs_{shape}node"] = net
         rows.append({
             "participating_nodes": shape,
@@ -880,7 +880,7 @@ def _kv_cluster():
     cluster = Cluster(seed=113)
     cluster.add_node("alpha", cpu_count=4)
     cluster.connect_all()
-    pair = _KvPair(cluster.os("alpha"), "$kv", 0, 1, cluster.tracer)
+    pair = _KvPair(cluster.os("alpha"), "$kv", 0, 1)
     return cluster, pair
 
 
@@ -912,7 +912,7 @@ def e10_process_pairs(scale: str) -> Dict[str, Any]:
     final_value = _run_client(cluster, client)
     counters = {
         "events": int(cluster.env.events_processed),
-        "msg_local": int(cluster.tracer.counters["msg_local"]),
+        "msg_local": cluster.env.probe.counts.get("msg_local", 0),
         "takeovers": pair.takeovers,
         "checkpoints": pair.checkpoints_sent,
         "kv_size": len(pair.state["kv"]),
@@ -1141,12 +1141,12 @@ def f3_state_machine(scale: str) -> Dict[str, Any]:
     counters = _base_counters(system)
     counters.update(
         committed=result.committed,
-        state_broadcasts=system.tracer.count("state_broadcast"),
+        state_broadcasts=system.probe.counts.get("state_broadcast", 0),
     )
     last: Dict[str, TxState] = {}
     edges: Counter = Counter()
     fanouts = set()
-    for record in system.tracer.select("state_broadcast"):
+    for record in system.probe.select("state_broadcast"):
         state = TxState(record.state)
         edges[last.get(record.transid), state] += 1
         last[record.transid] = state
@@ -1174,7 +1174,7 @@ def _f3_plain_broadcasts() -> Counters:
                                        keep_trace=True)
     _drive(system, terminals, duration=2000.0, accounts=32)
     tmf = system.tmf["alpha"]
-    return {"plain_broadcasts": system.tracer.count("state_broadcast"),
+    return {"plain_broadcasts": system.probe.counts.get("state_broadcast", 0),
             "plain_transactions": tmf.commits + tmf.aborts}
 
 

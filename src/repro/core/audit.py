@@ -273,10 +273,9 @@ class AuditProcess(ConcurrentPair):
         primary_cpu: int,
         backup_cpu: int,
         trail: AuditTrail,
-        tracer: Any = None,
     ):
         self.trail = trail
-        super().__init__(node_os, name, primary_cpu, backup_cpu, tracer)
+        super().__init__(node_os, name, primary_cpu, backup_cpu)
         self._apply_state_defaults()
         self.forces = 0
         self.forced_block_writes = 0
@@ -385,10 +384,7 @@ class AuditProcess(ConcurrentPair):
             )
         self.forces += 1
         metrics = self.env.metrics
-        if metrics is not None and metrics.enabled:
-            metrics.inc("audit.forces")
-            if batch_writes:
-                metrics.inc("audit.block_writes", batch_writes)
+        if metrics is not None:
             metrics.observe("audit.force_ms", self.env.now - t0)
             transid = getattr(message.payload, "transid", None)
             if transid is not None and self.env.now > t0:

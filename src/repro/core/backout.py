@@ -55,10 +55,9 @@ class BackoutProcess(ConcurrentPair):
         primary_cpu: int,
         backup_cpu: int,
         filesystem: FileSystem,
-        tracer: Any = None,
     ):
         self.filesystem = filesystem
-        super().__init__(node_os, name, primary_cpu, backup_cpu, tracer)
+        super().__init__(node_os, name, primary_cpu, backup_cpu)
         self.backouts = 0
         self.records_undone = 0
 

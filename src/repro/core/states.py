@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from ..hardware import Node
-from ..sim import Tracer
 from .transid import Transid
 
 __all__ = [
@@ -92,10 +91,9 @@ class StateBroadcaster:
     TMF avoid crash-restart for single-module failures.
     """
 
-    def __init__(self, node: Node, tracer: Optional[Tracer] = None):
+    def __init__(self, node: Node):
         self.node = node
         self.env = node.env
-        self.tracer = tracer
         self.tables: Dict[int, Dict[Transid, TxState]] = {
             cpu.number: {} for cpu in node.cpus
         }
@@ -140,15 +138,13 @@ class StateBroadcaster:
         self.broadcasts += 1
         # The broadcast rides the interprocessor bus pair.
         self.node.buses.record_transfer(self.node.latencies.bus_broadcast)
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.env.now,
-                "state_broadcast",
-                node=self.node.name,
-                transid=str(transid),
-                state=str(new_state),
-                cpus=len(live),
-            )
+        self.env.probe.emit(
+            "state_broadcast",
+            node=self.node.name,
+            transid=str(transid),
+            state=str(new_state),
+            cpus=len(live),
+        )
         if new_state in (TxState.ENDED, TxState.ABORTED):
             for table in self.tables.values():
                 table.pop(transid, None)

@@ -33,7 +33,7 @@ from ..guardian import (
     NodeOs,
     OsProcess,
 )
-from ..sim import Event, Tracer
+from ..sim import Event
 from .audit import AuditProcess, AuditTrail, CompletionRecord, ForceAudit
 from .backout import BackoutProcess, BackoutTx
 from .states import StateBroadcaster, TxState
@@ -99,7 +99,6 @@ class TmfNode:
         monitor_volume: Any,
         tmp_cpus: Tuple[int, int] = (0, 1),
         config: Optional[TmfConfig] = None,
-        tracer: Optional[Tracer] = None,
         tmp_name: str = "$TMP",
         backout_name: str = "$BACKOUT",
     ):
@@ -107,10 +106,9 @@ class TmfNode:
         self.env = node_os.env
         self.filesystem = filesystem
         self.config = config or TmfConfig()
-        self.tracer = tracer
         self.node_name = node_os.node.name
         self.generator = TransidGenerator(self.node_name)
-        self.broadcaster = StateBroadcaster(node_os.node, tracer)
+        self.broadcaster = StateBroadcaster(node_os.node)
         self.records: Dict[Transid, TransactionRecord] = {}
         self._done_order: List[Transid] = []
         # The Monitor Audit Trail: history of commit/abort records.
@@ -125,11 +123,9 @@ class TmfNode:
         self._interrupted: List[Transid] = []
         self.tmp_name = tmp_name
         self.backout_name = backout_name
-        self.tmp = TmpProcess(
-            node_os, tmp_name, tmp_cpus[0], tmp_cpus[1], self, tracer
-        )
+        self.tmp = TmpProcess(node_os, tmp_name, tmp_cpus[0], tmp_cpus[1], self)
         self.backout_process = BackoutProcess(
-            node_os, backout_name, tmp_cpus[0], tmp_cpus[1], filesystem, tracer
+            node_os, backout_name, tmp_cpus[0], tmp_cpus[1], filesystem
         )
         # Wire automatic transid export into the File System.
         filesystem.transid_exporter = self.export_transid
@@ -189,7 +185,7 @@ class TmfNode:
         t0 = self.env.now
         yield self.env.timeout(self.broadcaster.broadcast(transid, new_state))
         metrics = self.env.metrics
-        if metrics is not None and metrics.enabled and self.env.now > t0:
+        if metrics is not None and self.env.now > t0:
             metrics.spans.record(str(transid), span_name, "bus", t0, self.env.now)
 
     # ------------------------------------------------------------------
@@ -205,7 +201,7 @@ class TmfNode:
             # transid: a TCP unit's serve span becomes the trace's root.
             hub.adopt(transid)
         metrics = self.env.metrics
-        if metrics is not None and metrics.enabled:
+        if metrics is not None:
             metrics.tx_begin(str(transid), self.env.now)
         yield from self._broadcast_timed(transid, TxState.ACTIVE, "begin")
         self._trace("begin_transaction", transid=str(transid))
@@ -556,7 +552,7 @@ class TmfNode:
 
     def _finish_settle(self, record: TransactionRecord, done: str) -> None:
         metrics = self.env.metrics
-        if metrics is not None and metrics.enabled:
+        if metrics is not None:
             # First settler (home node, normally) closes the span tree;
             # later settlers of a distributed transaction no-op.
             metrics.tx_end(str(record.transid), self.env.now, done)
@@ -691,6 +687,5 @@ class TmfNode:
             yield self.env.timeout(self.config.safe_retry_interval)
 
     def _trace(self, kind: str, **fields: Any) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.env.now, kind, node=self.node_name, **fields)
+        self.env.probe.emit(kind, node=self.node_name, **fields)
 

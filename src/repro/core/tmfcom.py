@@ -10,6 +10,7 @@ TMFCOM program:
 
 * ``STATUS TMF``        → :meth:`status`
 * ``STATUS TRANSACTIONS`` → :meth:`transactions`
+* ``STATUS COUNTERS``   → :meth:`counters`
 * ``INFO TRANSACTION``  → :meth:`disposition` / :meth:`trace`
 * ``RESOLVE TRANSACTION`` (force) → :meth:`force_disposition`
 * ``DUMP FILES``        → :meth:`dump_volume`
@@ -70,6 +71,11 @@ class Tmfcom:
             },
             "safe_delivery_backlog": len(tmf._safe_queue),
         }
+
+    def counters(self) -> Dict[str, int]:
+        """STATUS COUNTERS: the run's always-on counts, as XRAY reports them."""
+        counts = self.tmf.env.probe.counts
+        return {name: counts[name] for name in sorted(counts)}
 
     def transactions(self, state: Optional[str] = None) -> List[Dict[str, Any]]:
         """STATUS TRANSACTIONS: every transaction this node knows about."""

@@ -112,10 +112,9 @@ class TmpProcess(ConcurrentPair):
         primary_cpu: int,
         backup_cpu: int,
         tmf: Any,
-        tracer: Any = None,
     ):
         self.tmf = tmf
-        super().__init__(node_os, name, primary_cpu, backup_cpu, tracer)
+        super().__init__(node_os, name, primary_cpu, backup_cpu)
 
     def on_start(self, proc: OsProcess) -> None:
         # The background pump: safe-delivery retries, the unilateral-

@@ -46,19 +46,10 @@ class CacheStats:
 class BlockCache:
     """An LRU cache of blocks with dirty tracking."""
 
-    def __init__(self, capacity: int = 256, metrics: Any = None, name: str = ""):
+    def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError("cache capacity must be at least 1")
         self.capacity = capacity
-        self.name = name
-        #: optional XRAY registry; hit/miss counters land there too so a
-        #: measured run can watch cache behaviour over time.
-        self.metrics = metrics
-        # Whether a run is measured is fixed at construction (the cluster
-        # installs the registry before any DISCPROCESS exists), so the
-        # per-probe ``is not None and .enabled`` test collapses to one
-        # pre-bound bool on the lookup fast path.
-        self._measured = metrics is not None and metrics.enabled
         self._entries: "OrderedDict[BlockKey, Any]" = OrderedDict()
         self._dirty: set = set()
         self._pinned: set = set()
@@ -77,12 +68,8 @@ class BlockCache:
         if block is not None or key in entries:
             entries.move_to_end(key)
             self.stats.hits += 1
-            if self._measured:
-                self.metrics.inc("cache.hits")
             return True, block
         self.stats.misses += 1
-        if self._measured:
-            self.metrics.inc("cache.misses")
         return False, None
 
     def install(

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from ..sim import AnyOf, Environment, Event, Tracer
+from ..sim import AnyOf, Environment, Event
 
 __all__ = ["LockManager", "LockTimeout", "LockTarget"]
 
@@ -53,10 +53,9 @@ class _Waiter:
 class LockManager:
     """Exclusive record and file locks for one disc volume."""
 
-    def __init__(self, env: Environment, name: str = "", tracer: Optional[Tracer] = None):
+    def __init__(self, env: Environment, name: str = ""):
         self.env = env
         self.name = name
-        self.tracer = tracer
         self._record_owners: Dict[Tuple[str, Any], Any] = {}
         self._file_owners: Dict[str, Any] = {}
         self._records_per_file: Dict[str, Counter] = {}
@@ -126,22 +125,20 @@ class LockManager:
         deadline = self.env.timeout(timeout)
         outcome = yield AnyOf(self.env, [waiter.event, deadline])
         if waiter.event in outcome:
-            self._observe_wait(transid, wait_start, timed_out=False)
+            self._observe_wait(transid, wait_start)
             return  # granted by a release
         self._remove_waiter(waiter)
         self.timeouts += 1
         self._trace("lock_timeout", transid=str(transid), target=target)
-        self._observe_wait(transid, wait_start, timed_out=True)
+        self._observe_wait(transid, wait_start)
         raise LockTimeout(transid, target)
 
-    def _observe_wait(self, transid: Any, wait_start: float, timed_out: bool) -> None:
+    def _observe_wait(self, transid: Any, wait_start: float) -> None:
         metrics = self.env.metrics
-        if metrics is None or not metrics.enabled:
+        if metrics is None:
             return
         waited = self.env.now - wait_start
         metrics.observe("lock.wait_ms", waited)
-        if timed_out:
-            metrics.inc("lock.timeouts")
         if waited > 0:
             metrics.spans.record(
                 str(transid), "lock-wait", "lock", wait_start, self.env.now
@@ -288,5 +285,4 @@ class LockManager:
         return None
 
     def _trace(self, kind: str, **fields: Any) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.env.now, kind, volume=self.name, **fields)
+        self.env.probe.emit(kind, volume=self.name, **fields)

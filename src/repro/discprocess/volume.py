@@ -41,7 +41,7 @@ from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..guardian import ConcurrentPair, FileSystem, FileSystemError, Message, NodeOs, OsProcess
 from ..hardware import MirroredVolume, VolumeUnavailable
-from ..sim import Event, Tracer, fast_deepcopy
+from ..sim import Event, fast_deepcopy
 from .blocks import BlockKey
 from .boxcar import (
     FLUSH_FORCE,
@@ -112,7 +112,6 @@ class DiscProcess(ConcurrentPair):
         audit_process: Optional[str] = None,
         tmf_registry: Any = None,
         cache_capacity: int = 256,
-        tracer: Optional[Tracer] = None,
         boxcar: Any = True,
     ):
         self.volume = volume
@@ -147,13 +146,12 @@ class DiscProcess(ConcurrentPair):
         #: queue depth from these.
         self.busy_ms = 0.0
         self.pending_requests = 0
+        # Built by _build_runtime, which a takeover runs again.
+        self.cache: Optional[BlockCache] = None
+        self.store: Optional[CachedVolumeStore] = None
+        self.locks: Optional[LockManager] = None
         super().__init__(
-            node_os,
-            name,
-            primary_cpu,
-            backup_cpu,
-            tracer,
-            allowed_cpus=(primary_cpu, backup_cpu),
+            node_os, name, primary_cpu, backup_cpu, allowed_cpus=(primary_cpu, backup_cpu)
         )
         self._apply_state_defaults()
         self._build_runtime()
@@ -176,9 +174,8 @@ class DiscProcess(ConcurrentPair):
     # Runtime (volatile) structures: cache, store, files, lock manager
     # ------------------------------------------------------------------
     def _build_runtime(self) -> None:
-        self.cache = BlockCache(
-            self.cache_capacity, metrics=self.env.metrics, name=self.name
-        )
+        previous_cache, previous_store = self.cache, self.store
+        self.cache = BlockCache(self.cache_capacity)
         self.store = CachedVolumeStore(
             self.cache,
             physical_read=self._physical_read,
@@ -187,6 +184,10 @@ class DiscProcess(ConcurrentPair):
             list_blocks=self._list_physical,
         )
         self.store.pin_writes = True
+        if previous_store is not None:
+            # The volume's statistics outlive the primary that kept them.
+            self.cache.stats = previous_cache.stats
+            self.store.counters = previous_store.counters
         self._flushed_keys = []
         self._forwarded_seqs = []
         # Blocks checkpointed but not yet on disc: the new primary's
@@ -196,7 +197,7 @@ class DiscProcess(ConcurrentPair):
         self.files: Dict[str, StructuredFile] = {}
         for file_name, schema in self.state.get("files", {}).items():
             self.files[file_name] = StructuredFile(self.store, schema, create=False)
-        self.locks = LockManager(self.env, self.name, self.tracer)
+        self.locks = self._new_lock_manager()
         for target, owner in self.state.get("locks", {}).items():
             self.locks._grant(owner, target)
         known = sorted(self.state.get("completed", {}))
@@ -222,6 +223,13 @@ class DiscProcess(ConcurrentPair):
         if self.state["dirty"].get(key) is block:
             del self.state["dirty"][key]
             self._flushed_keys.append(key)
+
+    def _new_lock_manager(self) -> LockManager:
+        """An empty lock table that keeps counting the volume's waits and timeouts."""
+        locks = LockManager(self.env, self.name)
+        if self.locks is not None:
+            locks.waits, locks.timeouts = self.locks.waits, self.locks.timeouts
+        return locks
 
     def _physical_delete(self, key: BlockKey) -> None:
         self.volume.delete_block(key)
@@ -281,9 +289,9 @@ class DiscProcess(ConcurrentPair):
                 return
             io_start = self.env.now
             yield from self._charge_io(snapshot)
+            self.env.probe.count(f"disc.ops.{op_name(message.payload)}")
             metrics = self.env.metrics
-            if metrics is not None and metrics.enabled:
-                metrics.inc(f"disc.ops.{op_name(message.payload)}")
+            if metrics is not None:
                 io_ms = self.env.now - io_start
                 if io_ms > 0:
                     metrics.observe("disc.op_ms", io_ms)
@@ -764,7 +772,7 @@ class DiscProcess(ConcurrentPair):
         """
         pending = self.state["unforwarded"]
         metrics = self.env.metrics
-        if metrics is not None and metrics.enabled:
+        if metrics is not None:
             metrics.observe("boxcar.occupancy", len(pending))
         if (
             len(pending) >= self.boxcar.max_records
@@ -789,14 +797,12 @@ class DiscProcess(ConcurrentPair):
         """Serve ForceBoxcar: phase one's explicit drain (group commit)."""
         start = self.env.now
         flushed = yield from self._drain_boxcar(proc, FLUSH_FORCE)
+        self.env.probe.count("boxcar.forces")
         metrics = self.env.metrics
-        if metrics is not None and metrics.enabled:
-            metrics.inc("boxcar.forces")
-            if payload.transid is not None and self.env.now > start:
-                metrics.spans.record(
-                    str(payload.transid), "boxcar-drain", "disc",
-                    start, self.env.now,
-                )
+        if metrics is not None and payload.transid is not None and self.env.now > start:
+            metrics.spans.record(
+                str(payload.transid), "boxcar-drain", "disc", start, self.env.now
+            )
         return {"ok": True, "flushed": flushed}
 
     def _forward_audit(self, proc: OsProcess, reason: str) -> Generator:
@@ -849,14 +855,9 @@ class DiscProcess(ConcurrentPair):
             self.audit_batches_sent += 1
             self.audit_records_forwarded += len(batch)
             metrics = self.env.metrics
-            if metrics is not None and metrics.enabled:
-                metrics.inc(f"boxcar.flush.{reason}")
-                metrics.inc("boxcar.records_forwarded", len(batch))
-                if len(batch) > 1:
-                    metrics.inc("boxcar.roundtrips_saved", len(batch) - 1)
+            if metrics is not None:
                 metrics.observe("boxcar.batch_records", len(batch))
-            if self.tracer is not None:
-                self._trace("boxcar_flush", reason=reason, records=len(batch))
+            self._trace("boxcar_flush", reason=reason, records=len(batch))
         return len(batch)
 
     # ------------------------------------------------------------------
@@ -950,7 +951,7 @@ class DiscProcess(ConcurrentPair):
         self.state["completed"] = {}
         self.state["unforwarded"] = {}
         self.state["audit_seq"] = audit_seq
-        self.locks = LockManager(self.env, self.name, self.tracer)
+        self.locks = self._new_lock_manager()
         for file_name, schema in schemas.items():
             structured = StructuredFile(self.store, schema, create=True)
             self.files[file_name] = structured

@@ -36,7 +36,7 @@ from ..discprocess import DataDictionary, DiscProcess, FileClient, FileSchema
 from ..discprocess.boxcar import resolve_boxcar
 from ..guardian import Cluster, NodeOs
 from ..hardware import Latencies
-from ..measure import NULL_REGISTRY, MetricsRegistry, Sampler
+from ..measure import MetricsRegistry, Sampler
 from ..measure.report import build_report, render_report, to_json, write_report
 from ..trace import TraceCollector, Watchdog, WatchdogConfig
 from ..trace.export import timeline_json as _timeline_json
@@ -72,13 +72,14 @@ class EncompassSystem:
         return self.cluster.env
 
     @property
-    def tracer(self):
-        return self.cluster.tracer
+    def probe(self):
+        """The run's always-on counters and record stream."""
+        return self.cluster.env.probe
 
     @property
     def metrics(self):
-        """The XRAY registry (the no-op null registry when unmeasured)."""
-        return self.cluster.metrics if self.cluster.metrics is not None else NULL_REGISTRY
+        """The XRAY registry (None when unmeasured)."""
+        return self.cluster.metrics
 
     def node_os(self, node: str) -> NodeOs:
         return self.cluster.os(node)
@@ -232,9 +233,7 @@ class SystemBuilder:
         if trace:
             # Subscribe before any construction emits, so the collector
             # sees the whole record stream from time zero.
-            self.system.trace_collector = TraceCollector(
-                self.cluster.tracer, self.cluster.trace_hub
-            )
+            self.system.trace_collector = TraceCollector(self.cluster.trace_hub)
         # ``watchdog`` accepts True (default thresholds) or a
         # :class:`WatchdogConfig`; installed in :meth:`build`.
         self.watchdog_config: Optional[WatchdogConfig] = None
@@ -264,8 +263,7 @@ class SystemBuilder:
         audit_volume = node_os.node.add_volume(audit_volume_name, *tmf_cpus)
         trail = AuditTrail(audit_volume)
         audit_process = AuditProcess(
-            node_os, audit_process_name, tmf_cpus[0], tmf_cpus[1], trail,
-            self.cluster.tracer,
+            node_os, audit_process_name, tmf_cpus[0], tmf_cpus[1], trail
         )
         tmf = TmfNode(
             node_os,
@@ -273,7 +271,6 @@ class SystemBuilder:
             monitor_volume=audit_volume,
             tmp_cpus=tmf_cpus,
             config=self.tmf_config,
-            tracer=self.cluster.tracer,
         )
         tmf.register_audit_process(audit_process_name, audit_process)
         self.system.tmf[name] = tmf
@@ -299,9 +296,7 @@ class SystemBuilder:
         node_os = self.cluster.os(node)
         volume = node_os.node.add_volume(volume_name or f"{name}vol", *cpus)
         trail = AuditTrail(volume)
-        audit_process = AuditProcess(
-            node_os, name, cpus[0], cpus[1], trail, self.cluster.tracer
-        )
+        audit_process = AuditProcess(node_os, name, cpus[0], cpus[1], trail)
         self.system.tmf[node].register_audit_process(name, audit_process)
         self.system.audit_processes[f"{node}:{name}"] = audit_process
         return audit_process
@@ -327,7 +322,6 @@ class SystemBuilder:
             audit_process=audit_process_name if audited else None,
             tmf_registry=self.system.tmf[node],
             cache_capacity=cache_capacity,
-            tracer=self.cluster.tracer,
             boxcar=self.boxcar,
         )
         self.system.tmf[node].register_disc_process(name, disc_process)
@@ -354,7 +348,6 @@ class SystemBuilder:
             instances=instances,
             cpus=cpus,
             max_instances=max_instances,
-            tracer=self.cluster.tracer,
         )
         self.system.server_classes[(node, name)] = server_class
         for (tcp_node, _), tcp in self.system.tcps.items():
@@ -367,10 +360,7 @@ class SystemBuilder:
             sc for (sc_node, _), sc in self.system.server_classes.items()
             if sc_node == node
         ]
-        monitor = PathwayMonitor(
-            self.cluster.os(node), classes, interval=interval,
-            tracer=self.cluster.tracer,
-        )
+        monitor = PathwayMonitor(self.cluster.os(node), classes, interval=interval)
         self.system.pathway_monitors[node] = monitor
         return monitor
 
@@ -389,7 +379,6 @@ class SystemBuilder:
             self.cluster.fs(node),
             self.system.tmf[node],
             restart_limit=restart_limit,
-            tracer=self.cluster.tracer,
         )
         for (sc_node, _), server_class in self.system.server_classes.items():
             if sc_node == node:

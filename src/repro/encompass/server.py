@@ -23,7 +23,6 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..discprocess import FileClient, LockTimeoutError
 from ..guardian import Message, NodeOs, OsProcess
-from ..sim import Tracer
 
 __all__ = ["ServerContext", "ServerClass", "PathwayMonitor"]
 
@@ -124,7 +123,6 @@ class ServerClass:
         instances: int = 1,
         cpus: Optional[List[int]] = None,
         max_instances: int = 16,
-        tracer: Optional[Tracer] = None,
     ):
         if not name.startswith("$"):
             raise ValueError("server class names start with '$'")
@@ -135,7 +133,6 @@ class ServerClass:
         self.client = client
         self.cpus = cpus
         self.max_instances = max_instances
-        self.tracer = tracer
         self._instances: List[OsProcess] = []
         self._rr = itertools.count()
         self.requests_served = 0
@@ -161,11 +158,7 @@ class ServerClass:
         instance_name = f"{self.name}-{number}"
         proc = self.node_os.spawn(instance_name, self._pick_cpu(), self._serve)
         self._instances.append(proc)
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.env.now, "server_created", server_class=self.name,
-                instance=instance_name,
-            )
+        self.env.probe.emit("server_created", server_class=self.name, instance=instance_name)
         return proc
 
     def remove_instance(self) -> bool:
@@ -175,11 +168,7 @@ class ServerClass:
             return False
         victim = live[-1]
         victim.kill("pathway shrink")
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.env.now, "server_deleted", server_class=self.name,
-                instance=victim.name,
-            )
+        self.env.probe.emit("server_deleted", server_class=self.name, instance=victim.name)
         return True
 
     def live_instances(self) -> List[OsProcess]:
@@ -234,9 +223,9 @@ class ServerClass:
                 if hub is not None:
                     hub.serve_end(trace_ctx)
             self.requests_served += 1
+            self.env.probe.count("server.requests")
             metrics = self.env.metrics
-            if metrics is not None and metrics.enabled:
-                metrics.inc("server.requests")
+            if metrics is not None:
                 metrics.observe("server.handle_ms", self.env.now - handle_start)
             proc.reply(message, reply if reply is not None else {"ok": True})
 
@@ -251,7 +240,6 @@ class PathwayMonitor:
         interval: float = 100.0,
         grow_threshold: int = 3,
         shrink_threshold: int = 0,
-        tracer: Optional[Tracer] = None,
     ):
         self.node_os = node_os
         self.env = node_os.env
@@ -259,7 +247,6 @@ class PathwayMonitor:
         self.interval = interval
         self.grow_threshold = grow_threshold
         self.shrink_threshold = shrink_threshold
-        self.tracer = tracer
         self.grows = 0
         self.shrinks = 0
         self._idle_rounds: Dict[str, int] = {}

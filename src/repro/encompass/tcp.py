@@ -38,7 +38,7 @@ from ..guardian import (
     NodeOs,
     OsProcess,
 )
-from ..sim import Tracer, fast_deepcopy, register_fastcopy
+from ..sim import fast_deepcopy, register_fastcopy
 from .server import ServerClass
 from .verbs import (
     AbortTransaction,
@@ -121,7 +121,6 @@ class TerminalControlProcess(ConcurrentPair):
         restart_limit: int = 5,
         restart_delay: float = 20.0,
         send_timeout: float = 30_000.0,
-        tracer: Optional[Tracer] = None,
     ):
         self.filesystem = filesystem
         self.tmf = tmf
@@ -135,7 +134,7 @@ class TerminalControlProcess(ConcurrentPair):
         self.units_committed = 0
         self.units_aborted = 0
         self.restarts_total = 0
-        super().__init__(node_os, name, primary_cpu, backup_cpu, tracer)
+        super().__init__(node_os, name, primary_cpu, backup_cpu)
         self._apply_state_defaults()
         self._completed_order: List[int] = []
 
@@ -224,14 +223,14 @@ class TerminalControlProcess(ConcurrentPair):
         )
         unit_start = self.env.now
         result = yield from self._run_unit(proc, message, payload)
+        probe = self.env.probe
+        probe.count("unit.committed" if result.get("ok") else "unit.aborted")
+        restarts = result.get("attempts", 1) - 1
+        if restarts > 0:
+            probe.count("unit.restarts", restarts)
         metrics = self.env.metrics
-        if metrics is not None and metrics.enabled:
+        if metrics is not None:
             metrics.observe("unit.latency_ms", self.env.now - unit_start)
-            outcome = "committed" if result.get("ok") else "aborted"
-            metrics.inc(f"unit.{outcome}")
-            restarts = result.get("attempts", 1) - 1
-            if restarts > 0:
-                metrics.inc("unit.restarts", restarts)
         yield from self.checkpoint_update(
             "completed", updates={message.msg_id: result}
         )

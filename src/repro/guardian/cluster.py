@@ -1,7 +1,7 @@
 """Cluster assembly: environment + network + per-node OS instances.
 
 A :class:`Cluster` bundles everything one simulation run needs below the
-data-management layer: the event loop, tracer, random streams, the
+data-management layer: the event loop and its probe, random streams, the
 inter-node network, and a :class:`NodeOs` + :class:`FileSystem` per
 node.  Higher layers (DISCPROCESSes, TMF, ENCOMPASS) are attached onto a
 cluster by the configuration builder in :mod:`repro.encompass.config`.
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..hardware import Latencies, Network, Node
-from ..sim import Environment, RandomStreams, Tracer
+from ..sim import Environment, RandomStreams
 from .filesystem import FileSystem
 from .message import MessageSystem
 from .process import NodeOs
@@ -36,21 +36,19 @@ class Cluster:
         # layer can probe it without plumbing; None = unmeasured run.
         self.metrics = metrics
         self.env.metrics = metrics
-        self.tracer = Tracer(keep_records=keep_trace)
+        self.env.probe.keep_records = keep_trace
         # The causal-tracing hub rides on the environment the same way;
         # None = untraced run.  (Lazy import: guardian must stay
         # importable below repro.trace.)
         self.trace_hub: Optional[Any] = None
         if trace:
             from ..trace.context import TraceHub
-            self.trace_hub = TraceHub(self.env, self.tracer)
+            self.trace_hub = TraceHub(self.env)
         self.env.trace = self.trace_hub
         self.streams = RandomStreams(seed)
         self.latencies = latencies or Latencies()
-        self.network = Network(self.env, self.latencies, self.tracer)
-        self.message_system = MessageSystem(
-            self.env, self.network, self.latencies, self.tracer
-        )
+        self.network = Network(self.env, self.latencies)
+        self.message_system = MessageSystem(self.env, self.network, self.latencies)
         self.oses: Dict[str, NodeOs] = {}
         self.filesystems: Dict[str, FileSystem] = {}
 
@@ -58,13 +56,11 @@ class Cluster:
     # Construction
     # ------------------------------------------------------------------
     def add_node(self, name: str, cpu_count: int = 2) -> NodeOs:
-        node = Node(
-            self.env, name, cpu_count, latencies=self.latencies, tracer=self.tracer
-        )
+        node = Node(self.env, name, cpu_count, latencies=self.latencies)
         self.network.add_node(node)
-        node_os = NodeOs(node, self.message_system, self.tracer)
+        node_os = NodeOs(node, self.message_system)
         self.oses[name] = node_os
-        self.filesystems[name] = FileSystem(node_os, self.tracer)
+        self.filesystems[name] = FileSystem(node_os)
         return node_os
 
     def connect_all(self, latency: Optional[float] = None) -> None:

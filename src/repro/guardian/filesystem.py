@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional, Tuple
 
-from ..sim import Tracer
 from .message import (
     DeliveryError,
     Message,
@@ -69,10 +68,9 @@ class FileSystem:
     #: delay between attempts (ms) — covers the takeover window
     RETRY_DELAY = 2.0
 
-    def __init__(self, node_os: NodeOs, tracer: Optional[Tracer] = None):
+    def __init__(self, node_os: NodeOs):
         self.node_os = node_os
         self.env = node_os.env
-        self.tracer = tracer
         self.transid_exporter: Optional[TransidExporter] = None
 
     @property
@@ -116,10 +114,8 @@ class FileSystem:
                     timeout=timeout,
                     msg_id=message_id,
                 )
-                if attempt and self.tracer is not None:
-                    self.tracer.emit(
-                        self.env.now, "send_retried_ok", attempts=attempt + 1
-                    )
+                if attempt:
+                    self.env.probe.emit("send_retried_ok", attempts=attempt + 1)
                 return reply
             except (ProcessDied, ProcessUnavailable) as exc:
                 # The server (or its CPU) died mid-request, or the pair is
@@ -134,5 +130,4 @@ class FileSystem:
         raise FileSystemError(destination, last_error or DeliveryError("unknown"))
 
     def _trace(self, kind: str, **fields: Any) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.env.now, kind, node=self.node_name, **fields)
+        self.env.probe.emit(kind, node=self.node_name, **fields)

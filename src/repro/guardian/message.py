@@ -29,7 +29,7 @@ from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple, TYPE_CHECKING
 
 from ..hardware import Latencies, Network, NoRoute
-from ..sim import Environment, Event, SimulationError, Tracer
+from ..sim import Environment, Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .process import NodeOs, OsProcess
@@ -237,12 +237,10 @@ class MessageSystem:
         env: Environment,
         network: Network,
         latencies: Optional[Latencies] = None,
-        tracer: Optional[Tracer] = None,
     ):
         self.env = env
         self.network = network
         self.latencies = latencies or Latencies()
-        self.tracer = tracer
         self._node_os: Dict[str, "NodeOs"] = {}
         self._deadlines = _DeadlineQueue(env)
 
@@ -262,30 +260,30 @@ class MessageSystem:
 
         Also the accounting point for what the transit occupies: a local
         message is CPU work on the sender; an intra-node message holds
-        an interprocessor bus for its duration.
+        an interprocessor bus for its duration.  The ``msg.*`` counts
+        are per transit, so a request and its reply count twice; the
+        ``msg_local``/``msg_network`` events of :meth:`_count` are per
+        request.
         """
-        metrics = self.env.metrics
+        probe = self.env.probe
         if source_node == dest_node:
             node = self._node_os[source_node].node
             if source_cpu == dest_cpu:
                 latency = self.latencies.local_message
                 node.cpus[source_cpu].charge(latency)
-                if metrics is not None and metrics.enabled:
-                    metrics.inc("msg.local")
+                probe.count("msg.local")
                 return latency
             if not node.buses.any_up:
                 raise PathDown(f"both interprocessor buses down on {source_node}")
             latency = self.latencies.bus_message
             node.buses.record_transfer(latency)
-            if metrics is not None and metrics.enabled:
-                metrics.inc("msg.bus")
+            probe.count("msg.bus")
             return latency
         try:
             latency = self.network.latency(source_node, dest_node)
         except NoRoute as exc:
             raise PathDown(str(exc)) from exc
-        if metrics is not None and metrics.enabled:
-            metrics.inc("msg.network")
+        probe.count("msg.network")
         return latency
 
     def reachable(self, source_node: str, dest_node: str) -> bool:
@@ -402,7 +400,7 @@ class MessageSystem:
                 message.source_cpu,
             )
         except PathDown:
-            self._trace("reply_lost", message=message.msg_id)
+            self.env.probe.emit("reply_lost", message=message.msg_id)
             return
         if event.triggered or self.env.now + delay >= message.deadline:
             return
@@ -432,11 +430,5 @@ class MessageSystem:
     # Helpers
     # ------------------------------------------------------------------
     def _count(self, source_node: str, dest_node: str) -> None:
-        if self.tracer is None:
-            return
         kind = "msg_local" if source_node == dest_node else "msg_network"
-        self.tracer.emit(self.env.now, kind, source=source_node, dest=dest_node)
-
-    def _trace(self, kind: str, **fields: Any) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.env.now, kind, **fields)
+        self.env.probe.emit(kind, source=source_node, dest=dest_node)

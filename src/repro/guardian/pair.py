@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
-from ..sim import ATOMIC_TYPES, Process, Tracer, fast_deepcopy
+from ..sim import ATOMIC_TYPES, Process, fast_deepcopy
 from .message import Message
 from .process import NodeOs, OsProcess
 
@@ -47,7 +47,6 @@ class ProcessPair:
         name: str,
         primary_cpu: int,
         backup_cpu: int,
-        tracer: Optional[Tracer] = None,
         allowed_cpus: Optional[Any] = None,
     ):
         if primary_cpu == backup_cpu:
@@ -55,7 +54,6 @@ class ProcessPair:
         self.node_os = node_os
         self.env = node_os.env
         self.name = name
-        self.tracer = tracer
         # An I/O process-pair can only run in the CPUs physically
         # connected to its device (None = any CPU, e.g. TCPs and TMPs).
         self.allowed_cpus = set(allowed_cpus) if allowed_cpus is not None else None
@@ -193,11 +191,7 @@ class ProcessPair:
             node.buses.record_transfer(latency)
             yield self.env.timeout(latency)
             self.checkpoints_sent += 1
-            metrics = self.env.metrics
-            if metrics is not None and metrics.enabled:
-                metrics.inc("pair.checkpoints")
-            if self.tracer is not None:
-                self._trace("checkpoint", **{trace_key: trace_value})
+            self._trace("checkpoint", **{trace_key: trace_value})
         atomic = ATOMIC_TYPES
         backup_state = self.backup_state
         for table, updates, removals in parts:
@@ -303,10 +297,7 @@ class ProcessPair:
         self._trace("pair_restarted", primary_cpu=primary_cpu)
 
     def _trace(self, kind: str, **fields: Any) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.env.now, kind, pair=f"{self.node_name}.{self.name}", **fields
-            )
+        self.env.probe.emit(kind, pair=f"{self.node_name}.{self.name}", **fields)
 
     def __repr__(self) -> str:
         return (

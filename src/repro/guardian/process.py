@@ -14,7 +14,7 @@ import itertools
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..hardware import Cpu, Node
-from ..sim import AnyOf, Channel, Environment, Process, Tracer
+from ..sim import AnyOf, Channel, Environment, Process
 from .message import Message, MessageSystem, ProcessDied
 
 __all__ = ["OsProcess", "NodeOs", "ReceiveTimeout"]
@@ -156,16 +156,10 @@ class NodeOs:
     message system.
     """
 
-    def __init__(
-        self,
-        node: Node,
-        message_system: MessageSystem,
-        tracer: Optional[Tracer] = None,
-    ):
+    def __init__(self, node: Node, message_system: MessageSystem):
         self.node = node
         self.env = node.env
         self.message_system = message_system
-        self.tracer = tracer
         self._registry: Dict[str, OsProcess] = {}
         self._by_cpu: Dict[int, List[OsProcess]] = {
             cpu.number: [] for cpu in node.cpus
@@ -241,5 +235,4 @@ class NodeOs:
         self._trace("cpu_processes_killed", cpu=cpu.number, count=len(victims))
 
     def _trace(self, kind: str, **fields: Any) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.env.now, kind, node=self.node.name, **fields)
+        self.env.probe.emit(kind, node=self.node.name, **fields)

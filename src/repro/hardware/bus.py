@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..sim import Environment, Tracer
+from ..sim import Environment
 from .component import Component
 
 __all__ = ["InterprocessorBus", "BusPair"]
@@ -25,10 +25,10 @@ class InterprocessorBus(Component):
 class BusPair:
     """The X and Y buses of a node, with path selection."""
 
-    def __init__(self, env: Environment, node_name: str, tracer: Optional[Tracer] = None):
+    def __init__(self, env: Environment, node_name: str):
         self.env = env
-        self.x = InterprocessorBus(env, f"{node_name}.busX", tracer)
-        self.y = InterprocessorBus(env, f"{node_name}.busY", tracer)
+        self.x = InterprocessorBus(env, f"{node_name}.busX")
+        self.y = InterprocessorBus(env, f"{node_name}.busY")
         #: accumulated transfer time (ms) and transfer count over both
         #: buses; the XRAY sampler reads deltas to derive occupancy.
         self.busy_ms = 0.0

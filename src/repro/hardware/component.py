@@ -10,9 +10,9 @@ Figure 1 of the paper illustrates.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
-from ..sim import Environment, Tracer
+from ..sim import Environment
 
 __all__ = ["Component", "ComponentDown"]
 
@@ -30,10 +30,9 @@ class Component:
 
     kind = "component"
 
-    def __init__(self, env: Environment, name: str, tracer: Optional[Tracer] = None):
+    def __init__(self, env: Environment, name: str):
         self.env = env
         self.name = name
-        self.tracer = tracer
         self._up = True
         self._failure_watchers: List[Callable[["Component"], None]] = []
         self._restore_watchers: List[Callable[["Component"], None]] = []
@@ -91,8 +90,7 @@ class Component:
         """Subclass hook run before watchers on restore."""
 
     def _trace(self, kind: str, **fields: Any) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.env.now, kind, component=self.full_name, **fields)
+        self.env.probe.emit(kind, component=self.full_name, **fields)
 
     def __repr__(self) -> str:
         state = "up" if self._up else "DOWN"

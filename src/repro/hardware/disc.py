@@ -14,9 +14,9 @@ are lost only when the drive itself fails.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
-from ..sim import Environment, Tracer
+from ..sim import Environment
 from .component import Component
 from .processor import Cpu, IoChannel
 
@@ -37,8 +37,8 @@ class DiscDrive(Component):
 
     kind = "drive"
 
-    def __init__(self, env: Environment, name: str, tracer: Optional[Tracer] = None):
-        super().__init__(env, name, tracer)
+    def __init__(self, env: Environment, name: str):
+        super().__init__(env, name)
         self.blocks: Dict[Any, Any] = {}
         self.stale = False
 
@@ -62,9 +62,8 @@ class IoController(Component):
         env: Environment,
         name: str,
         channels: Iterable[IoChannel],
-        tracer: Optional[Tracer] = None,
     ):
-        super().__init__(env, name, tracer)
+        super().__init__(env, name)
         self.channels: List[IoChannel] = list(channels)
         if not 1 <= len(self.channels) <= 2:
             raise ValueError("a controller connects to one or two channels")

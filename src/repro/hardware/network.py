@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..sim import Environment, Tracer
+from ..sim import Environment
 from .component import Component
 from .latencies import Latencies
 from .node import Node
@@ -45,9 +45,8 @@ class CommLine(Component):
         a: str,
         b: str,
         latency: float,
-        tracer: Optional[Tracer] = None,
     ):
-        super().__init__(env, f"{a}--{b}", tracer)
+        super().__init__(env, f"{a}--{b}")
         self.endpoints: Tuple[str, str] = (a, b)
         self.latency = latency
 
@@ -67,10 +66,8 @@ class Network:
         self,
         env: Environment,
         latencies: Optional[Latencies] = None,
-        tracer: Optional[Tracer] = None,
     ):
         self.env = env
-        self.tracer = tracer
         self.latencies = latencies or Latencies()
         self.nodes: Dict[str, Node] = {}
         self.lines: List[CommLine] = []
@@ -99,9 +96,7 @@ class Network:
                 raise ValueError(f"unknown node {name}")
         if a == b:
             raise ValueError("cannot connect a node to itself")
-        line = CommLine(
-            self.env, a, b, latency or self.latencies.network_hop, self.tracer
-        )
+        line = CommLine(self.env, a, b, latency or self.latencies.network_hop)
         self.lines.append(line)
         self._adjacency[a].append(line)
         self._adjacency[b].append(line)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..sim import Environment, Tracer
+from ..sim import Environment
 from .bus import BusPair
 from .component import Component
 from .disc import DiscDrive, IoController, MirroredVolume
@@ -34,7 +34,6 @@ class Node:
         name: str,
         cpu_count: int = 2,
         latencies: Optional[Latencies] = None,
-        tracer: Optional[Tracer] = None,
     ):
         if not self.MIN_CPUS <= cpu_count <= self.MAX_CPUS:
             raise ValueError(
@@ -42,12 +41,9 @@ class Node:
             )
         self.env = env
         self.name = name
-        self.tracer = tracer
         self.latencies = latencies or Latencies()
-        self.cpus: List[Cpu] = [
-            Cpu(env, name, number, tracer=tracer) for number in range(cpu_count)
-        ]
-        self.buses = BusPair(env, name, tracer=tracer)
+        self.cpus: List[Cpu] = [Cpu(env, name, number) for number in range(cpu_count)]
+        self.buses = BusPair(env, name)
         self.volumes: Dict[str, MirroredVolume] = {}
         self.controllers: List[IoController] = []
 
@@ -75,13 +71,13 @@ class Node:
         channels = [self.cpus[cpu_a].channel, self.cpus[cpu_b].channel]
         count = 2 if dual_controllers else 1
         controllers = [
-            IoController(self.env, f"{self.name}.{name}.ctl{i}", channels, self.tracer)
+            IoController(self.env, f"{self.name}.{name}.ctl{i}", channels)
             for i in range(count)
         ]
         self.controllers.extend(controllers)
         drive_count = 2 if mirrored else 1
         drives = [
-            DiscDrive(self.env, f"{self.name}.{name}.drv{i}", self.tracer)
+            DiscDrive(self.env, f"{self.name}.{name}.drv{i}")
             for i in range(drive_count)
         ]
         volume = MirroredVolume(name, drives, controllers)

@@ -9,9 +9,9 @@ failure to kill resident processes and drive process-pair takeover.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-from ..sim import Environment, Tracer
+from ..sim import Environment
 from .component import Component
 
 __all__ = ["Cpu", "IoChannel"]
@@ -22,8 +22,8 @@ class IoChannel(Component):
 
     kind = "channel"
 
-    def __init__(self, env: Environment, cpu: "Cpu", tracer: Optional[Tracer] = None):
-        super().__init__(env, f"{cpu.name}.ch", tracer)
+    def __init__(self, env: Environment, cpu: "Cpu"):
+        super().__init__(env, f"{cpu.name}.ch")
         self.cpu = cpu
 
 
@@ -38,13 +38,12 @@ class Cpu(Component):
         node_name: str,
         number: int,
         memory_mb: int = 2,
-        tracer: Optional[Tracer] = None,
     ):
-        super().__init__(env, f"{node_name}.cpu{number}", tracer)
+        super().__init__(env, f"{node_name}.cpu{number}")
         self.node_name = node_name
         self.number = number
         self.memory_mb = memory_mb
-        self.channel = IoChannel(env, self, tracer)
+        self.channel = IoChannel(env, self)
         #: accumulated busy time (ms); the XRAY sampler reads deltas of
         #: this to derive busy fraction per interval.
         self.busy_ms = 0.0

@@ -7,9 +7,11 @@ The stack must keep Figure 1/2's shape::
 
 A module may import repro packages at its own tier or below, never
 above.  The measurement subsystems (``measure``, ``trace``) sit outside
-the stack: runtime code reaches them only through the null-object
-probes ``env.metrics`` / ``env.trace`` — a direct import is legal only
-in the composition roots that *install* those probes (and the one
+the stack: runtime code reaches them only through the environment —
+the XRAY registry ``env.metrics`` and the TRACE hub ``env.trace``, each
+``None`` when off — and counts and events go through the always-on
+``env.probe`` of ``repro.sim``.  A direct import is legal only in the
+composition roots that *install* the registry and hub (and the one
 Histogram convergence point from PR 1).  ``repro.lint`` and
 ``repro.bench`` are tooling: nothing imports them, and they import the
 stack freely.
@@ -38,7 +40,7 @@ RANKS = {
     "workloads": 6,
 }
 
-#: packages reachable only via the env.metrics / env.trace probes.
+#: packages reachable only via env.metrics / env.trace.
 PROBE_PACKAGES = frozenset({"measure", "trace"})
 
 #: tool packages: they import the stack freely, nothing imports them.
@@ -120,8 +122,7 @@ class LayeringRule(Rule):
                 module,
                 node,
                 f"direct import of repro.{target} from {own} — reach it "
-                f"through the env.{'metrics' if target == 'measure' else 'trace'} "
-                f"null-object probe",
+                f"through env.{'metrics' if target == 'measure' else 'trace'}",
             )
         own_rank = RANKS.get(own)
         target_rank = RANKS.get(target)

@@ -1,16 +1,15 @@
-"""Rule ``probe-coverage``: guardian send paths must carry XRAY/TRACE probes.
+"""Rule ``probe-coverage``: guardian send paths must reach a probe.
 
-PRs 1-2 established the null-object probe convention: observability
-rides the environment (``env.metrics`` / ``env.trace``), every probe
-site is a single attribute check, and an unmeasured run pays nothing.
-The convention only works if every send/rpc path actually *has* a probe
-— a new message path added without one is invisible to both the XRAY
-report and the causal tracer, and nothing at runtime notices.
+Observability rides the environment: the always-on ``env.probe``
+(counters and the record stream) and the TRACE hub ``env.trace``.  The
+convention only works if every send/rpc path actually *reaches* one —
+a new message path added without a probe is invisible to the counters,
+the XRAY report and the causal tracer, and nothing at runtime notices.
 
 A function in ``repro/guardian/`` is a **send path** if it constructs a
 ``Message``, calls ``record_transfer`` (bus/transit accounting), or
 calls ``accept`` (delivery into an inbox).  Every send path must be
-*probe-covered*: its body reads ``<...>.env.metrics`` or
+*probe-covered*: its body reads ``<...>.env.probe`` or
 ``<...>.env.trace``, or it calls — by name, to fixpoint across the
 scanned files — a function that is.  Delegation is the norm
 (``reply`` probes via ``_transit_latency``), so coverage propagates
@@ -37,7 +36,7 @@ from ..base import Finding, ModuleInfo, Rule, register
 __all__ = ["ProbeCoverageRule"]
 
 #: attribute names whose read constitutes a probe.
-_PROBE_ATTRS = frozenset({"metrics", "trace"})
+_PROBE_ATTRS = frozenset({"probe", "trace"})
 
 #: call targets that make a guardian function a send path.
 _SEND_MARKERS = frozenset({"record_transfer", "accept"})
@@ -101,7 +100,7 @@ def _is_coroutine(func: ast.AST) -> bool:
 
 
 def _has_direct_probe(func: ast.AST) -> bool:
-    """True when the body reads ``<...>.env.metrics`` or ``<...>.env.trace``."""
+    """True when the body reads ``<...>.env.probe`` or ``<...>.env.trace``."""
     for node in ast.walk(func):
         if (
             isinstance(node, ast.Attribute)
@@ -121,7 +120,7 @@ class ProbeCoverageRule(Rule):
     description = (
         "every guardian send/rpc path (Message construction, transit "
         "accounting, inbox delivery) and every discprocess boxcar/audit-"
-        "shipping path must reach an env.metrics/env.trace probe, "
+        "shipping path must reach an env.probe/env.trace probe, "
         "directly or through its callees"
     )
 
@@ -168,9 +167,9 @@ class ProbeCoverageRule(Rule):
             yield self.finding(
                 module,
                 func,
-                f"send path {qualname}() has no env.metrics/env.trace "
-                f"probe on any static call path — add the single-"
-                f"attribute-check probe of the PR 1-2 convention",
+                f"send path {qualname}() has no env.probe/env.trace "
+                f"probe on any static call path — count or emit it "
+                f"through env.probe",
             )
         self._required = []
 

@@ -4,8 +4,8 @@ Simulation-time observability for the reproduction, named for Tandem's
 XRAY performance monitor (the tool ENCOMPASS operators used to watch
 CPU, bus, disc, and process activity on a live system):
 
-* :mod:`repro.measure.registry` — named counters, gauges, and log-scale
-  histograms (p50/p90/p99 without storing samples);
+* :mod:`repro.measure.registry` — gauges and log-scale histograms
+  (p50/p90/p99 without storing samples);
 * :mod:`repro.measure.spans` — per-transaction phase spans and the
   critical-path breakdown of where latency went;
 * :mod:`repro.measure.sampler` — periodic component-utilization
@@ -14,10 +14,13 @@ CPU, bus, disc, and process activity on a live system):
   human-readable "XRAY screen".
 
 Enable it with ``SystemBuilder(measure=True)``; unmeasured systems carry
-``env.metrics = None`` and every probe site is a guarded no-op.
+``env.metrics = None`` and every site that feeds it skips the work.
+Counts are always on in every run: they live in ``env.probe.counts``
+(:class:`repro.sim.Probe`), and the report's ``counters`` section reads
+them from there.
 """
 
-from .registry import Histogram, MetricsRegistry, NullRegistry, NULL_REGISTRY
+from .registry import Histogram, MetricsRegistry
 from .report import build_report, render_report, to_json, write_report
 from .sampler import Sampler
 from .spans import CATEGORIES, Span, SpanLog
@@ -26,8 +29,6 @@ from .tables import format_table
 __all__ = [
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "Sampler",
     "Span",
     "SpanLog",

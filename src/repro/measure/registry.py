@@ -1,14 +1,15 @@
-"""Named metrics: counters, gauges, and log-scale histograms.
+"""Measured-only metrics: gauges, log-scale histograms, and spans.
 
 The XRAY measurement subsystem's data model.  A :class:`MetricsRegistry`
-holds every metric of one simulation run; probes throughout the stack
-reach it as ``env.metrics`` and record through four verbs — ``inc``
-(counter), ``set_gauge``, ``observe`` (histogram), and the transaction
-span hooks ``tx_begin``/``tx_end``.
+holds what only a measured run keeps; the sites that feed it reach it as
+``env.metrics`` and record through three verbs — ``set_gauge``,
+``observe`` (histogram), and the transaction span hooks
+``tx_begin``/``tx_end``.
 
-Unmeasured runs carry a :class:`NullRegistry` (``enabled`` is False and
-every verb is a no-op), so instrumented hot paths pay only a guarded
-attribute test — pay-for-what-you-measure.
+Unmeasured runs carry ``env.metrics = None``, so each feeding site pays
+one ``is not None`` test — pay-for-what-you-measure.  Counts are not
+kept here: every run counts through the always-on ``env.probe``
+(:class:`repro.sim.Probe`).
 
 The :class:`Histogram` uses fixed log-scale buckets (a configurable
 number per decade), so p50/p90/p99 are computed without storing samples:
@@ -21,14 +22,9 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional
 
-from .spans import NULL_SPANS, SpanLog
+from .spans import SpanLog
 
-__all__ = [
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-]
+__all__ = ["Histogram", "MetricsRegistry"]
 
 
 class Histogram:
@@ -162,12 +158,9 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """All metrics of one measured run (the live registry)."""
-
-    enabled = True
+    """The measured-only state of one run: gauges, histograms, spans, samples."""
 
     def __init__(self, histogram_defaults: Optional[Dict[str, Any]] = None):
-        self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.samples: list = []          # appended by measure.sampler
@@ -175,9 +168,6 @@ class MetricsRegistry:
         self._histogram_defaults = dict(histogram_defaults or {})
 
     # -- verbs ----------------------------------------------------------
-    def inc(self, name: str, value: float = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + value
-
     def set_gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
 
@@ -202,63 +192,3 @@ class MetricsRegistry:
         finished = self.spans.end_tx(key, t, outcome)
         if finished is not None:
             self.observe("tx.latency_ms", finished.latency)
-            self.inc(f"tx.{outcome}")
-
-    # -- readout --------------------------------------------------------
-    def counter_value(self, name: str) -> float:
-        return self.counters.get(name, 0)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """A JSON-friendly snapshot of every metric (deterministic)."""
-        return {
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
-            "histograms": {
-                k: self.histograms[k].summary() for k in sorted(self.histograms)
-            },
-        }
-
-
-class NullRegistry:
-    """The no-op registry carried by unmeasured runs.
-
-    Every verb returns immediately; probe sites additionally guard with
-    ``if m.enabled:`` so argument construction is skipped too.
-    """
-
-    enabled = False
-    spans = NULL_SPANS
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, Histogram] = {}
-        self.samples: list = []
-
-    def inc(self, name: str, value: float = 1) -> None:
-        pass
-
-    def set_gauge(self, name: str, value: float) -> None:
-        pass
-
-    def histogram(self, name: str, **config: Any) -> None:
-        return None
-
-    def observe(self, name: str, value: float) -> None:
-        pass
-
-    def tx_begin(self, key: str, t: float) -> None:
-        pass
-
-    def tx_end(self, key: str, t: float, outcome: str = "committed") -> None:
-        pass
-
-    def counter_value(self, name: str) -> float:
-        return 0
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-#: shared no-op registry for contexts with no cluster (bare Environments)
-NULL_REGISTRY = NullRegistry()

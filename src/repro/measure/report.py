@@ -8,9 +8,9 @@ dict.  :func:`to_json` serializes it deterministically (sorted keys,
 floats rounded), so two runs with the same seed produce byte-identical
 reports.  :func:`render_report` draws the "XRAY screen" tables.
 
-Works with the null registry too: an unmeasured system still reports
-volume, TMF, and audit statistics (they ride on always-on counters);
-only the histogram/span/sample sections come back empty.
+Works on unmeasured systems too: the counters and the volume, TMF, and
+audit statistics are always on; only the gauge/histogram/span/sample
+sections come back empty.
 
 No top-level imports from the rest of ``repro`` — the table renderer is
 imported lazily inside :func:`render_report` to keep this module
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
+from .registry import MetricsRegistry
 from .tables import format_table
 
 __all__ = ["build_report", "to_json", "render_report", "write_report"]
@@ -29,17 +30,19 @@ __all__ = ["build_report", "to_json", "render_report", "write_report"]
 
 def build_report(system: Any) -> Dict[str, Any]:
     """A JSON-friendly report of everything ``system`` measured."""
-    registry = system.metrics
     env = system.env
+    measured = env.metrics is not None
+    registry = env.metrics if measured else MetricsRegistry()
+    counts = env.probe.counts
     report: Dict[str, Any] = {
         "meta": {
             "nodes": list(system.cluster.node_names),
             "sim_time_ms": env.now,
             "events_processed": env.events_processed,
-            "measured": bool(registry.enabled),
+            "measured": measured,
             "samples": len(registry.samples),
         },
-        "counters": {k: registry.counters[k] for k in sorted(registry.counters)},
+        "counters": {k: counts[k] for k in sorted(counts)},
         "gauges": {k: registry.gauges[k] for k in sorted(registry.gauges)},
         "histograms": {
             k: registry.histograms[k].summary()

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Dict, List, Optional
 
-__all__ = ["Span", "SpanLog", "NullSpanLog", "NULL_SPANS", "CATEGORIES"]
+__all__ = ["Span", "SpanLog", "CATEGORIES"]
 
 #: canonical cost categories, in report order
 CATEGORIES = ("cpu", "bus", "disc", "lock", "audit", "other")
@@ -218,38 +218,3 @@ class SpanLog:
             "open": len(self._open),
             "dropped": self.dropped,
         }
-
-
-class NullSpanLog:
-    """No-op span log carried by the null registry."""
-
-    finished = 0
-    dropped = 0
-    total_latency = 0.0
-
-    def begin_tx(self, key: str, t: float) -> None:
-        pass
-
-    def is_open(self, key: str) -> bool:
-        return False
-
-    def record(self, key, name, category, start, end, parent=None):
-        return None
-
-    def end_tx(self, key: str, t: float, outcome: str = "committed"):
-        return None
-
-    def aggregate(self) -> Dict[str, Any]:
-        return {
-            "transactions": 0,
-            "outcomes": {},
-            "total_latency_ms": 0.0,
-            "category_ms": {c: 0.0 for c in CATEGORIES},
-            "category_share": {c: 0.0 for c in CATEGORIES},
-            "unattributed_ms": {},
-            "open": 0,
-            "dropped": 0,
-        }
-
-
-NULL_SPANS = NullSpanLog()

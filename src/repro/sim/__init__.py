@@ -3,7 +3,7 @@
 This package provides the substrate on which the entire Tandem NonStop /
 ENCOMPASS reproduction runs: a seeded, single-threaded event loop with
 generator-coroutine processes, FIFO channels, named random streams, and
-structured tracing.
+the always-on probe (counters and the record stream).
 """
 
 from .channel import Channel, ChannelClosed
@@ -25,7 +25,7 @@ from .events import (
     Timeout,
 )
 from .rng import RandomStreams, zipf_weights
-from .trace import TraceRecord, Tracer
+from .probe import Probe, TraceRecord
 
 __all__ = [
     "AllOf",
@@ -35,13 +35,13 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
+    "Probe",
     "Process",
     "ProcessKilled",
     "RandomStreams",
     "SimulationError",
     "Timeout",
     "TraceRecord",
-    "Tracer",
     "ATOMIC_TYPES",
     "fast_deepcopy",
     "register_fastcopy",

@@ -20,6 +20,7 @@ from .events import (
     SimulationError,
     Timeout,
 )
+from .probe import Probe
 
 __all__ = ["Environment"]
 
@@ -28,7 +29,7 @@ class Environment:
     """Execution environment for a single simulation run.
 
     ``__slots__`` keeps the per-step attribute traffic (``_now``,
-    ``_queue``, ``events_processed``, the ``metrics``/``trace`` probe
+    ``_queue``, ``events_processed``, the ``probe``/``metrics``/``trace``
     reads) on the fast path; the slot list is the complete attribute
     surface of an environment.
     """
@@ -38,6 +39,7 @@ class Environment:
         "_queue",
         "_eid",
         "_active_process",
+        "probe",
         "metrics",
         "trace",
         "events_processed",
@@ -49,9 +51,11 @@ class Environment:
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
-        #: metrics registry of the owning run (set by the cluster when
-        #: measurement is enabled; None means unmeasured — probe sites
-        #: throughout the stack guard on this).
+        #: the run's always-on counters and record stream.
+        self.probe = Probe(self)
+        #: XRAY registry of the owning run: histograms, gauges, spans and
+        #: samples (set by the cluster when measurement is enabled; None
+        #: means unmeasured — the sites that feed it guard on this).
         self.metrics: Optional[Any] = None
         #: trace hub of the owning run (set by the cluster when causal
         #: tracing is enabled; None means untraced — same guard pattern

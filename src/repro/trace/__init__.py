@@ -9,7 +9,7 @@ narrates.
   ``env.trace``, threading transid-rooted trace contexts through every
   :class:`repro.guardian.message.Message` automatically;
 * :mod:`repro.trace.collect` — the :class:`TraceCollector` folding the
-  tracer's record stream into per-transaction span trees
+  probe's record stream into per-transaction span trees
   (``system.trace_of(transid)``);
 * :mod:`repro.trace.export` — deterministic Chrome ``trace_event``
   timelines (``system.write_timeline(path)``) and the plain-text

@@ -1,7 +1,7 @@
 """Trace assembly: fold the record stream into per-transaction trees.
 
 The :class:`TraceCollector` subscribes to the run's
-:class:`repro.sim.Tracer` and buckets records by trace id:
+:class:`repro.sim.Probe` and buckets records by trace id:
 
 * ``trace.root`` / ``trace.send`` / ``trace.rpc`` / ``trace.serve``
   records (emitted by the :class:`~repro.trace.context.TraceHub`)
@@ -139,7 +139,7 @@ class TransactionTrace:
 
 
 class TraceCollector:
-    """Subscribes to the tracer and buckets records per trace id.
+    """Subscribes to the probe's stream and buckets records per trace id.
 
     Collection is pure observation: no simulated state is read or
     written, so a traced run replays the identical event history of an
@@ -148,12 +148,11 @@ class TraceCollector:
 
     _SPAN_KINDS = ("trace.root", "trace.send", "trace.rpc", "trace.serve")
 
-    def __init__(self, tracer: Any, hub: Any):
-        self.tracer = tracer
+    def __init__(self, hub: Any):
         self.hub = hub
         # trace_id -> [(record, span_id_or_None)] in emission order.
         self._buckets: Dict[str, List[Tuple[Any, Optional[int]]]] = {}
-        tracer.subscribe(self._on_record)
+        hub.env.probe.subscribe(self._on_record)
 
     # ------------------------------------------------------------------
     def _on_record(self, record: Any) -> None:

@@ -8,7 +8,7 @@ layers thread through automatically, so the TCP → server → DISCPROCESS
 → audit → TMP chain is causally linked even across nodes.
 
 The :class:`TraceHub` rides on the environment as ``env.trace`` (the
-same null-object pattern as ``env.metrics``): ``None`` on untraced runs,
+same null convention as ``env.metrics``): ``None`` on untraced runs,
 so every probe site is a single attribute check.  Span ids come from a
 per-hub counter — never from the global message/process id counters,
 which keep counting across runs in one Python process and would break
@@ -67,19 +67,18 @@ class TraceContext:
 class TraceHub:
     """Allocates spans and binds contexts to the executing process.
 
-    Emission rides the run's existing :class:`repro.sim.Tracer` (kinds
-    prefixed ``trace.``), so trace records interleave with the domain
-    records in one ordered stream; the collector subscribes to that
-    stream and folds both into per-transaction trees.
+    Emission rides the run's :class:`repro.sim.Probe` (kinds prefixed
+    ``trace.``), so trace records interleave with the domain records in
+    one ordered stream; the collector subscribes to that stream and
+    folds both into per-transaction trees.
     """
 
-    def __init__(self, env: Any, tracer: Any):
+    def __init__(self, env: Any):
         self.env = env
-        self.tracer = tracer
         self._span_ids = itertools.count(1)
         # Active context per simulation process.  Entries for serve
         # spans are removed on serve_end; root (tx) contexts live as
-        # long as their process object — per-run state, like the tracer.
+        # long as their process object — per-run state, like the probe.
         self._active: Dict[Any, TraceContext] = {}
 
     # ------------------------------------------------------------------
@@ -126,8 +125,8 @@ class TraceHub:
         self._active[proc] = TraceContext(
             trace_id, span_id, None, 0, "tx", start=self.env.now,
         )
-        self.tracer.emit(
-            self.env.now, "trace.root",
+        self.env.probe.emit(
+            "trace.root",
             trace_id=trace_id, span=span_id,
         )
 
@@ -167,8 +166,8 @@ class TraceHub:
             start=self.env.now,
         )
         message.trace_ctx = ctx
-        self.tracer.emit(
-            self.env.now, "trace.send",
+        self.env.probe.emit(
+            "trace.send",
             trace_id=trace_id, span=ctx.span_id, parent=ctx.parent_id,
             hop=ctx.hop, source=message.source_node,
             source_proc=message.source_name, source_cpu=source_cpu,
@@ -178,8 +177,8 @@ class TraceHub:
 
     def on_rpc_done(self, ctx: TraceContext) -> None:
         """The requester-observed end of a request span (reply/error/kill)."""
-        self.tracer.emit(
-            self.env.now, "trace.rpc",
+        self.env.probe.emit(
+            "trace.rpc",
             trace_id=ctx.trace_id, span=ctx.span_id, start=ctx.start,
         )
 
@@ -218,8 +217,8 @@ class TraceHub:
             del self._active[proc]
         if ctx.trace_id is None:
             return
-        self.tracer.emit(
-            self.env.now, "trace.serve",
+        self.env.probe.emit(
+            "trace.serve",
             trace_id=ctx.trace_id, span=ctx.span_id, parent=ctx.parent_id,
             hop=ctx.hop, node=ctx.node, proc=ctx.proc, cpu=ctx.cpu,
             start=ctx.start,

@@ -72,7 +72,6 @@ class Watchdog:
             )
         self.system = system
         self.env = system.env
-        self.tracer = system.tracer
         self.config = config or WatchdogConfig()
         self.alarms: List[Any] = []
         self.checks_run = 0
@@ -85,7 +84,7 @@ class Watchdog:
         self._alarmed_waits: Set[Tuple[str, str, str, str, float]] = set()
         self._alarmed_cycles: Set[Tuple[str, ...]] = set()
         self._audit_last: Dict[str, int] = {}
-        self.tracer.subscribe(self._on_record)
+        self.env.probe.subscribe(self._on_record)
 
     # ------------------------------------------------------------------
     def install(self):
@@ -107,7 +106,7 @@ class Watchdog:
     # ------------------------------------------------------------------
     def _alarm(self, reason: str, **fields: Any) -> None:
         self.alarms.append({"time": self.env.now, "reason": reason, **fields})
-        self.tracer.emit(self.env.now, "watchdog.alarm", reason=reason, **fields)
+        self.env.probe.emit("watchdog.alarm", reason=reason, **fields)
 
     def summary(self) -> Dict[str, Any]:
         """The XRAY report's ``watchdog`` section."""

@@ -30,7 +30,6 @@ class StorageRig:
             volume,
             self.cluster.fs("alpha"),
             audit_process=audit_process,
-            tracer=self.cluster.tracer,
             **kwargs,
         )
         self.disc_processes[name] = dp
@@ -66,15 +65,12 @@ class TmfRig:
             node = node_os.node
             audit_volume = node.add_volume("$audvol", 2, 3)
             trail = AuditTrail(audit_volume)
-            audit_process = AuditProcess(
-                node_os, "$aud", 2, 3, trail, self.cluster.tracer
-            )
+            audit_process = AuditProcess(node_os, "$aud", 2, 3, trail)
             tmf = TmfNode(
                 node_os,
                 self.cluster.fs(name),
                 monitor_volume=audit_volume,
                 tmp_cpus=(2, 3),
-                tracer=self.cluster.tracer,
             )
             tmf.register_audit_process("$aud", audit_process)
             self.tmf[name] = tmf
@@ -95,7 +91,6 @@ class TmfRig:
             self.cluster.fs(node_name),
             audit_process="$aud" if audited else None,
             tmf_registry=self.tmf[node_name],
-            tracer=self.cluster.tracer,
             boxcar=boxcar,
         )
         self.tmf[node_name].register_disc_process(volume_name, dp)

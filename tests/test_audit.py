@@ -100,8 +100,7 @@ class AuditRig:
         self.cluster.connect_all()
         audit_volume = self.node_os.node.add_volume("$audvol", 2, 3)
         self.trail = AuditTrail(audit_volume)
-        self.audit = AuditProcess(self.node_os, "$aud", 2, 3, self.trail,
-                                  self.cluster.tracer)
+        self.audit = AuditProcess(self.node_os, "$aud", 2, 3, self.trail)
 
     def request(self, payload, cpu=0):
         def body(proc):

@@ -335,7 +335,7 @@ class TestBoxcarFaults:
         node_os = rig.cluster.os("alpha")
         audit_volume = node_os.node.add_volume("$audvol2", 4, 5)
         trail = AuditTrail(audit_volume)
-        audit = AuditProcess(node_os, "$aud2", 4, 5, trail, rig.cluster.tracer)
+        audit = AuditProcess(node_os, "$aud2", 4, 5, trail)
         audit.allowed_cpus = {4, 5}  # no migration: failing both downs it
         rig.tmf["alpha"].register_audit_process("$aud2", audit)
         node_os.node.add_volume("$data", 0, 1)
@@ -344,8 +344,7 @@ class TestBoxcarFaults:
         dp = DiscProcess(
             node_os, "$data", 0, 1, node_os.node.volumes["$data"],
             rig.cluster.fs("alpha"), audit_process="$aud2",
-            tmf_registry=rig.tmf["alpha"], tracer=rig.cluster.tracer,
-            boxcar=PATIENT,
+            tmf_registry=rig.tmf["alpha"], boxcar=PATIENT,
         )
         rig.tmf["alpha"].register_disc_process("$data", dp)
         rig.disc_processes[("alpha", "$data")] = dp

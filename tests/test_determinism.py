@@ -71,7 +71,7 @@ def run_once(seed, with_failures):
         report["history_count"],
         tuple(
             (r.kind, str(sorted(r.fields.items())))
-            for r in system.tracer.records[:2000]
+            for r in system.probe.records[:2000]
         ),
     )
     return fingerprint

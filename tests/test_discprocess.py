@@ -243,7 +243,7 @@ class TestLockingViaMessages:
         node = rig.cluster.node("alpha")
         audit_volume = node.add_volume("$audit", 2, 3)
         trail = AuditTrail(audit_volume)
-        AuditProcess(rig.node_os, "$aud", 2, 3, trail, rig.cluster.tracer)
+        AuditProcess(rig.node_os, "$aud", 2, 3, trail)
         rig.add_volume("$data", cpus=(0, 1), audit_process="$aud")
         schema = rig.dictionary.define(schema_people(audited=True))
 

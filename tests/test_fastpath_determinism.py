@@ -32,11 +32,15 @@ from repro.bench import determinism_digests
 # disc wait.  The XRAY digest was re-recorded once more when a guardian
 # request shrank to a transit timer plus a reply event: the report
 # differs only in ``events_processed`` (14,496 -> 6,872), and the TRACE
-# timeline digest is unchanged.  Any *further* digest change must again
-# be justified.
+# timeline digest is unchanged.  The XRAY digest was re-recorded once
+# more when every count moved to the always-on ``env.probe``: only the
+# report's ``counters`` section differs (it now lists the probe's counts,
+# event kinds included, and drops ten names that duplicated a kept
+# store), and the TRACE timeline digest is unchanged.  Any *further*
+# digest change must again be justified.
 GOLDEN = {
     "xray_sha256":
-        "e242eb25fda0d2c43aab8f724f3b32068773f0d2c8662e334e94c2f55a6cee0b",
+        "4d1ab6384671b8322ec0fd1b0dc041e4c887c13766217fe274acd013683ca4c2",
     "timeline_sha256":
         "04a3a772cff2bf399ffb40bdb9d12efdc27ccc6d014e6d66ebc30a41658f2328",
 }

@@ -243,7 +243,7 @@ class CounterPair(ProcessPair):
 class TestProcessPair:
     def test_normal_operation_counts(self):
         cluster = make_cluster()
-        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1, cluster.tracer)
+        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1)
 
         def client(proc):
             results = []
@@ -258,7 +258,7 @@ class TestProcessPair:
 
     def test_takeover_preserves_checkpointed_state(self):
         cluster = make_cluster()
-        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1, cluster.tracer)
+        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1)
 
         def client(proc):
             first = yield from cluster.fs("alpha").send(proc, "$ctr", "inc")
@@ -277,7 +277,7 @@ class TestProcessPair:
         """The paper's transparency claim: a request in flight when the
         primary dies is retried automatically; the client never sees it."""
         cluster = make_cluster()
-        CounterPair(cluster.os("alpha"), "$ctr", 0, 1, cluster.tracer)
+        CounterPair(cluster.os("alpha"), "$ctr", 0, 1)
 
         def client(proc):
             value = yield from cluster.fs("alpha").send(proc, "$ctr", "inc")
@@ -295,7 +295,7 @@ class TestProcessPair:
         """If the old primary completed the op and checkpointed before
         dying, the retried request must not be applied twice."""
         cluster = make_cluster()
-        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1, cluster.tracer)
+        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1)
 
         def client(proc):
             v1 = yield from cluster.fs("alpha").send(proc, "$ctr", "inc")
@@ -315,14 +315,14 @@ class TestProcessPair:
 
     def test_pair_down_on_double_failure(self):
         cluster = make_cluster(cpus=2)
-        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1, cluster.tracer)
+        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1)
         cluster.node("alpha").fail_cpu(0)
         cluster.node("alpha").fail_cpu(1)
         assert not pair.available
 
     def test_backup_loss_recruits_replacement(self):
         cluster = make_cluster()
-        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1, cluster.tracer)
+        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1)
         cluster.node("alpha").fail_cpu(1)
         assert pair.available
         assert pair.backup_cpu in (2, 3)
@@ -331,7 +331,7 @@ class TestProcessPair:
         """Backup loss, re-protection on another CPU, then primary loss:
         the checkpointed state survives both."""
         cluster = make_cluster()
-        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1, cluster.tracer)
+        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1)
 
         def client(proc):
             yield from cluster.fs("alpha").send(proc, "$ctr", "inc")
@@ -348,7 +348,7 @@ class TestProcessPair:
 
     def test_unprotected_until_cpu_returns(self):
         cluster = make_cluster(cpus=2)
-        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1, cluster.tracer)
+        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1)
         cluster.node("alpha").fail_cpu(1)
         assert pair.available and not pair.protected
         cluster.node("alpha").restore_cpu(1)
@@ -356,7 +356,7 @@ class TestProcessPair:
 
     def test_restart_after_pair_down(self):
         cluster = make_cluster(cpus=2)
-        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1, cluster.tracer)
+        pair = CounterPair(cluster.os("alpha"), "$ctr", 0, 1)
         cluster.node("alpha").total_failure()
         assert not pair.available
         cluster.node("alpha").restore_all_cpus()
@@ -379,7 +379,7 @@ class TestProcessPair:
                 console.append(f"[{self.state['seq']:04d}] {message.payload}")
                 proc.reply(message, "logged")
 
-        OperatorPair(cluster.os("alpha"), "$opr", 0, 1, cluster.tracer)
+        OperatorPair(cluster.os("alpha"), "$opr", 0, 1)
 
         def reporter(proc):
             yield from cluster.fs("alpha").send(proc, "$opr", "disc error")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Tracer
+from repro.sim import Environment
 from repro.hardware import (
     ComponentDown,
     Latencies,
@@ -47,10 +47,9 @@ class TestComponent:
 
     def test_failure_traced(self):
         env = Environment()
-        tracer = Tracer()
-        node = Node(env, "n", cpu_count=2, tracer=tracer)
+        node = Node(env, "n", cpu_count=2)
         node.cpu(0).fail(reason="test")
-        records = tracer.select("component_failed")
+        records = env.probe.select("component_failed")
         assert any(r.component == "cpu:n.cpu0" for r in records)
 
 

@@ -314,71 +314,83 @@ class TestFigure3Rule:
 # probe-coverage
 # ----------------------------------------------------------------------
 class TestProbeCoverageRule:
+    """Each case runs a second input too: reaching only ``env.probe``
+    covers a send path, and reaching only the measured-only
+    ``env.metrics`` registry covers nothing."""
+
     def test_unprobed_send_path(self, tmp_path):
-        write_tree(tmp_path, {
-            "repro/guardian/sender.py": """\
-                class Sender:
-                    def dispatch(self, payload):
-                        self.node.buses.record_transfer(1.0)
-                """,
-        })
-        result = lint(tmp_path, select=["probe-coverage"])
-        assert len(result.findings) == 1
-        assert "Sender.dispatch()" in result.findings[0].message
+        for attr in ("node", "env.metrics"):
+            root = tmp_path / attr
+            write_tree(root, {
+                "repro/guardian/sender.py": f"""\
+                    class Sender:
+                        def dispatch(self, payload):
+                            seen = self.{attr}
+                            self.node.buses.record_transfer(1.0)
+                    """,
+            })
+            result = lint(root, select=["probe-coverage"])
+            assert len(result.findings) == 1, attr
+            assert "Sender.dispatch()" in result.findings[0].message
 
     def test_direct_probe_covers(self, tmp_path):
-        write_tree(tmp_path, {
-            "repro/guardian/sender.py": """\
-                class Sender:
-                    def dispatch(self, payload):
-                        metrics = self.env.metrics
-                        if metrics is not None and metrics.enabled:
-                            metrics.inc("sender.dispatches")
-                        self.node.buses.record_transfer(1.0)
-                """,
-        })
-        assert not lint(tmp_path, select=["probe-coverage"]).findings
+        for probe_line in ('self.env.probe.count("sender.dispatches")',
+                           'self.env.probe.emit("dispatch", payload=payload)'):
+            root = tmp_path / str(len(probe_line))
+            write_tree(root, {
+                "repro/guardian/sender.py": f"""\
+                    class Sender:
+                        def dispatch(self, payload):
+                            {probe_line}
+                            self.node.buses.record_transfer(1.0)
+                    """,
+            })
+            assert not lint(root, select=["probe-coverage"]).findings, probe_line
 
     def test_coverage_propagates_through_callees(self, tmp_path):
         # The probe lives in the delegate, even in another file.
-        write_tree(tmp_path, {
-            "repro/guardian/outer.py": """\
-                class Outer:
-                    def send(self, payload):
-                        message = Message(payload)
-                        self.delegate.charge_transit(message)
-                """,
-            "repro/guardian/inner.py": """\
-                class Inner:
-                    def charge_transit(self, message):
-                        hub = self.env.trace
-                        if hub is not None:
-                            hub.on_send(message, 0)
-                """,
-        })
-        assert not lint(tmp_path, select=["probe-coverage"]).findings
+        cases = {"trace": 0, "probe": 0, "metrics": 1}
+        for attr, expected in cases.items():
+            root = tmp_path / attr
+            write_tree(root, {
+                "repro/guardian/outer.py": """\
+                    class Outer:
+                        def send(self, payload):
+                            message = Message(payload)
+                            self.delegate.charge_transit(message)
+                    """,
+                "repro/guardian/inner.py": f"""\
+                    class Inner:
+                        def charge_transit(self, message):
+                            hub = self.env.{attr}
+                    """,
+            })
+            findings = lint(root, select=["probe-coverage"]).findings
+            assert len(findings) == expected, attr
 
     def test_generic_names_carry_no_credit(self, tmp_path):
         # `append` collides with probed functions elsewhere; the chain
         # through it must not launder coverage onto the send path.
-        write_tree(tmp_path, {
-            "repro/guardian/leaky.py": """\
-                class Log:
-                    def append(self, record):
-                        hub = self.env.trace
-                        if hub is not None:
-                            hub.emit(record)
+        for attr in ("trace", "probe"):
+            root = tmp_path / attr
+            write_tree(root, {
+                "repro/guardian/leaky.py": f"""\
+                    class Log:
+                        def append(self, record):
+                            hub = self.env.{attr}
+                            if hub is not None:
+                                hub.emit(record)
 
 
-                class Sender:
-                    def dispatch(self, payload):
-                        self.log.append(payload)
-                        self.node.buses.record_transfer(1.0)
-                """,
-        })
-        result = lint(tmp_path, select=["probe-coverage"])
-        assert len(result.findings) == 1
-        assert "Sender.dispatch()" in result.findings[0].message
+                    class Sender:
+                        def dispatch(self, payload):
+                            self.log.append(payload)
+                            self.node.buses.record_transfer(1.0)
+                    """,
+            })
+            result = lint(root, select=["probe-coverage"])
+            assert len(result.findings) == 1, attr
+            assert "Sender.dispatch()" in result.findings[0].message
 
     def test_outside_guardian_is_out_of_scope(self, tmp_path):
         write_tree(tmp_path, {
@@ -387,69 +399,91 @@ class TestProbeCoverageRule:
                     def push(self, payload):
                         self.record_transfer(1.0)
                 """,
+            # Out of scope even when it reads only the XRAY registry.
+            "repro/hardware/wire.py": """\
+                class Wire:
+                    def push(self, payload):
+                        metrics = self.env.metrics
+                        self.record_transfer(1.0)
+                """,
         })
         assert not lint(tmp_path, select=["probe-coverage"]).findings
 
     def test_unprobed_boxcar_coroutine(self, tmp_path):
         # BOXCAR scope: a discprocess flush coroutine with no probe on
         # any call path is invisible — and nothing waits on it to notice.
-        write_tree(tmp_path, {
-            "repro/discprocess/flush.py": """\
-                class Volume:
-                    def _boxcar_timer(self, proc):
-                        yield self.env.timeout(5.0)
-                        yield from self.push_cargo(proc)
+        for probe_line in ("pass", "metrics = self.env.metrics"):
+            root = tmp_path / str(len(probe_line))
+            write_tree(root, {
+                "repro/discprocess/flush.py": f"""\
+                    class Volume:
+                        def _boxcar_timer(self, proc):
+                            yield self.env.timeout(5.0)
+                            yield from self.push_cargo(proc)
 
-                    def push_cargo(self, proc):
-                        yield from self.filesystem.send(proc, "$aud", {})
-                """,
-        })
-        result = lint(tmp_path, select=["probe-coverage"])
-        assert len(result.findings) == 1
-        assert "Volume._boxcar_timer()" in result.findings[0].message
+                        def push_cargo(self, proc):
+                            {probe_line}
+                            yield from self.filesystem.send(proc, "$aud", {{}})
+                    """,
+            })
+            result = lint(root, select=["probe-coverage"])
+            assert len(result.findings) == 1, probe_line
+            assert "Volume._boxcar_timer()" in result.findings[0].message
 
     def test_audit_ship_requires_probe(self, tmp_path):
-        write_tree(tmp_path, {
-            "repro/discprocess/ship.py": """\
-                class Volume:
-                    def _forward(self, proc):
-                        op = AppendAudit(volume=self.name, records=())
-                        yield from self.filesystem.send(proc, "$aud", op)
-                """,
-        })
-        result = lint(tmp_path, select=["probe-coverage"])
-        assert len(result.findings) == 1
-        assert "Volume._forward()" in result.findings[0].message
+        cases = {"pass": 1, "self.env.probe.count('boxcar.ships')": 0}
+        for probe_line, expected in cases.items():
+            root = tmp_path / str(expected)
+            write_tree(root, {
+                "repro/discprocess/ship.py": f"""\
+                    class Volume:
+                        def _forward(self, proc):
+                            op = AppendAudit(volume=self.name, records=())
+                            {probe_line}
+                            yield from self.filesystem.send(proc, "$aud", op)
+                    """,
+            })
+            result = lint(root, select=["probe-coverage"])
+            assert len(result.findings) == expected, probe_line
+            if expected:
+                assert "Volume._forward()" in result.findings[0].message
 
     def test_boxcar_coroutine_covered_via_ship_delegate(self, tmp_path):
         # The probe lives on the AppendAudit sender; the coroutines that
         # merely decide *when* to flush inherit coverage through it.
-        write_tree(tmp_path, {
-            "repro/discprocess/flush.py": """\
-                class Volume:
-                    def _boxcar_timer(self, proc):
-                        yield self.env.timeout(5.0)
-                        yield from self._forward_cargo(proc)
+        cases = {"self.env.probe.count('boxcar.flushes')": 0,
+                 "metrics = self.env.metrics": 2}
+        for probe_line, expected in cases.items():
+            root = tmp_path / str(expected)
+            write_tree(root, {
+                "repro/discprocess/flush.py": f"""\
+                    class Volume:
+                        def _boxcar_timer(self, proc):
+                            yield self.env.timeout(5.0)
+                            yield from self._forward_cargo(proc)
 
-                    def _forward_cargo(self, proc):
-                        op = AppendAudit(volume=self.name, records=())
-                        metrics = self.env.metrics
-                        if metrics is not None and metrics.enabled:
-                            metrics.inc("boxcar.flushes")
-                        yield from self.filesystem.send(proc, "$aud", op)
-                """,
-        })
-        assert not lint(tmp_path, select=["probe-coverage"]).findings
+                        def _forward_cargo(self, proc):
+                            op = AppendAudit(volume=self.name, records=())
+                            {probe_line}
+                            yield from self.filesystem.send(proc, "$aud", op)
+                    """,
+            })
+            findings = lint(root, select=["probe-coverage"]).findings
+            assert len(findings) == expected, probe_line
 
     def test_boxcar_policy_helpers_out_of_scope(self, tmp_path):
         # Plain functions (no yield) that just mention boxcar — policy
-        # resolution, validation — are not send paths.
+        # resolution, validation — are not send paths, probed or not.
         write_tree(tmp_path, {
             "repro/discprocess/policy.py": """\
                 def resolve_boxcar(boxcar):
                     if boxcar is False or boxcar is None:
                         return None
                     return boxcar
+
+
+                def count_boxcar(env):
+                    env.probe.count("boxcar.resolved")
                 """,
         })
         assert not lint(tmp_path, select=["probe-coverage"]).findings

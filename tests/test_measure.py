@@ -23,7 +23,7 @@ from repro.apps.banking import (
     populate_banking,
 )
 from repro.encompass import SystemBuilder
-from repro.measure import NULL_REGISTRY, Histogram, MetricsRegistry
+from repro.measure import Histogram, MetricsRegistry
 from repro.measure.spans import CATEGORIES, SpanLog
 from repro.workloads import run_closed_loop
 
@@ -141,8 +141,7 @@ def test_registry_tx_hooks_feed_latency_histogram():
     registry.tx_begin("t2", 10.0)
     registry.tx_end("t2", 100.0, "aborted")
     registry.tx_end("t2", 120.0, "aborted")        # ignored (already closed)
-    assert registry.counter_value("tx.committed") == 1
-    assert registry.counter_value("tx.aborted") == 1
+    assert registry.spans.outcomes == {"committed": 1, "aborted": 1}
     hist = registry.histograms["tx.latency_ms"]
     assert hist.count == 2
     assert hist.min == 40.0 and hist.max == 90.0
@@ -204,21 +203,15 @@ def test_measurement_does_not_perturb_the_simulation():
     assert [m.end for m in result_measured.metrics] == [
         m.end for m in result_unmeasured.metrics
     ]
-    # Unmeasured runs carry no registry at all on the environment...
-    assert unmeasured.env.metrics is None
+    # Unmeasured runs carry no registry at all.
+    assert unmeasured.env.metrics is None and unmeasured.metrics is None
     assert unmeasured.sampler is None
-    # ...and the system-level accessor degrades to the shared null
-    # registry, whose verbs are free no-ops.
-    assert unmeasured.metrics is NULL_REGISTRY
-    assert not unmeasured.metrics.enabled
-    unmeasured.metrics.inc("anything")
-    unmeasured.metrics.observe("anything", 1.0)
-    assert unmeasured.metrics.snapshot() == {
-        "counters": {}, "gauges": {}, "histograms": {},
-    }
-    # The unmeasured report renders, with the metric sections empty.
+    # The unmeasured report renders: the always-on counters are there,
+    # the measured-only sections are empty.
     report = unmeasured.xray_report()
     assert report["meta"]["measured"] is False
+    assert report["counters"] == measured.xray_report()["counters"]
+    assert report["counters"]["commit"] == unmeasured.tmf["alpha"].commits
     assert report["transactions"]["transactions"] == 0
     assert report["histograms"] == {}
     assert "XRAY RUN REPORT" in unmeasured.xray_screen()

@@ -1,0 +1,104 @@
+"""The always-on probe: one counter namespace that every reader shares.
+
+* counting is always on: a measured and an unmeasured run, with and
+  without kept records, count exactly the same things;
+* the XRAY report's ``counters``, the bench counters and TMFCOM's
+  STATUS COUNTERS all read ``env.probe.counts``;
+* a DISCPROCESS takeover keeps its volume's statistics counting.
+"""
+
+import random
+
+from repro.apps.banking import (
+    debit_credit_program,
+    install_banking,
+    populate_banking,
+)
+from repro.bench.experiments import _base_counters
+from repro.core import Tmfcom
+from repro.encompass import SystemBuilder
+from repro.workloads import FailureEvent, FailureSchedule, run_closed_loop
+
+ACCOUNTS = 8
+
+
+def _banking(seed, measure=False, keep_trace=True):
+    builder = SystemBuilder(seed=seed, keep_trace=keep_trace, measure=measure)
+    builder.add_node("alpha", cpus=4)
+    builder.add_volume("alpha", "$data", cpus=(0, 1))
+    install_banking(builder, "alpha", "$data", server_instances=3)
+    builder.add_tcp("alpha", "$tcp1", cpus=(2, 3), restart_limit=8)
+    builder.add_program("alpha", "$tcp1", "post", debit_credit_program)
+    terminals = [f"T{i}" for i in range(8)]
+    for terminal in terminals:
+        builder.add_terminal("alpha", "$tcp1", terminal, "post")
+    system = builder.build()
+    populate_banking(system, "alpha", branches=2, tellers_per_branch=2,
+                     accounts=ACCOUNTS)
+    return system, terminals
+
+
+def _drive(system, terminals, duration):
+    def make_input(rng, terminal_id, iteration):
+        return {
+            "account_id": rng.randrange(ACCOUNTS),
+            "teller_id": rng.randrange(4),
+            "branch_id": rng.randrange(2),
+            "amount": rng.choice([5, -5, 10]),
+            "allow_overdraft": True,
+        }
+
+    return run_closed_loop(
+        system, "alpha", "$tcp1", terminals, make_input,
+        duration=duration, think_time=10.0, rng=random.Random(3),
+    )
+
+
+def test_counts_are_always_on_and_every_reader_agrees():
+    runs = {}
+    for measure in (False, True):
+        for keep_trace in (False, True):
+            system, terminals = _banking(seed=7, measure=measure, keep_trace=keep_trace)
+            _drive(system, terminals, duration=1000.0)
+            runs[measure, keep_trace] = system
+    counts = runs[False, False].probe.counts
+    assert counts["commit"] > 0 and counts["checkpoint"] > 0
+    for system in runs.values():
+        assert system.probe.counts == counts
+    assert runs[False, False].probe.records == []
+
+    system = runs[True, True]
+    report = system.xray_report()
+    assert report["counters"] == dict(sorted(counts.items()))
+    base = _base_counters(system)
+    assert base["msg_local"] == counts["msg_local"]
+    assert base["msg_network"] == counts.get("msg_network", 0)
+    assert Tmfcom(system.tmf["alpha"]).counters() == report["counters"]
+
+
+def test_takeover_keeps_volume_statistics():
+    system, terminals = _banking(seed=41)
+    dp = system.disc_processes[("alpha", "$data")]
+    fail_at = 1500.0
+    primary = system.cluster.node("alpha").cpus[dp.primary_cpu]
+    FailureSchedule(system.cluster, [FailureEvent(at=fail_at, component=primary)])
+    before = {}
+
+    def snapshot():
+        yield system.env.timeout(fail_at - 1.0 - system.env.now)
+        before.update(dp._stats())
+
+    system.env.process(snapshot())
+    _drive(system, terminals, duration=3000.0)
+
+    assert dp.takeovers == 1
+    waits = system.probe.select("lock_wait", volume="$data")
+    assert any(r.time < fail_at for r in waits)
+    assert any(r.time > fail_at for r in waits)
+    stats = system.xray_report()["volumes"]["alpha.$data"]
+    assert stats["lock_waits"] == dp.locks.waits == len(waits)
+    assert stats["lock_waits"] > before["lock_waits"]
+    assert stats["cache"]["hits"] > before["cache"]["hits"]
+    assert stats["cache"]["misses"] >= before["cache"]["misses"]
+    assert stats["physical_reads"] >= before["physical_reads"]
+    assert stats["physical_writes"] >= before["physical_writes"]

@@ -1,4 +1,4 @@
-"""Additional kernel, RNG, and tracer coverage."""
+"""Additional kernel, RNG, and probe coverage."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.sim import (
     ProcessKilled,
     RandomStreams,
     SimulationError,
-    Tracer,
     zipf_weights,
 )
 
@@ -35,42 +34,53 @@ class TestRandomStreams:
         assert streams["s"] is streams["s"]
 
 
+def _emit_at(env, time, kind, **fields):
+    """Advance ``env`` to ``time`` and emit there."""
+    env.run(until=time)
+    env.probe.emit(kind, **fields)
+
+
 class TestTracer:
+    """The probe's tracing side: counts, kept records, subscribers."""
+
     def test_counters_without_records(self):
-        tracer = Tracer(keep_records=False)
-        tracer.emit(1.0, "tick", n=1)
-        tracer.emit(2.0, "tick", n=2)
-        assert tracer.count("tick") == 2
-        assert tracer.records == []
+        env = Environment()
+        probe = env.probe
+        probe.keep_records = False
+        _emit_at(env, 1.0, "tick", n=1)
+        _emit_at(env, 2.0, "tick", n=2)
+        probe.count("tick.extra", 3)
+        assert probe.counts == {"tick": 2, "tick.extra": 3}
+        assert probe.records == []
 
     def test_select_filters_fields(self):
-        tracer = Tracer()
-        tracer.emit(1.0, "msg", node="a")
-        tracer.emit(2.0, "msg", node="b")
-        tracer.emit(3.0, "other", node="a")
-        assert [r.time for r in tracer.select("msg", node="a")] == [1.0]
+        env = Environment()
+        _emit_at(env, 1.0, "msg", node="a")
+        _emit_at(env, 2.0, "msg", node="b")
+        _emit_at(env, 3.0, "other", node="a")
+        assert [r.time for r in env.probe.select("msg", node="a")] == [1.0]
 
     def test_subscription(self):
-        tracer = Tracer()
+        env = Environment()
         seen = []
-        tracer.subscribe(lambda record: seen.append(record.kind))
-        tracer.emit(1.0, "x")
-        tracer.emit(2.0, "y")
+        env.probe.subscribe(lambda record: seen.append(record.kind))
+        _emit_at(env, 1.0, "x")
+        _emit_at(env, 2.0, "y")
         assert seen == ["x", "y"]
 
     def test_record_attribute_access(self):
-        tracer = Tracer()
-        tracer.emit(1.0, "k", value=42)
-        record = tracer.records[0]
-        assert record.value == 42
+        env = Environment()
+        _emit_at(env, 1.0, "k", value=42)
+        record = env.probe.records[0]
+        assert record.value == 42 and record.time == 1.0
         with pytest.raises(AttributeError):
             record.missing
 
     def test_clear(self):
-        tracer = Tracer()
-        tracer.emit(1.0, "x")
-        tracer.clear()
-        assert tracer.count("x") == 0 and tracer.records == []
+        env = Environment()
+        _emit_at(env, 1.0, "x")
+        env.probe.clear()
+        assert env.probe.counts == {} and env.probe.records == []
 
 
 class TestKernelEdges:

@@ -11,7 +11,7 @@ from repro.core import (
     TxState,
 )
 from repro.hardware import Node
-from repro.sim import Environment, Tracer
+from repro.sim import Environment
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ def node():
 
 @pytest.fixture
 def broadcaster(node):
-    return StateBroadcaster(node, Tracer())
+    return StateBroadcaster(node)
 
 
 T = Transid("alpha", 0, 1)

@@ -108,7 +108,7 @@ class TestDistributedCommit:
         transid_str = net_rig.run("alpha", body)
         nodes_seen = {
             r.node
-            for r in net_rig.cluster.tracer.select("state_broadcast", transid=transid_str)
+            for r in net_rig.cluster.env.probe.select("state_broadcast", transid=transid_str)
         }
         assert "gamma" not in nodes_seen
         assert nodes_seen == {"alpha", "beta"}
@@ -156,7 +156,7 @@ class TestDistributedCommit:
         for node in ("alpha", "beta", "gamma"):
             states = [
                 r.state
-                for r in net_rig.cluster.tracer.select(
+                for r in net_rig.cluster.env.probe.select(
                     "state_broadcast", transid=transid_str, node=node
                 )
             ]

@@ -109,7 +109,7 @@ class TestCommit:
             yield from setup_accounts(tmf_rig, proc, {1: 1})
 
         tmf_rig.run("alpha", body)
-        records = tmf_rig.cluster.tracer.select("state_broadcast")
+        records = tmf_rig.cluster.env.probe.select("state_broadcast")
         by_tx = {}
         for r in records:
             by_tx.setdefault(r.transid, []).append(r.state)
@@ -124,7 +124,7 @@ class TestCommit:
             yield from setup_accounts(tmf_rig, proc, {1: 1})
 
         tmf_rig.run("alpha", body)
-        records = tmf_rig.cluster.tracer.select("state_broadcast")
+        records = tmf_rig.cluster.env.probe.select("state_broadcast")
         # All 4 CPUs of the node see every broadcast, regardless of
         # participation (single-node rule of §Transaction State Change).
         assert all(r.cpus == 4 for r in records)
@@ -219,7 +219,7 @@ class TestAbortAndBackout:
         transid_str = tmf_rig.run("alpha", body)
         states = [
             r.state
-            for r in tmf_rig.cluster.tracer.select("state_broadcast", transid=transid_str)
+            for r in tmf_rig.cluster.env.probe.select("state_broadcast", transid=transid_str)
         ]
         assert states == ["active", "aborting", "aborted"]
 
@@ -243,7 +243,7 @@ class TestAbortAndBackout:
 
         tmf_rig.run("alpha", body)
         sequences = {}
-        for r in tmf_rig.cluster.tracer.select("state_broadcast"):
+        for r in tmf_rig.cluster.env.probe.select("state_broadcast"):
             sequences.setdefault(r.transid, []).append(TxState(r.state))
         for states in sequences.values():
             previous = None

@@ -77,7 +77,7 @@ class TestProtocolEdges:
         assert record.parent == "beta"
         assert not record.home
         # Exactly one ACTIVE broadcast despite two begins.
-        actives = rig.cluster.tracer.select(
+        actives = rig.cluster.env.probe.select(
             "state_broadcast", transid=str(transid), state="active", node="alpha"
         )
         assert len(actives) == 1

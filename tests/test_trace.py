@@ -13,7 +13,7 @@ Four properties pin the design, mirroring tests/test_measure.py:
 * the export is valid Chrome ``trace_event`` JSON.
 
 Plus the satellite fixes: :class:`repro.sim.TraceRecord` survives
-copy/pickle, and the tracer's per-kind index stays coherent with the
+copy/pickle, and the probe's per-kind index stays coherent with the
 full record list through ``clear()``.
 """
 
@@ -32,12 +32,12 @@ from repro.apps.banking import (
 from repro.core import Tmfcom
 from repro.discprocess import FileSchema, KEY_SEQUENCED, PartitionSpec
 from repro.encompass import SystemBuilder
-from repro.sim import TraceRecord, Tracer
+from repro.sim import Environment, TraceRecord
 from repro.workloads import run_closed_loop
 
 
 # ---------------------------------------------------------------------------
-# Satellite fixes: TraceRecord dunder guard, Tracer kind index
+# Satellite fixes: TraceRecord dunder guard, Probe kind index
 # ---------------------------------------------------------------------------
 
 def test_trace_record_survives_copy_and_pickle():
@@ -55,21 +55,22 @@ def test_trace_record_survives_copy_and_pickle():
 
 
 def test_tracer_kind_index_matches_full_scan_through_clear():
-    tracer = Tracer()
+    """The probe's per-kind record index (its tracing side)."""
+    probe = Environment().probe
     for i in range(6):
-        tracer.emit(float(i), "even" if i % 2 == 0 else "odd", n=i)
-    assert [r.n for r in tracer.iter("even")] == [0, 2, 4]
-    assert [r.n for r in tracer.select("odd", n=3)] == [3]
+        probe.emit("even" if i % 2 == 0 else "odd", n=i)
+    assert [r.n for r in probe.iter("even")] == [0, 2, 4]
+    assert [r.n for r in probe.select("odd", n=3)] == [3]
     # The index selects exactly what a linear scan over records would.
     for kind in ("even", "odd"):
-        assert list(tracer.iter(kind)) == [
-            r for r in tracer.records if r.kind == kind
+        assert list(probe.iter(kind)) == [
+            r for r in probe.records if r.kind == kind
         ]
-    tracer.clear()
-    assert tracer.records == [] and list(tracer.iter("even")) == []
-    tracer.emit(9.0, "even", n=8)
-    assert [r.n for r in tracer.iter("even")] == [8]
-    assert len(tracer.records) == 1
+    probe.clear()
+    assert probe.records == [] and list(probe.iter("even")) == []
+    probe.emit("even", n=8)
+    assert [r.n for r in probe.iter("even")] == [8]
+    assert len(probe.records) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -62,33 +62,33 @@ def alarm_reasons(watchdog):
 def test_illegal_transition_alarms_and_legal_sequence_does_not():
     system = build_system()
     watchdog = system.watchdog
-    tracer = system.tracer
+    probe = system.probe
     baseline = len(watchdog.alarms)
 
     # A legal life cycle, replayed through the record stream: silent.
     for state in ("active", "ending", "ended"):
-        tracer.emit(0.0, "state_broadcast", node="alpha",
-                    transid="\\alpha.9.1", state=state, cpus=4)
+        probe.emit("state_broadcast", node="alpha",
+                   transid="\\alpha.9.1", state=state, cpus=4)
     assert len(watchdog.alarms) == baseline
 
     # active -> ended skips the ending state: not an edge of Figure 3.
-    tracer.emit(1.0, "state_broadcast", node="alpha",
-                transid="\\alpha.9.2", state="active", cpus=4)
-    tracer.emit(2.0, "state_broadcast", node="alpha",
-                transid="\\alpha.9.2", state="ended", cpus=4)
+    probe.emit("state_broadcast", node="alpha",
+               transid="\\alpha.9.2", state="active", cpus=4)
+    probe.emit("state_broadcast", node="alpha",
+               transid="\\alpha.9.2", state="ended", cpus=4)
     assert alarm_reasons(watchdog)[baseline:] == ["illegal_transition"]
     alarm = watchdog.alarms[-1]
     assert alarm["transid"] == "\\alpha.9.2"
     assert alarm["from_state"] == "active" and alarm["to_state"] == "ended"
-    # The alarm rode the tracer as a structured record too.
-    records = tracer.select("watchdog.alarm", reason="illegal_transition")
+    # The alarm rode the probe's stream as a structured record too.
+    records = probe.select("watchdog.alarm", reason="illegal_transition")
     assert len(records) == 1 and records[0].transid == "\\alpha.9.2"
 
 
 def test_real_run_emits_only_legal_edges():
     system = build_system()
     seed_rows(system)
-    assert system.tracer.count("state_broadcast") > 0
+    assert system.probe.counts["state_broadcast"] > 0
     assert alarm_reasons(system.watchdog) == []
 
 
@@ -99,26 +99,27 @@ def test_real_run_emits_only_legal_edges():
 def test_stuck_ending_transaction_alarms_exactly_once():
     system = build_system()
     watchdog = system.watchdog
-    tracer = system.tracer
-    tracer.emit(10.0, "state_broadcast", node="alpha",
-                transid="\\alpha.9.3", state="active", cpus=4)
-    tracer.emit(20.0, "state_broadcast", node="alpha",
-                transid="\\alpha.9.3", state="ending", cpus=4)
+    probe = system.probe
+    t0 = system.env.now                     # the records' timestamp
+    probe.emit("state_broadcast", node="alpha",
+               transid="\\alpha.9.3", state="active", cpus=4)
+    probe.emit("state_broadcast", node="alpha",
+               transid="\\alpha.9.3", state="ending", cpus=4)
 
     horizon = watchdog.config.stuck_horizon
-    watchdog.check(20.0 + horizon)          # at the horizon: not stuck yet
+    watchdog.check(t0 + horizon)            # at the horizon: not stuck yet
     assert alarm_reasons(watchdog) == []
-    watchdog.check(21.0 + horizon)          # past it: exactly one alarm
-    watchdog.check(5_000.0 + horizon)       # dedup: still one
+    watchdog.check(t0 + 1.0 + horizon)      # past it: exactly one alarm
+    watchdog.check(t0 + 5_000.0 + horizon)  # dedup: still one
     assert alarm_reasons(watchdog) == ["stuck_transaction"]
     alarm = watchdog.alarms[-1]
     assert alarm["transid"] == "\\alpha.9.3" and alarm["state"] == "ending"
     assert alarm["stuck_ms"] > horizon
 
     # The transaction finally ends; the detector forgets it.
-    tracer.emit(30.0, "state_broadcast", node="alpha",
-                transid="\\alpha.9.3", state="ended", cpus=4)
-    watchdog.check(50_000.0)
+    probe.emit("state_broadcast", node="alpha",
+               transid="\\alpha.9.3", state="ended", cpus=4)
+    watchdog.check(t0 + 50_000.0)
     assert alarm_reasons(watchdog) == ["stuck_transaction"]
 
 
