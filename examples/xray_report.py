@@ -30,8 +30,7 @@ REPORT_PATH = Path(__file__).resolve().parent.parent / "out" / "xray_report.json
 
 
 def run_measured(seed=7):
-    builder = SystemBuilder(seed=seed, keep_trace=False, measure=True,
-                            sample_interval=100.0)
+    builder = SystemBuilder(seed=seed, keep_trace=False, measure=True)
     builder.add_node("alpha", cpus=4)
     builder.add_volume("alpha", "$data", cpus=(0, 1))
     install_banking(builder, "alpha", "$data", server_instances=3)

@@ -47,7 +47,6 @@ from repro.core import (
     dump_volume,
 )
 from repro.discprocess import (
-    BoxcarPolicy,
     FileError,
     FileSchema,
     FileUnavailableError,
@@ -58,7 +57,7 @@ from repro.discprocess import (
 )
 from repro.discprocess.compress import compress_keys, encoded_key_size, plain_key_size
 from repro.encompass import SystemBuilder, compile_query
-from repro.guardian import Cluster, ConcurrentPair
+from repro.guardian import Cluster, ProcessPair
 from repro.hardware import Latencies, Network, Node
 from repro.sim import Environment
 from repro.workloads import KeyChooser, run_closed_loop
@@ -850,7 +849,7 @@ def e9_failure_sweep(scale: str) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # E10 — process-pair takeover and checkpoint overhead
 # ----------------------------------------------------------------------
-class _KvPair(ConcurrentPair):
+class _KvPair(ProcessPair):
     """A minimal replicated key-value service."""
 
     def state_defaults(self):
@@ -975,48 +974,33 @@ def _metric_rows(metrics: Dict[str, Any]) -> List[Row]:
 
 
 # ----------------------------------------------------------------------
-# E11 — BOXCAR flush-policy sweep (audit round-trips per commit)
+# E11 — BOXCAR group commit (audit round-trips per commit)
 # ----------------------------------------------------------------------
 def e11_boxcar(scale: str) -> Dict[str, Any]:
-    """audit round-trips per commit by BOXCAR flush policy
-
-    ``sync`` is the legacy one-AppendAudit-per-operation path,
-    ``default`` the stock boxcar, ``wide`` a deliberately large one.
-    """
+    """audit round-trips per commit under BOXCAR group commit"""
     duration = 1200.0 if scale == SMOKE else 4000.0
-    policies: List[Tuple[str, Any]] = [
-        ("sync", False),
-        ("default", True),
-        ("wide", BoxcarPolicy(max_records=64)),
-    ]
-    episodes = []
-    for label, policy in policies:
-        system, terminals = _build_banking(
-            seed=127, accounts=32, terminals=8, boxcar=policy
-        )
-        result = _drive(system, terminals, duration=duration, accounts=32,
-                        seed=6)
-        _settle(system)
-        dp = system.disc_processes[("alpha", "$data")]
-        batches = dp.audit_batches_sent
-        records = dp.audit_records_forwarded
-        consistent = _consistent(system)
-        episodes.append(({
-            "policy": label,
-            "committed": result.committed,
-            "audit_batches": batches,
-            "audit_records": records,
-            "round_trips_per_commit": batches / max(result.committed, 1),
-            "consistent": bool(consistent),
-        }, {
-            f"committed_{label}": result.committed,
-            f"audit_batches_{label}": batches,
-            f"audit_records_{label}": records,
-            f"rt_saved_{label}": records - batches,
-            f"consistent_{label}": consistent,
-            "events": system.env.events_processed,
-        }))
-    return _outcome(episodes)
+    system, terminals = _build_banking(seed=127, accounts=32, terminals=8)
+    result = _drive(system, terminals, duration=duration, accounts=32, seed=6)
+    _settle(system)
+    dp = system.disc_processes[("alpha", "$data")]
+    batches = dp.audit_batches_sent
+    records = dp.audit_records_forwarded
+    consistent = _consistent(system)
+    return _outcome([({
+        "policy": "default",
+        "committed": result.committed,
+        "audit_batches": batches,
+        "audit_records": records,
+        "round_trips_per_commit": batches / max(result.committed, 1),
+        "consistent": bool(consistent),
+    }, {
+        "committed_default": result.committed,
+        "audit_batches_default": batches,
+        "audit_records_default": records,
+        "rt_saved_default": records - batches,
+        "consistent_default": consistent,
+        "events": system.env.events_processed,
+    })])
 
 
 # ----------------------------------------------------------------------
@@ -1369,7 +1353,7 @@ def determinism_digests(seed: int = 11) -> Dict[str, str]:
     """
     system, terminals = _build_banking(
         seed=seed, accounts=16, tellers=6, terminals=6,
-        measure=True, sample_interval=100.0, trace=True,
+        measure=True, trace=True,
     )
     _drive(system, terminals, duration=1500.0, accounts=16, seed=99,
            think_time=10.0, tellers=6, amounts=(-20, -5, 5, 10, 25))

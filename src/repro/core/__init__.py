@@ -31,7 +31,7 @@ from .states import (
     TxState,
     legal_transitions_by_name,
 )
-from .tmf import TmfConfig, TmfNode, TransactionAborted, TransactionRecord
+from .tmf import TmfNode, TransactionAborted, TransactionRecord
 from .tmfcom import Tmfcom
 from .tmp import (
     TmpAbort,
@@ -61,7 +61,6 @@ __all__ = [
     "RecoveryStats",
     "Rollforward",
     "StateBroadcaster",
-    "TmfConfig",
     "TmfNode",
     "Tmfcom",
     "TmpAbort",

@@ -27,7 +27,7 @@ from ..discprocess.entryseq import EntrySequencedFile
 # The audit image carriers are defined at the layer that produces them
 # (the DISCPROCESS) and re-exported here for the consumers above.
 from ..discprocess.ops import AppendAudit, AuditRecord
-from ..guardian import ConcurrentPair, Message, NodeOs, OsProcess
+from ..guardian import Message, NodeOs, OsProcess, ProcessPair
 from ..hardware import MirroredVolume
 from ..sim import register_immutable
 from .transid import Transid
@@ -249,7 +249,7 @@ class _CoalescingStore:
         return len(self._pending)
 
 
-class AuditProcess(ConcurrentPair):
+class AuditProcess(ProcessPair):
     """The AUDITPROCESS: buffers audit images, forces them at phase one.
 
     Checkpointed state:

@@ -19,12 +19,12 @@ from typing import Any, Generator, List, Tuple
 
 from ..discprocess.ops import BackoutOp
 from ..guardian import (
-    ConcurrentPair,
     FileSystem,
     FileSystemError,
     Message,
     NodeOs,
     OsProcess,
+    ProcessPair,
 )
 from .audit import GetAudit
 from .transid import Transid
@@ -45,7 +45,7 @@ class BackoutTx:
     volumes: Tuple[str, ...]
 
 
-class BackoutProcess(ConcurrentPair):
+class BackoutProcess(ProcessPair):
     """Applies before-images to reverse an aborting transaction."""
 
     def __init__(

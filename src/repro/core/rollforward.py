@@ -28,7 +28,7 @@ from ..discprocess.records import KEY_SEQUENCED, RELATIVE, FileSchema
 from ..guardian import FileSystemError, OsProcess
 from ..sim import fast_deepcopy
 from .audit import AuditRecord, CompletionRecord
-from .tmf import TmfNode
+from .tmf import PHASE1_TIMEOUT, TmfNode
 from .tmp import TmpQuery
 from .transid import Transid
 
@@ -152,7 +152,7 @@ class Rollforward:
                 proc,
                 f"\\{transid.home_node}.{self.tmf.tmp_name}",
                 TmpQuery(transid),
-                timeout=self.tmf.config.phase1_timeout,
+                timeout=PHASE1_TIMEOUT,
             )
             disposition = reply.get("disposition", "unknown")
         except FileSystemError:

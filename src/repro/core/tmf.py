@@ -48,7 +48,19 @@ from .tmp import (
 )
 from .transid import Transid, TransidGenerator
 
-__all__ = ["TmfNode", "TmfConfig", "TransactionAborted", "TransactionRecord"]
+__all__ = ["TmfNode", "TransactionAborted", "TransactionRecord"]
+
+#: critical-response deadline (ms): phase one, remote begins and
+#: disposition queries.
+PHASE1_TIMEOUT = 2000.0
+#: deadline (ms) of a local boxcar drain or audit force.
+FORCE_TIMEOUT = 5000.0
+#: period (ms) of the TMP's pump: each pass retries safe deliveries,
+#: runs the queued automatic aborts and the unilateral-abort sweep once,
+#: so all three run every 200 ms.
+PUMP_INTERVAL = 200.0
+#: completed-transaction records kept.
+DONE_RETENTION = 10000
 
 
 class TransactionAborted(Exception):
@@ -58,17 +70,6 @@ class TransactionAborted(Exception):
         super().__init__(f"{transid} aborted: {reason}")
         self.transid = transid
         self.reason = reason
-
-
-@dataclass
-class TmfConfig:
-    """Tunable protocol parameters."""
-
-    phase1_timeout: float = 2000.0      # critical-response deadline (ms)
-    force_timeout: float = 5000.0       # local audit force deadline
-    safe_retry_interval: float = 200.0  # safe-delivery retry period
-    sweep_interval: float = 250.0       # unilateral-abort sweep period
-    done_retention: int = 10000         # completed-transaction records kept
 
 
 @dataclass
@@ -98,14 +99,12 @@ class TmfNode:
         filesystem: FileSystem,
         monitor_volume: Any,
         tmp_cpus: Tuple[int, int] = (0, 1),
-        config: Optional[TmfConfig] = None,
         tmp_name: str = "$TMP",
         backout_name: str = "$BACKOUT",
     ):
         self.node_os = node_os
         self.env = node_os.env
         self.filesystem = filesystem
-        self.config = config or TmfConfig()
         self.node_name = node_os.node.name
         self.generator = TransidGenerator(self.node_name)
         self.broadcaster = StateBroadcaster(node_os.node)
@@ -258,7 +257,7 @@ class TmfNode:
                 proc,
                 f"\\{dest_node}.{self.tmp_name}",
                 TmpRemoteBegin(transid, parent=self.node_name),
-                timeout=self.config.phase1_timeout,
+                timeout=PHASE1_TIMEOUT,
             )
         except FileSystemError as exc:
             raise TransactionAborted(
@@ -417,7 +416,7 @@ class TmfNode:
             try:
                 reply = yield from self.filesystem.send(
                     proc, volume, ForceBoxcar(transid),
-                    timeout=self.config.force_timeout,
+                    timeout=FORCE_TIMEOUT,
                 )
             except FileSystemError as exc:
                 record.abort_reason = f"boxcar drain failed: {exc}"
@@ -429,7 +428,7 @@ class TmfNode:
             try:
                 reply = yield from self.filesystem.send(
                     proc, audit_name, ForceAudit(transid),
-                    timeout=self.config.force_timeout,
+                    timeout=FORCE_TIMEOUT,
                 )
             except FileSystemError as exc:
                 record.abort_reason = f"audit force failed: {exc}"
@@ -444,7 +443,7 @@ class TmfNode:
                     proc,
                     f"\\{child}.{self.tmp_name}",
                     TmpPhase1(transid),
-                    timeout=self.config.phase1_timeout,
+                    timeout=PHASE1_TIMEOUT,
                 )
             except FileSystemError as exc:
                 record.abort_reason = f"phase 1: {child} inaccessible ({exc})"
@@ -530,7 +529,7 @@ class TmfNode:
             if audit_object is not None:
                 audit_object.forget_transaction(record.transid)
         self._done_order.append(record.transid)
-        while len(self._done_order) > self.config.done_retention:
+        while len(self._done_order) > DONE_RETENTION:
             old = self._done_order.pop(0)
             self.records.pop(old, None)
 
@@ -659,7 +658,7 @@ class TmfNode:
                         proc,
                         f"\\{dest_node}.{self.tmp_name}",
                         payload,
-                        timeout=self.config.phase1_timeout,
+                        timeout=PHASE1_TIMEOUT,
                     )
                 except FileSystemError:
                     queue.append((dest_node, payload))
@@ -684,7 +683,7 @@ class TmfNode:
                         record.transid,
                         f"lost communication with {record.parent}",
                     )
-            yield self.env.timeout(self.config.safe_retry_interval)
+            yield self.env.timeout(PUMP_INTERVAL)
 
     def _trace(self, kind: str, **fields: Any) -> None:
         self.env.probe.emit(kind, node=self.node_name, **fields)

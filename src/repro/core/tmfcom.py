@@ -29,7 +29,7 @@ from .rollforward import (
     dump_volume,
     purge_audit_trails,
 )
-from .tmf import TmfNode
+from .tmf import PHASE1_TIMEOUT, TmfNode
 from .tmp import TmpForceDisposition, TmpQuery
 from .transid import Transid
 
@@ -127,7 +127,7 @@ class Tmfcom:
                 proc,
                 f"\\{transid.home_node}.{self.tmf.tmp_name}",
                 TmpQuery(transid),
-                timeout=self.tmf.config.phase1_timeout,
+                timeout=PHASE1_TIMEOUT,
             )
         except FileSystemError as exc:
             return {"transid": str(transid), "disposition": "unknown",

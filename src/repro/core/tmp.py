@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator
 
-from ..guardian import ConcurrentPair, Message, NodeOs, OsProcess
+from ..guardian import Message, NodeOs, OsProcess, ProcessPair
 from .transid import Transid
 
 __all__ = [
@@ -102,7 +102,7 @@ class TmpForceDisposition:
     disposition: str  # committed | aborted
 
 
-class TmpProcess(ConcurrentPair):
+class TmpProcess(ProcessPair):
     """The per-node TMP pair: dispatches protocol requests to TMF."""
 
     def __init__(

@@ -8,7 +8,6 @@ fault-tolerant DISCPROCESS process-pair per mirrored disc volume.
 """
 
 from .blocks import BlockStore, MemoryBlockStore, VolumeBlockStore
-from .boxcar import BoxcarPolicy, resolve_boxcar
 from .cache import BlockCache, CachedVolumeStore, CacheStats
 from .ddl import DdlError, install_ddl, parse_ddl
 from .client import (
@@ -43,7 +42,6 @@ __all__ = [
     "AlternateIndex",
     "BlockCache",
     "BlockStore",
-    "BoxcarPolicy",
     "CacheStats",
     "CachedVolumeStore",
     "DataDictionary",
@@ -79,5 +77,4 @@ __all__ = [
     "VolumeBlockStore",
     "install_ddl",
     "parse_ddl",
-    "resolve_boxcar",
 ]

@@ -54,6 +54,9 @@ __all__ = [
     "SecurityViolationError",
 ]
 
+#: deadline (ms) of one request to a DISCPROCESS.
+REQUEST_TIMEOUT = 5000.0
+
 
 class FileError(Exception):
     """Base class for data-base access failures."""
@@ -136,15 +139,9 @@ class DataDictionary:
 class FileClient:
     """Record-level data base access for one node's processes."""
 
-    def __init__(
-        self,
-        filesystem: FileSystem,
-        dictionary: DataDictionary,
-        request_timeout: float = 5000.0,
-    ):
+    def __init__(self, filesystem: FileSystem, dictionary: DataDictionary):
         self.filesystem = filesystem
         self.dictionary = dictionary
-        self.request_timeout = request_timeout
 
     # ------------------------------------------------------------------
     # Destination resolution
@@ -168,7 +165,7 @@ class FileClient:
     def _send(self, proc: OsProcess, destination: str, payload: Any, transid: Any) -> Generator:
         try:
             reply = yield from self.filesystem.send(
-                proc, destination, payload, transid=transid, timeout=self.request_timeout
+                proc, destination, payload, transid=transid, timeout=REQUEST_TIMEOUT
             )
         except FileSystemError as exc:
             # The DISCPROCESS pair (or the path to it) is gone — the

@@ -22,16 +22,27 @@ Fidelity notes:
   server died mid-operation, re-using the message id; completed replies
   are checkpointed so a retried-but-already-applied mutation answers
   from the record instead of re-executing.
-* **Audit flow (BOXCAR)**: images are checkpointed into the pair's
-  ``unforwarded`` table within each operation and shipped to the
-  volume's AUDITPROCESS in batches, only when something needs them: a
-  full boxcar (:class:`~.boxcar.BoxcarPolicy`), phase one of commit and
-  the quiesce that precedes a backout (an explicit
-  :class:`~.ops.ForceBoxcar` drain before the trail force), or a
-  takeover.  A transaction therefore never completes phase one — and
-  backout never runs — with its images still aboard.  With
-  ``boxcar=False`` the legacy synchronous forward-per-operation
-  behaviour is restored.
+* **Audit flow (BOXCAR)**: the paper's §Audit Trails has audit images
+  *buffered* at the AUDITPROCESS and "write-forced to disc as part of
+  the two-phase commit" — nothing reads them before phase one, so no
+  operation needs a forward round-trip of its own.  Images are
+  checkpointed into the pair's ``unforwarded`` table within each
+  operation (so a takeover re-forwards them) and shipped to the
+  volume's AUDITPROCESS in batches, only when something needs them:
+
+  - a full boxcar — :data:`BOXCAR_RECORDS` images aboard — departs on
+    its own, off the operation's critical path;
+  - phase one's :class:`~.ops.ForceBoxcar` drains it before the trail
+    force;
+  - the quiesce that precedes a backout drains it, because backout
+    reads the images back from the AUDITPROCESS;
+  - a takeover re-forwards whatever the new primary inherited.
+
+  A transaction therefore never completes phase one — and backout
+  never runs — with its images still aboard.  That leaves two forces on
+  the commit critical path, the boxcar drain and the trail force:
+  exactly the "which log forces matter" split of Gray & Lamport's
+  *Consensus on Transaction Commit*.
 """
 
 from __future__ import annotations
@@ -39,16 +50,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 
-from ..guardian import ConcurrentPair, FileSystem, FileSystemError, Message, NodeOs, OsProcess
+from ..guardian import FileSystem, FileSystemError, Message, NodeOs, OsProcess, ProcessPair
 from ..hardware import MirroredVolume, VolumeUnavailable
 from ..sim import Event, fast_deepcopy
 from .blocks import BlockKey
-from .boxcar import (
-    FLUSH_FORCE,
-    FLUSH_MAX_RECORDS,
-    FLUSH_TAKEOVER,
-    resolve_boxcar,
-)
 from .cache import BlockCache, CachedVolumeStore
 from .index import StructuredFile
 from .keyseq import DuplicateKey, KeyNotFound
@@ -86,6 +91,15 @@ __all__ = ["DiscProcess"]
 
 _COMPLETED_LIMIT = 2048  # retained duplicate-suppression entries
 
+#: images aboard at which a boxcar departs on its own (and so the
+#: largest ``AppendAudit`` a full boxcar sends).
+BOXCAR_RECORDS = 16
+
+#: flush reasons, carried by ``boxcar_flush`` records.
+FLUSH_MAX_RECORDS = "max_records"
+FLUSH_FORCE = "force"
+FLUSH_TAKEOVER = "takeover"
+
 
 def _err(code: str, **extra: Any) -> Dict[str, Any]:
     reply = {"ok": False, "error": code}
@@ -93,7 +107,7 @@ def _err(code: str, **extra: Any) -> Dict[str, Any]:
     return reply
 
 
-class DiscProcess(ConcurrentPair):
+class DiscProcess(ProcessPair):
     """The process-pair controlling one logical disc volume."""
 
     # Stored blocks are never edited in place (the structured files
@@ -112,7 +126,6 @@ class DiscProcess(ConcurrentPair):
         audit_process: Optional[str] = None,
         tmf_registry: Any = None,
         cache_capacity: int = 256,
-        boxcar: Any = True,
     ):
         self.volume = volume
         self.filesystem = filesystem
@@ -120,7 +133,6 @@ class DiscProcess(ConcurrentPair):
         self.tmf_registry = tmf_registry
         self.cache_capacity = cache_capacity
         self.crashed = False
-        self.boxcar = resolve_boxcar(boxcar)
         self._flushed_keys: List[BlockKey] = []
         self._forwarded_seqs: List[int] = []
         self._completed_order: Deque[int] = deque(maxlen=_COMPLETED_LIMIT)
@@ -729,12 +741,7 @@ class DiscProcess(ConcurrentPair):
         self._remember_completed(message.msg_id)
         self.store.unpin(journal)
         if audit_updates:
-            if self.boxcar is None:
-                # Legacy synchronous mode: the forward round-trip stays
-                # on the operation's critical path.
-                yield from self._forward_audit(proc, FLUSH_FORCE)
-            else:
-                self._boxcar_note(proc)
+            self._boxcar_note(proc)
 
     def _take_journal(self) -> Dict[BlockKey, Any]:
         journal = dict(self.store.journal)
@@ -767,17 +774,14 @@ class DiscProcess(ConcurrentPair):
         Never blocks the operation that loaded the cargo — that is the
         point: the forward round-trip leaves the operation's critical
         path, and only an explicit force (phase one, quiesce) waits for
-        the AUDITPROCESS.  Cargo below ``max_records`` waits for that
-        force.
+        the AUDITPROCESS.  Cargo below :data:`BOXCAR_RECORDS` waits for
+        that force.
         """
         pending = self.state["unforwarded"]
         metrics = self.env.metrics
         if metrics is not None:
             metrics.observe("boxcar.occupancy", len(pending))
-        if (
-            len(pending) >= self.boxcar.max_records
-            and self._forward_event is None
-        ):
+        if len(pending) >= BOXCAR_RECORDS and self._forward_event is None:
             self.spawn(self._flush_once(proc, FLUSH_MAX_RECORDS), "boxcar")
 
     def _flush_once(self, proc: OsProcess, reason: str) -> Generator:

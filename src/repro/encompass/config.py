@@ -28,14 +28,11 @@ from ..core import (
     AuditProcess,
     AuditTrail,
     Tmfcom,
-    TmfConfig,
     TmfNode,
     legal_transitions_by_name,
 )
 from ..discprocess import DataDictionary, DiscProcess, FileClient, FileSchema
-from ..discprocess.boxcar import resolve_boxcar
 from ..guardian import Cluster, NodeOs
-from ..hardware import Latencies
 from ..measure import MetricsRegistry, Sampler
 from ..measure.report import build_report, render_report, to_json, write_report
 from ..trace import TraceCollector, Watchdog, WatchdogConfig
@@ -208,25 +205,14 @@ class SystemBuilder:
     def __init__(
         self,
         seed: int = 0,
-        latencies: Optional[Latencies] = None,
         keep_trace: bool = True,
-        tmf_config: Optional[TmfConfig] = None,
-        auto_connect: bool = True,
         measure: bool = False,
-        sample_interval: float = 100.0,
         trace: bool = False,
         watchdog: Any = None,
-        boxcar: Any = True,
     ):
-        # ``boxcar`` accepts True (default policy), False (legacy
-        # synchronous per-operation audit forwarding) or a
-        # :class:`~repro.discprocess.BoxcarPolicy`; applied to every
-        # volume added through :meth:`add_volume`.
-        self.boxcar = resolve_boxcar(boxcar)
         metrics = MetricsRegistry() if measure else None
         self.cluster = Cluster(
-            seed=seed, latencies=latencies, keep_trace=keep_trace,
-            metrics=metrics, trace=trace,
+            seed=seed, keep_trace=keep_trace, metrics=metrics, trace=trace
         )
         self.dictionary = DataDictionary()
         self.system = EncompassSystem(self.cluster, self.dictionary)
@@ -242,9 +228,6 @@ class SystemBuilder:
                 watchdog if isinstance(watchdog, WatchdogConfig)
                 else WatchdogConfig()
             )
-        self.tmf_config = tmf_config
-        self.auto_connect = auto_connect
-        self.sample_interval = sample_interval
         self._built = False
 
     # ------------------------------------------------------------------
@@ -270,7 +253,6 @@ class SystemBuilder:
             self.cluster.fs(name),
             monitor_volume=audit_volume,
             tmp_cpus=tmf_cpus,
-            config=self.tmf_config,
         )
         tmf.register_audit_process(audit_process_name, audit_process)
         self.system.tmf[name] = tmf
@@ -322,7 +304,6 @@ class SystemBuilder:
             audit_process=audit_process_name if audited else None,
             tmf_registry=self.system.tmf[node],
             cache_capacity=cache_capacity,
-            boxcar=self.boxcar,
         )
         self.system.tmf[node].register_disc_process(name, disc_process)
         self.system.disc_processes[(node, name)] = disc_process
@@ -405,13 +386,16 @@ class SystemBuilder:
 
     # ------------------------------------------------------------------
     def build(self) -> EncompassSystem:
-        """Connect the network, run DDL, return the live system."""
+        """Connect the network, run DDL, return the live system.
+
+        A multi-node system with no :meth:`connect` lines gets a line
+        between every pair of nodes.
+        """
         if self._built:
             raise RuntimeError("build() already called")
         self._built = True
-        if self.auto_connect and not self.cluster.network.lines:
-            if len(self.cluster.oses) > 1:
-                self.cluster.connect_all()
+        if not self.cluster.network.lines and len(self.cluster.oses) > 1:
+            self.cluster.connect_all()
         ddl_node = self.cluster.node_names[0]
         client = self.system.clients[ddl_node]
         dictionary = self.dictionary
@@ -429,9 +413,7 @@ class SystemBuilder:
             # read-only with respect to simulated state, so the event
             # history replays identically, but its events would still
             # keep a run-to-exhaustion env.run() alive longer.
-            self.system.sampler = Sampler(
-                self.system, interval=self.sample_interval
-            )
+            self.system.sampler = Sampler(self.system)
             self.system.sampler.install()
         if self.watchdog_config is not None:
             # The watchdog is read-only like the sampler: installed only

@@ -26,6 +26,9 @@ from ..guardian import Message, NodeOs, OsProcess
 
 __all__ = ["ServerContext", "ServerClass", "PathwayMonitor"]
 
+#: queued requests per live instance at which Pathway adds an instance.
+GROW_THRESHOLD = 3
+
 # A server handler: generator function (ctx, payload) -> reply payload.
 ServerHandler = Callable[["ServerContext", Any], Generator]
 
@@ -134,6 +137,9 @@ class ServerClass:
         self.cpus = cpus
         self.max_instances = max_instances
         self._instances: List[OsProcess] = []
+        # Instance numbers are never reused: a dead instance's successor
+        # must not take a number a live one still holds.
+        self._numbers = itertools.count(1)
         self._rr = itertools.count()
         self.requests_served = 0
         for _ in range(instances):
@@ -154,8 +160,7 @@ class ServerClass:
         """Dynamic server-process creation (Pathway)."""
         if len(self.live_instances()) >= self.max_instances:
             raise RuntimeError(f"{self.name}: at max_instances")
-        number = len(self._instances) + 1
-        instance_name = f"{self.name}-{number}"
+        instance_name = f"{self.name}-{next(self._numbers)}"
         proc = self.node_os.spawn(instance_name, self._pick_cpu(), self._serve)
         self._instances.append(proc)
         self.env.probe.emit("server_created", server_class=self.name, instance=instance_name)
@@ -238,15 +243,11 @@ class PathwayMonitor:
         node_os: NodeOs,
         server_classes: List[ServerClass],
         interval: float = 100.0,
-        grow_threshold: int = 3,
-        shrink_threshold: int = 0,
     ):
         self.node_os = node_os
         self.env = node_os.env
         self.server_classes = server_classes
         self.interval = interval
-        self.grow_threshold = grow_threshold
-        self.shrink_threshold = shrink_threshold
         self.grows = 0
         self.shrinks = 0
         self._idle_rounds: Dict[str, int] = {}
@@ -258,14 +259,14 @@ class PathwayMonitor:
             for server_class in self.server_classes:
                 depth = server_class.queue_depth()
                 live = len(server_class.live_instances())
-                if depth >= self.grow_threshold * max(live, 1):
+                if depth >= GROW_THRESHOLD * max(live, 1):
                     try:
                         server_class.add_instance()
                         self.grows += 1
                     except RuntimeError:
                         pass
                     self._idle_rounds[server_class.name] = 0
-                elif depth <= self.shrink_threshold and live > 1:
+                elif depth == 0 and live > 1:
                     idle = self._idle_rounds.get(server_class.name, 0) + 1
                     self._idle_rounds[server_class.name] = idle
                     if idle >= 10:  # sustained idleness before shrinking

@@ -31,12 +31,12 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..core import TmfNode, TransactionAborted
 from ..guardian import (
-    ConcurrentPair,
     FileSystem,
     FileSystemError,
     Message,
     NodeOs,
     OsProcess,
+    ProcessPair,
 )
 from ..sim import fast_deepcopy, register_fastcopy
 from .server import ServerClass
@@ -49,6 +49,10 @@ from .verbs import (
 __all__ = ["ScreenField", "TerminalInput", "TerminalControlProcess"]
 
 ScreenProgram = Callable[[ScreenContext, Any], Generator]
+
+#: base delay (ms) before a unit's restart; ``_backoff`` scales it by
+#: the attempt number and a per-terminal stagger.
+RESTART_DELAY = 20.0
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ class ScreenField:
         return None
 
 
-class TerminalControlProcess(ConcurrentPair):
+class TerminalControlProcess(ProcessPair):
     """A fault-tolerant TCP pair running screen programs."""
 
     MAX_TERMINALS = 32
@@ -116,21 +120,15 @@ class TerminalControlProcess(ConcurrentPair):
         backup_cpu: int,
         filesystem: FileSystem,
         tmf: TmfNode,
-        programs: Optional[Dict[str, ScreenProgram]] = None,
-        server_classes: Optional[Dict[str, ServerClass]] = None,
         restart_limit: int = 5,
-        restart_delay: float = 20.0,
-        send_timeout: float = 30_000.0,
     ):
         self.filesystem = filesystem
         self.tmf = tmf
-        self.programs: Dict[str, ScreenProgram] = dict(programs or {})
+        self.programs: Dict[str, ScreenProgram] = {}
         self.screens: Dict[str, Tuple[ScreenField, ...]] = {}
-        self.server_classes: Dict[str, ServerClass] = dict(server_classes or {})
+        self.server_classes: Dict[str, ServerClass] = {}
         self.terminals: Dict[str, str] = {}
         self.restart_limit = restart_limit
-        self.restart_delay = restart_delay
-        self.send_timeout = send_timeout
         self.units_committed = 0
         self.units_aborted = 0
         self.restarts_total = 0
@@ -351,7 +349,7 @@ class TerminalControlProcess(ConcurrentPair):
         livelock; each terminal backs off a different amount.
         """
         stagger = (zlib.crc32(terminal_id.encode()) % 97) / 97.0
-        return self.restart_delay * (attempt + 1) * (0.5 + stagger)
+        return RESTART_DELAY * (attempt + 1) * (0.5 + stagger)
 
     def _remember(self, msg_id: int) -> None:
         self._completed_order.append(msg_id)

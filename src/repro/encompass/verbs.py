@@ -30,6 +30,9 @@ __all__ = [
     "ScreenContext",
 ]
 
+#: default deadline (ms) of a SEND to an application server.
+SEND_TIMEOUT = 30_000.0
+
 
 class AbortTransaction(Exception):
     """ABORT-TRANSACTION: back out, do not restart."""
@@ -83,7 +86,7 @@ class ScreenContext:
             destination,
             payload,
             transid=self.transaction_id,
-            timeout=timeout if timeout is not None else self._tcp.send_timeout,
+            timeout=timeout if timeout is not None else SEND_TIMEOUT,
         )
         return reply
 

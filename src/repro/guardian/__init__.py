@@ -18,12 +18,11 @@ from .message import (
     ProcessUnavailable,
     RequestTimeout,
 )
-from .pair import ConcurrentPair, PairDown, ProcessPair
+from .pair import PairDown, ProcessPair
 from .process import NodeOs, OsProcess, ReceiveTimeout
 
 __all__ = [
     "Cluster",
-    "ConcurrentPair",
     "DeliveryError",
     "FileSystem",
     "FileSystemError",

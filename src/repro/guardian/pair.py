@@ -8,11 +8,18 @@ information that it would need in the event of failure to assume control
 primary."  (paper, §The Tandem Operating System)
 
 :class:`ProcessPair` is the generic mechanism: subclasses implement
-``handle`` (the server loop body) and call ``checkpoint`` to replicate
-whatever state the backup would need.  The pair:
+``serve_request`` (one request's handler) and call ``checkpoint`` to
+replicate whatever state the backup would need.  The pair:
 
-* runs the primary server loop in one CPU and keeps a passive backup
-  image in another;
+* runs the primary in one CPU and keeps a passive backup image in
+  another;
+* serves requests concurrently: the real DISCPROCESS (and TMP)
+  multiplex many outstanding requests, and a lock wait by one
+  transaction must not stall the unlock that would release it, so each
+  request runs in its own sub-coroutine, started inside the step that
+  delivers it (no inbox, no dispatcher loop).  Sub-handlers die with
+  the primary: their in-progress work is exactly what the checkpoint
+  discipline makes recoverable;
 * promotes the backup to primary when the primary's CPU fails (state is
   the last checkpointed image — exactly the paper's semantics: anything
   not yet checkpointed is lost, so subclasses checkpoint *before*
@@ -63,6 +70,7 @@ class ProcessPair:
         self.backup_cpu: Optional[int] = backup_cpu
         self.takeovers = 0
         self.checkpoints_sent = 0
+        self._active_handlers: set = set()
         self._apply_state_defaults()
         self.primary_process: Optional[OsProcess] = node_os.spawn(
             name, primary_cpu, self._serve
@@ -96,14 +104,66 @@ class ProcessPair:
     # ------------------------------------------------------------------
     def _serve(self, proc: OsProcess) -> Generator:
         self.on_start(proc)
-        while True:
-            message = yield from proc.receive()
-            yield from self.handle(proc, message)
+        # Requests that reached this primary before it started waited in
+        # its inbox; from now on each one is dispatched as it arrives.
+        for message in proc.inbox.drain():
+            self._start_handler(proc, message)
+        proc.dispatch = self._start_handler
+        return
+        yield  # pragma: no cover - generator marker
 
-    def handle(self, proc: OsProcess, message: Message) -> Generator:
+    def _start_handler(self, proc: OsProcess, message: Message) -> None:
+        """Start the request's handler inside the delivering step."""
+        work = self.serve_request(proc, message)
+        if self.env.trace is not None:
+            work = self._traced(proc, message, work)
+        self.spawn(work, f"h{message.msg_id}", inline=True)
+
+    def _traced(self, proc: OsProcess, message: Message, work: Generator) -> Generator:
+        # Causal tracing: the sub-handler is one serve span, child of
+        # the message's send span.  The span closes even when the
+        # handler is killed mid-request (takeover): GeneratorExit runs
+        # the finally, and serve_end only emits — it never yields.
+        hub = self.env.trace
+        ctx = hub.serve_begin(
+            message, node=self.node_name, proc_name=self.name,
+            cpu=proc.cpu.number,
+        )
+        try:
+            yield from work
+        finally:
+            hub.serve_end(ctx)
+
+    def spawn(self, work: Generator, suffix: str, inline: bool = False) -> Process:
+        """Run ``work`` as a coroutine that dies with this primary.
+
+        The one way to start one: request handlers, boxcar flushes and
+        the TMP pump all run this way, and ``_kill_handlers`` kills them
+        on takeover and on pair-down.  An ``inline`` start runs the
+        first segment in the caller's step.
+        """
+        run = self.env.process(
+            self._owned(work), name=f"{self.name}.{suffix}", inline=inline
+        )
+        if run.is_alive:
+            # A scheduled start has not run yet: a takeover before its
+            # first step must still kill it.
+            self._active_handlers.add(run)
+        return run
+
+    def _owned(self, work: Generator) -> Generator:
+        run = self.env.active_process
+        # An inline start registers here, before its first segment runs.
+        self._active_handlers.add(run)
+        try:
+            yield from work
+        finally:
+            self._active_handlers.discard(run)
+
+    def serve_request(self, proc: OsProcess, message: Message) -> Generator:
         """Process one request.  Subclasses must implement this."""
         raise NotImplementedError
-        yield  # pragma: no cover - makes this a generator
+        yield  # pragma: no cover - generator marker
 
     def on_start(self, proc: OsProcess) -> None:
         """Hook: a (new) primary is about to start serving."""
@@ -121,11 +181,18 @@ class ProcessPair:
         for key, value in self.state_defaults().items():
             self.state.setdefault(key, value)
 
+    def _kill_handlers(self, reason: str) -> None:
+        handlers, self._active_handlers = self._active_handlers, set()
+        for handler in handlers:
+            handler.kill(reason)
+
     def on_takeover(self) -> None:
         """Hook: state has been replaced by the checkpointed image."""
+        self._kill_handlers("primary failed")
 
     def on_pair_down(self) -> None:
         """Hook: both halves are dead."""
+        self._kill_handlers("pair down")
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -304,94 +371,3 @@ class ProcessPair:
             f"<ProcessPair {self.node_name}.{self.name} "
             f"primary_cpu={self.primary_cpu} backup_cpu={self.backup_cpu}>"
         )
-
-
-class ConcurrentPair(ProcessPair):
-    """A process-pair that serves requests concurrently.
-
-    The real DISCPROCESS (and TMP) multiplex many outstanding requests;
-    a lock wait by one transaction must not stall the unlock that would
-    release it.  Each request therefore runs in its own sub-coroutine,
-    started inside the step that delivers it (no inbox, no dispatcher
-    loop); subclasses implement :meth:`serve_request`.
-
-    Sub-handlers are killed on primary failure (their in-progress work
-    is exactly what the checkpoint discipline makes recoverable).
-    """
-
-    def __init__(self, *args: Any, **kwargs: Any):
-        self._active_handlers: set = set()
-        super().__init__(*args, **kwargs)
-
-    def _serve(self, proc: OsProcess) -> Generator:
-        self.on_start(proc)
-        # Requests that reached this primary before it started waited in
-        # its inbox; from now on each one is dispatched as it arrives.
-        for message in proc.inbox.drain():
-            self._start_handler(proc, message)
-        proc.dispatch = self._start_handler
-        return
-        yield  # pragma: no cover - generator marker
-
-    def _start_handler(self, proc: OsProcess, message: Message) -> None:
-        """Start the request's handler inside the delivering step."""
-        work = self.serve_request(proc, message)
-        if self.env.trace is not None:
-            work = self._traced(proc, message, work)
-        self.spawn(work, f"h{message.msg_id}", inline=True)
-
-    def _traced(self, proc: OsProcess, message: Message, work: Generator) -> Generator:
-        # Causal tracing: the sub-handler is one serve span, child of
-        # the message's send span.  The span closes even when the
-        # handler is killed mid-request (takeover): GeneratorExit runs
-        # the finally, and serve_end only emits — it never yields.
-        hub = self.env.trace
-        ctx = hub.serve_begin(
-            message, node=self.node_name, proc_name=self.name,
-            cpu=proc.cpu.number,
-        )
-        try:
-            yield from work
-        finally:
-            hub.serve_end(ctx)
-
-    def spawn(self, work: Generator, suffix: str, inline: bool = False) -> Process:
-        """Run ``work`` as a coroutine that dies with this primary.
-
-        The one way to start one: request handlers, boxcar flushes and
-        the TMP pump all run this way, and ``_kill_handlers`` kills them
-        on takeover and on pair-down.  An ``inline`` start runs the
-        first segment in the caller's step.
-        """
-        run = self.env.process(
-            self._owned(work), name=f"{self.name}.{suffix}", inline=inline
-        )
-        if run.is_alive:
-            # A scheduled start has not run yet: a takeover before its
-            # first step must still kill it.
-            self._active_handlers.add(run)
-        return run
-
-    def _owned(self, work: Generator) -> Generator:
-        run = self.env.active_process
-        # An inline start registers here, before its first segment runs.
-        self._active_handlers.add(run)
-        try:
-            yield from work
-        finally:
-            self._active_handlers.discard(run)
-
-    def serve_request(self, proc: OsProcess, message: Message) -> Generator:
-        raise NotImplementedError
-        yield  # pragma: no cover - generator marker
-
-    def _kill_handlers(self, reason: str) -> None:
-        handlers, self._active_handlers = self._active_handlers, set()
-        for handler in handlers:
-            handler.kill(reason)
-
-    def on_takeover(self) -> None:
-        self._kill_handlers("primary failed")
-
-    def on_pair_down(self) -> None:
-        self._kill_handlers("pair down")

@@ -46,7 +46,7 @@ class OsProcess:
         self._body = body
         self.sim_process: Optional[Process] = None
         #: set by a server that takes requests as they arrive (a
-        #: ConcurrentPair primary past ``on_start``): :meth:`accept`
+        #: ProcessPair primary past ``on_start``): :meth:`accept`
         #: hands it each message in the delivering step, bypassing the
         #: inbox.
         self.dispatch: Optional[Callable[["OsProcess", Message], None]] = None

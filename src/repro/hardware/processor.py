@@ -32,17 +32,10 @@ class Cpu(Component):
 
     kind = "cpu"
 
-    def __init__(
-        self,
-        env: Environment,
-        node_name: str,
-        number: int,
-        memory_mb: int = 2,
-    ):
+    def __init__(self, env: Environment, node_name: str, number: int):
         super().__init__(env, f"{node_name}.cpu{number}")
         self.node_name = node_name
         self.number = number
-        self.memory_mb = memory_mb
         self.channel = IoChannel(env, self)
         #: accumulated busy time (ms); the XRAY sampler reads deltas of
         #: this to derive busy fraction per interval.

@@ -22,8 +22,8 @@ is *doubly* invisible — no caller ever waits on it.  A DISCPROCESS
 function is therefore a send path too when it constructs an
 ``AppendAudit`` (ships audit cargo to the AUDITPROCESS) or is a boxcar
 coroutine (a generator whose name contains ``boxcar`` — the flush
-machinery).  The same coverage rule applies; pure policy helpers such
-as ``resolve_boxcar`` are plain functions and stay out of scope.
+machinery).  The same coverage rule applies; plain helpers (no
+``yield``) that merely mention a boxcar stay out of scope.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ sample quantile, and count/mean/min/max are exact.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional
+from typing import Dict
 
 from .spans import SpanLog
 
@@ -160,25 +160,21 @@ class Histogram:
 class MetricsRegistry:
     """The measured-only state of one run: gauges, histograms, spans, samples."""
 
-    def __init__(self, histogram_defaults: Optional[Dict[str, Any]] = None):
+    def __init__(self):
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.samples: list = []          # appended by measure.sampler
         self.spans = SpanLog()
-        self._histogram_defaults = dict(histogram_defaults or {})
 
     # -- verbs ----------------------------------------------------------
     def set_gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
 
-    def histogram(self, name: str, **config: Any) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """The named histogram, created on first use."""
         hist = self.histograms.get(name)
         if hist is None:
-            settings = dict(self._histogram_defaults)
-            settings.update(config)
-            hist = Histogram(name, **settings)
-            self.histograms[name] = hist
+            hist = self.histograms[name] = Histogram(name)
         return hist
 
     def observe(self, name: str, value: float) -> None:

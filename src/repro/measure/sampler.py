@@ -1,15 +1,15 @@
 """Periodic utilization sampling (the XRAY "online monitor" loop).
 
-A :class:`Sampler` is a simulation process that wakes every ``interval``
-simulated milliseconds and reads the cheap always-on accumulators the
-hardware and server layers maintain (CPU busy time, bus transfer time,
-DISCPROCESS service time and queue depth, cache hit counts, AUDITPROCESS
-buffer depth).  Each wake-up appends one row to the registry's
+A :class:`Sampler` is a simulation process that wakes every
+:data:`SAMPLE_INTERVAL` simulated milliseconds and reads the cheap
+always-on accumulators the hardware and server layers maintain (CPU busy
+time, bus transfer time, DISCPROCESS service time and queue depth, cache
+hit counts, AUDITPROCESS buffer depth).  Each wake-up appends one row to the registry's
 ``samples`` list and refreshes the matching ``util.*`` gauges.
 
 Sampling is read-only: it observes accumulators but changes no simulated
 state, so a measured run replays the exact event history of an
-unmeasured one.  The sample count is bounded (``max_samples``) so a
+unmeasured one.  The sample count is bounded (:data:`MAX_SAMPLES`) so a
 run-to-exhaustion simulation still terminates.
 
 The sampler is duck-typed against :class:`repro.encompass.config.
@@ -23,22 +23,18 @@ from typing import Any, Dict, Generator
 
 __all__ = ["Sampler"]
 
+#: simulated milliseconds between samples.
+SAMPLE_INTERVAL = 100.0
+#: samples taken at most, so a run-to-exhaustion simulation ends.
+MAX_SAMPLES = 2000
+
 
 class Sampler:
     """Samples component utilization of one system at a fixed interval."""
 
-    def __init__(
-        self,
-        system: Any,
-        interval: float = 100.0,
-        max_samples: int = 2000,
-    ):
-        if interval <= 0:
-            raise ValueError("sample interval must be positive")
+    def __init__(self, system: Any):
         self.system = system
         self.registry = system.metrics
-        self.interval = interval
-        self.max_samples = max_samples
         self.samples_taken = 0
         self.process = None
         self._last: Dict[str, float] = {}
@@ -55,8 +51,8 @@ class Sampler:
 
     def _run(self) -> Generator:
         env = self.system.env
-        while self.samples_taken < self.max_samples:
-            yield env.timeout(self.interval)
+        while self.samples_taken < MAX_SAMPLES:
+            yield env.timeout(SAMPLE_INTERVAL)
             self.sample(env.now)
 
     # ------------------------------------------------------------------
@@ -98,7 +94,7 @@ class Sampler:
         current = self._accumulators()
         for name, busy in current.items():
             delta = busy - self._last.get(name, 0.0)
-            utilization[name] = min(max(delta / self.interval, 0.0), 1.0)
+            utilization[name] = min(max(delta / SAMPLE_INTERVAL, 0.0), 1.0)
         self._last = current
         row["utilization"] = utilization
 

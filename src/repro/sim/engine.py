@@ -46,8 +46,8 @@ class Environment:
         "topology_epoch",
     )
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = initial_time
+    def __init__(self):
+        self._now = 0.0
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None

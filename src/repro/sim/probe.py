@@ -48,13 +48,14 @@ class TraceRecord:
 class Probe:
     """Counters and the record stream of one simulation run.
 
-    Recording full records can be disabled (``keep_records=False``) for
-    long benchmark runs where only the counters matter.
+    Recording full records can be disabled (the owning cluster sets
+    ``keep_records = False``) for long benchmark runs where only the
+    counters matter.
     """
 
-    def __init__(self, env: Any, keep_records: bool = True):
+    def __init__(self, env: Any):
         self.env = env
-        self.keep_records = keep_records
+        self.keep_records = True
         #: every count of the run: event kinds and named counters alike
         self.counts: Dict[str, int] = {}
         self.records: List[TraceRecord] = []

@@ -78,8 +78,7 @@ class TmfRig:
             self.clients[name] = FileClient(self.cluster.fs(name), self.dictionary)
         self.cluster.connect_all()
 
-    def add_volume(self, node_name, volume_name, cpus=(0, 1), audited=True,
-                   boxcar=True):
+    def add_volume(self, node_name, volume_name, cpus=(0, 1), audited=True):
         node_os = self.cluster.os(node_name)
         volume = node_os.node.add_volume(volume_name, *cpus)
         dp = DiscProcess(
@@ -91,7 +90,6 @@ class TmfRig:
             self.cluster.fs(node_name),
             audit_process="$aud" if audited else None,
             tmf_registry=self.tmf[node_name],
-            boxcar=boxcar,
         )
         self.tmf[node_name].register_disc_process(volume_name, dp)
         self.disc_processes[(node_name, volume_name)] = dp

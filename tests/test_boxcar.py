@@ -11,17 +11,11 @@ is never silently dropped**, whatever fails.
 
 import math
 
-import pytest
-
 from repro.core import ForceAudit, GetAudit, TransactionAborted
-from repro.discprocess import BoxcarPolicy, ForceBoxcar, resolve_boxcar
-from repro.discprocess import FileSchema, KEY_SEQUENCED, PartitionSpec
+from repro.discprocess import FileSchema, ForceBoxcar, KEY_SEQUENCED, PartitionSpec
+from repro.discprocess.volume import BOXCAR_RECORDS
 
 from conftest import TmfRig
-
-#: a boxcar too large to fill inside a test episode — cargo departs
-#: only on an explicit force.
-PATIENT = BoxcarPolicy(max_records=1000)
 
 
 def schema_for(node):
@@ -34,9 +28,9 @@ def schema_for(node):
     )
 
 
-def make_rig(boxcar=True):
+def make_rig():
     rig = TmfRig(nodes=("alpha",))
-    rig.add_volume("alpha", "$data", boxcar=boxcar)
+    rig.add_volume("alpha", "$data")
     rig.dictionary.define(schema_for("alpha"))
     return rig
 
@@ -50,40 +44,16 @@ def create_and_begin(rig, proc):
 
 
 # ----------------------------------------------------------------------
-# Policy resolution
-# ----------------------------------------------------------------------
-class TestPolicy:
-    def test_disabled_modes_resolve_to_none(self):
-        assert resolve_boxcar(False) is None
-        assert resolve_boxcar(None) is None
-
-    def test_true_is_the_stock_policy(self):
-        assert resolve_boxcar(True) == BoxcarPolicy()
-
-    def test_explicit_policy_passes_through(self):
-        policy = BoxcarPolicy(max_records=64)
-        assert resolve_boxcar(policy) is policy
-
-    def test_garbage_rejected(self):
-        with pytest.raises(TypeError):
-            resolve_boxcar("fast please")
-
-    def test_policy_validates_bounds(self):
-        with pytest.raises(ValueError):
-            BoxcarPolicy(max_records=0)
-
-
-# ----------------------------------------------------------------------
 # Departure rules: max_records, force — and nothing else
 # ----------------------------------------------------------------------
 class TestFlushPolicies:
     def test_max_records_triggers_one_batch(self):
-        rig = make_rig(boxcar=BoxcarPolicy(max_records=3))
+        rig = make_rig()
         dp = rig.disc_processes[("alpha", "$data")]
 
         def body(proc):
             tmf, client, transid = yield from create_and_begin(rig, proc)
-            for i in range(3):
+            for i in range(BOXCAR_RECORDS):
                 yield from client.insert(
                     proc, "alpha_accts", {"aid": i, "balance": i},
                     transid=transid,
@@ -92,12 +62,12 @@ class TestFlushPolicies:
             return dict(dp.state["unforwarded"])
 
         unforwarded = rig.run("alpha", body)
-        assert unforwarded == {}, "the third record should trip the flush"
+        assert unforwarded == {}, "the last record should trip the flush"
         assert dp.audit_batches_sent == 1
-        assert dp.audit_records_forwarded == 3
+        assert dp.audit_records_forwarded == BOXCAR_RECORDS
 
     def test_cargo_waits_for_the_commit_drain(self):
-        # No departure clock: an idle boxcar below max_records keeps its
+        # No departure clock: an idle boxcar below BOXCAR_RECORDS keeps its
         # cargo until phase one needs it.
         rig = make_rig()
         dp = rig.disc_processes[("alpha", "$data")]
@@ -133,14 +103,13 @@ class TestFlushPolicies:
             yield from tmf.end(proc, transid)
 
         rig.run("alpha", body)
-        full = BoxcarPolicy().max_records
         assert dp.audit_records_forwarded == inserts
-        assert dp.audit_batches_sent <= math.ceil(inserts / full) + 1
+        assert dp.audit_batches_sent <= math.ceil(inserts / BOXCAR_RECORDS) + 1
 
     def test_commit_forces_the_drain(self):
-        # Phase one's ForceBoxcar drains a patient boxcar before the
+        # Phase one's ForceBoxcar drains a part-full boxcar before the
         # trail force.
-        rig = make_rig(boxcar=PATIENT)
+        rig = make_rig()
         dp = rig.disc_processes[("alpha", "$data")]
 
         def body(proc):
@@ -185,24 +154,6 @@ class TestFlushPolicies:
         ops = sorted(record.op for record in audit.trail.scan_all())
         assert ops == ["backout", "insert", "insert"]
 
-    def test_sync_mode_forwards_inline(self):
-        rig = make_rig(boxcar=False)
-        dp = rig.disc_processes[("alpha", "$data")]
-
-        def body(proc):
-            tmf, client, transid = yield from create_and_begin(rig, proc)
-            for i in range(2):
-                yield from client.insert(
-                    proc, "alpha_accts", {"aid": i, "balance": i},
-                    transid=transid,
-                )
-            # Legacy path: every op forwards before replying.
-            return len(dp.state["unforwarded"])
-
-        assert rig.run("alpha", body) == 0
-        assert dp.audit_batches_sent == 2
-        assert dp.audit_records_forwarded == 2
-
 
 # ----------------------------------------------------------------------
 # Failure contract: committed audit is never silently dropped
@@ -211,7 +162,7 @@ class TestBoxcarFaults:
     def test_auditprocess_down_crashes_volume_not_drops_audit(self):
         """A drain that cannot reach the AUDITPROCESS must self-crash the
         volume — never ack a force while cargo is stranded aboard."""
-        rig = make_rig(boxcar=PATIENT)
+        rig = make_rig()
         dp = rig.disc_processes[("alpha", "$data")]
         # Pin the AUDITPROCESS to its home CPUs so failing both really
         # downs the pair (it otherwise migrates to any spare CPU).
@@ -247,7 +198,7 @@ class TestBoxcarFaults:
     def test_takeover_reforwards_checkpointed_cargo(self):
         """Cargo aboard at takeover was checkpointed with the write that
         produced it; the new primary must ship it unprompted."""
-        rig = make_rig(boxcar=PATIENT)
+        rig = make_rig()
         dp = rig.disc_processes[("alpha", "$data")]
 
         def load(proc):
@@ -284,13 +235,13 @@ class TestBoxcarFaults:
         """A forward's removal rides on the next write's checkpoint; a
         takeover before that re-forwards images the AUDITPROCESS already
         holds, and it keeps each of them once."""
-        rig = make_rig(boxcar=BoxcarPolicy(max_records=2))
+        rig = make_rig()
         dp = rig.disc_processes[("alpha", "$data")]
         audit = rig.audit_processes["alpha"]
 
         def load(proc):
             tmf, client, transid = yield from create_and_begin(rig, proc)
-            for i in range(2):
+            for i in range(BOXCAR_RECORDS):
                 yield from client.insert(
                     proc, "alpha_accts", {"aid": i, "balance": i},
                     transid=transid,
@@ -301,7 +252,7 @@ class TestBoxcarFaults:
         transid = rig.run("alpha", load, cpu=2)
         assert dp.audit_batches_sent == 1
         assert dp.state["unforwarded"] == {}, "the primary dropped them"
-        assert len(dp.backup_state["unforwarded"]) == 2, (
+        assert len(dp.backup_state["unforwarded"]) == BOXCAR_RECORDS, (
             "no write has carried the removal to the backup yet"
         )
         rig.cluster.node("alpha").fail_cpu(0)  # volume primary
@@ -317,13 +268,13 @@ class TestBoxcarFaults:
         reply = rig.run("alpha", settle_and_commit, cpu=2)
         assert dp.takeovers == 1
         assert dp.audit_batches_sent == 2, "the new primary re-forwarded"
-        assert sorted(r.seq for r in reply["records"]) == [0, 1]
+        assert sorted(r.seq for r in reply["records"]) == list(range(BOXCAR_RECORDS))
         on_trail = [
             (record.volume, record.seq)
             for record in audit.trail.scan_all()
             if record.transid == transid
         ]
-        assert sorted(on_trail) == [("$data", 0), ("$data", 1)]
+        assert sorted(on_trail) == [("$data", seq) for seq in range(BOXCAR_RECORDS)]
 
     def test_commit_aborts_when_drain_fails(self):
         """Phase one votes no if the boxcar cannot drain: the client
@@ -344,7 +295,7 @@ class TestBoxcarFaults:
         dp = DiscProcess(
             node_os, "$data", 0, 1, node_os.node.volumes["$data"],
             rig.cluster.fs("alpha"), audit_process="$aud2",
-            tmf_registry=rig.tmf["alpha"], boxcar=PATIENT,
+            tmf_registry=rig.tmf["alpha"],
         )
         rig.tmf["alpha"].register_disc_process("$data", dp)
         rig.disc_processes[("alpha", "$data")] = dp
@@ -370,7 +321,7 @@ class TestBoxcarFaults:
         )
 
     def test_force_boxcar_empty_is_cheap_and_ok(self):
-        rig = make_rig(boxcar=PATIENT)
+        rig = make_rig()
 
         def body(proc):
             tmf, client, transid = yield from create_and_begin(rig, proc)

@@ -228,7 +228,7 @@ class CounterPair(ProcessPair):
         self.state.setdefault("count", 0)
         self.state.setdefault("completed", {})
 
-    def handle(self, proc, message):
+    def serve_request(self, proc, message):
         completed = self.state["completed"]
         if message.msg_id in completed:
             proc.reply(message, completed[message.msg_id])
@@ -373,7 +373,7 @@ class TestProcessPair:
             def on_start(self, proc):
                 self.state.setdefault("seq", 0)
 
-            def handle(self, proc, message):
+            def serve_request(self, proc, message):
                 self.state["seq"] += 1
                 yield from self.checkpoint(seq=self.state["seq"])
                 console.append(f"[{self.state['seq']:04d}] {message.payload}")

@@ -152,8 +152,7 @@ def test_registry_tx_hooks_feed_latency_histogram():
 # ---------------------------------------------------------------------------
 
 def _run_banking(measure):
-    builder = SystemBuilder(seed=11, keep_trace=False, measure=measure,
-                            sample_interval=100.0)
+    builder = SystemBuilder(seed=11, keep_trace=False, measure=measure)
     builder.add_node("alpha", cpus=4)
     builder.add_volume("alpha", "$data", cpus=(0, 1))
     install_banking(builder, "alpha", "$data", server_instances=2)

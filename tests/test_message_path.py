@@ -16,14 +16,14 @@ import pytest
 
 from repro.guardian import (
     Cluster,
-    ConcurrentPair,
+    ProcessPair,
     ProcessUnavailable,
     RequestTimeout,
 )
 from repro.hardware import Latencies
 
 
-class EchoPair(ConcurrentPair):
+class EchoPair(ProcessPair):
     """Replies with the payload after ``payload["wait"]`` ms, logging calls."""
 
     def __init__(self, *args, **kwargs):

@@ -87,6 +87,21 @@ class TestPathwayDynamics:
         flood(system, server_class, 5)
         assert server_class.requests_served >= 5
 
+    def test_grows_after_an_instance_died(self):
+        """A new instance never takes the number of a live one, so the
+        class can still grow after a lower-numbered instance died."""
+        system, server_class, monitor = build_slow_class(instances=3)
+        first = server_class.live_instances()[0]
+        system.cluster.node("alpha").fail_cpu(first.cpu.number)
+        assert [p.name for p in server_class.live_instances()] == [
+            "$slow-2", "$slow-3"
+        ]
+        flood(system, server_class, 24)
+        assert monitor.grows >= 1
+        names = [p.name for p in server_class.live_instances()]
+        assert len(names) > 2
+        assert len(set(names)) == len(names)
+
     def test_served_counter(self):
         system, server_class, monitor = build_slow_class(instances=2)
         flood(system, server_class, 10)
