@@ -138,13 +138,17 @@ class StateBroadcaster:
         self.broadcasts += 1
         # The broadcast rides the interprocessor bus pair.
         self.node.buses.record_transfer(self.node.latencies.bus_broadcast)
-        self.env.probe.emit(
-            "state_broadcast",
-            node=self.node.name,
-            transid=str(transid),
-            state=str(new_state),
-            cpus=len(live),
-        )
+        probe = self.env.probe
+        if probe.recording:
+            probe.emit(
+                "state_broadcast",
+                node=self.node.name,
+                transid=str(transid),
+                state=str(new_state),
+                cpus=len(live),
+            )
+        else:
+            probe.count("state_broadcast")
         if new_state in (TxState.ENDED, TxState.ABORTED):
             for table in self.tables.values():
                 table.pop(transid, None)

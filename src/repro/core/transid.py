@@ -10,8 +10,7 @@ the transaction."  (paper, §Transaction Management)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, NamedTuple
 
 from ..sim import register_immutable
 
@@ -19,16 +18,20 @@ __all__ = ["Transid", "TransidGenerator"]
 
 
 @register_immutable
-@dataclass(frozen=True, order=True)
-class Transid:
-    """A network-wide unique transaction identity."""
+class Transid(NamedTuple):
+    """A network-wide unique transaction identity.
+
+    A tuple: hashing, equality and ordering run in C, on the fields in
+    this order.  Transids key the state tables, lock tables and audit
+    indices, so they are hashed and compared on every operation.
+    """
 
     home_node: str
     cpu: int
     sequence: int
 
     def __str__(self) -> str:
-        return f"\\{self.home_node}.{self.cpu}.{self.sequence}"
+        return "\\%s.%s.%s" % self
 
 
 class TransidGenerator:

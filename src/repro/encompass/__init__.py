@@ -9,7 +9,7 @@ server classes with Pathway-style dynamic control, and the declarative
 from .config import EncompassSystem, SystemBuilder
 from .enform import EnformError, Query, QueryResult, compile_query
 from .scobol import ScobolError, ScobolProgram, compile_program
-from .server import PathwayMonitor, ServerClass, ServerContext
+from .server import GrowRefused, PathwayMonitor, ServerClass, ServerContext
 from .tcp import ScreenField, TerminalControlProcess, TerminalInput
 from .verbs import (
     AbortTransaction,
@@ -22,6 +22,7 @@ __all__ = [
     "AbortTransaction",
     "EncompassSystem",
     "EnformError",
+    "GrowRefused",
     "Query",
     "QueryResult",
     "compile_query",

@@ -24,13 +24,25 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 from ..discprocess import FileClient, LockTimeoutError
 from ..guardian import Message, NodeOs, OsProcess
 
-__all__ = ["ServerContext", "ServerClass", "PathwayMonitor"]
+__all__ = ["ServerContext", "ServerClass", "PathwayMonitor", "GrowRefused"]
 
 #: queued requests per live instance at which Pathway adds an instance.
 GROW_THRESHOLD = 3
 
 # A server handler: generator function (ctx, payload) -> reply payload.
 ServerHandler = Callable[["ServerContext", Any], Generator]
+
+
+class GrowRefused(RuntimeError):
+    """A server class cannot add an instance.
+
+    ``reason`` is ``"max_instances"`` (the class is at its limit) or
+    ``"no_cpu"`` (no CPU of the node is up).
+    """
+
+    def __init__(self, server_class: str, reason: str):
+        super().__init__(f"{server_class}: cannot add an instance ({reason})")
+        self.reason = reason
 
 
 class ServerContext:
@@ -153,13 +165,13 @@ class ServerClass:
                 return alive[len(self._instances) % len(alive)]
         cpu = self.node_os.pick_cpu()
         if cpu is None:
-            raise RuntimeError(f"{self.name}: no CPU available")
+            raise GrowRefused(self.name, "no_cpu")
         return cpu
 
     def add_instance(self) -> OsProcess:
         """Dynamic server-process creation (Pathway)."""
         if len(self.live_instances()) >= self.max_instances:
-            raise RuntimeError(f"{self.name}: at max_instances")
+            raise GrowRefused(self.name, "max_instances")
         instance_name = f"{self.name}-{next(self._numbers)}"
         proc = self.node_os.spawn(instance_name, self._pick_cpu(), self._serve)
         self._instances.append(proc)
@@ -250,6 +262,8 @@ class PathwayMonitor:
         self.interval = interval
         self.grows = 0
         self.shrinks = 0
+        #: grow attempts the class refused, by :class:`GrowRefused` reason.
+        self.refusals: Dict[str, int] = {}
         self._idle_rounds: Dict[str, int] = {}
         self.process = self.env.process(self._monitor(), name="pathway-monitor")
 
@@ -263,8 +277,13 @@ class PathwayMonitor:
                     try:
                         server_class.add_instance()
                         self.grows += 1
-                    except RuntimeError:
-                        pass
+                    except GrowRefused as refused:
+                        reason = refused.reason
+                        self.refusals[reason] = self.refusals.get(reason, 0) + 1
+                        self.env.probe.emit(
+                            "server_grow_refused",
+                            server_class=server_class.name, reason=reason,
+                        )
                     self._idle_rounds[server_class.name] = 0
                 elif depth == 0 and live > 1:
                     idle = self._idle_rounds.get(server_class.name, 0) + 1

@@ -29,7 +29,7 @@ from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple, TYPE_CHECKING
 
 from ..hardware import Latencies, Network, NoRoute
-from ..sim import Environment, Event, SimulationError
+from ..sim import Environment, Event, SimulationError, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from .process import NodeOs, OsProcess
@@ -70,6 +70,12 @@ _NEVER = float("inf")
 
 class Message:
     """One request in flight, with its pending reply event."""
+
+    __slots__ = (
+        "msg_id", "source_node", "source_name", "dest_node", "dest_name",
+        "payload", "transid", "reply_event", "replied", "timeout",
+        "deadline", "source_cpu", "dest_cpu", "trace_ctx", "__weakref__",
+    )
 
     _ids = itertools.count(1)
 
@@ -317,43 +323,51 @@ class MessageSystem:
         deadline waits in the message system's deadline queue, and only
         one that passes unanswered is popped to fail the reply.
         """
+        source_node = caller.node_os.node.name
         message = Message(
-            source_node=caller.node_name,
-            source_name=caller.name,
-            dest_node=dest_node,
-            dest_name=dest_name,
-            payload=payload,
-            transid=transid,
-            msg_id=msg_id,
+            source_node, caller.name, dest_node, dest_name, payload, transid,
+            msg_id,
         )
+        message.source_cpu = caller.cpu.number
+        message.timeout = timeout
+        hub = self.env.trace
+        if hub is None:
+            reply = yield self._post(message)
+            return reply
         # Causal tracing: allocate the request's span as a child of the
         # sender's active context and stamp it onto the message, so the
         # serving side (possibly on another node) can link up.
-        hub = self.env.trace
-        trace_ctx = hub.on_send(message, caller.cpu.number) if hub is not None else None
+        trace_ctx = hub.on_send(message, message.source_cpu)
         try:
-            # The destination is resolved twice: here for the transit
-            # accounting, and again on arrival, since it may die or take
-            # over while the request is in flight.
-            pre_target = self._node_os[dest_node].lookup(dest_name)
-            transit = self._transit_latency(
-                caller.node_name,
-                caller.cpu.number,
-                dest_node,
-                pre_target.cpu.number if pre_target is not None else 0,
-            )
-            self._count(caller.node_name, dest_node)
-            message.source_cpu = caller.cpu.number
-            message.timeout = timeout
-            reply_event = message.reply_event = Event(self.env)
-            self.env.timeout(transit, message).callbacks.append(self._deliver)
-            reply = yield reply_event
+            reply = yield self._post(message)
             return reply
         finally:
             # The requester-observed end of the span: reply, error, or
             # the caller's death (GeneratorExit runs this too).
             if trace_ctx is not None:
                 hub.on_rpc_done(trace_ctx)
+
+    def _post(self, message: Message) -> Event:
+        """Account the request's transit and start its timer.
+
+        Returns the reply event; raises :class:`PathDown` when no path
+        exists.  The destination is resolved twice: here for the
+        transit accounting, and again on arrival, since it may die or
+        take over while the request is in flight.
+        """
+        dest_node = message.dest_node
+        pre_target = self._node_os[dest_node].lookup(message.dest_name)
+        transit = self._transit_latency(
+            message.source_node,
+            message.source_cpu,
+            dest_node,
+            pre_target.cpu.number if pre_target is not None else 0,
+        )
+        self._count(message.source_node, dest_node)
+        env = self.env
+        reply_event = message.reply_event = Event(env)
+        Timeout(env, transit, message).callbacks.append(self._deliver)
+        return reply_event
 
     def _deliver(self, transit: Event) -> None:
         """Transit timer callback: hand the request to its destination."""
@@ -431,4 +445,8 @@ class MessageSystem:
     # ------------------------------------------------------------------
     def _count(self, source_node: str, dest_node: str) -> None:
         kind = "msg_local" if source_node == dest_node else "msg_network"
-        self.env.probe.emit(kind, source=source_node, dest=dest_node)
+        probe = self.env.probe
+        if probe.recording:
+            probe.emit(kind, source=source_node, dest=dest_node)
+        else:
+            probe.count(kind)

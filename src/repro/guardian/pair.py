@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
-from ..sim import ATOMIC_TYPES, Process, fast_deepcopy
+from ..sim import ATOMIC_TYPES, Process, Timeout, fast_deepcopy
 from .message import Message
 from .process import NodeOs, OsProcess
 
@@ -61,6 +61,8 @@ class ProcessPair:
         self.node_os = node_os
         self.env = node_os.env
         self.name = name
+        #: the ``pair`` field of this pair's probe records.
+        self._label = f"{node_os.node.name}.{name}"
         # An I/O process-pair can only run in the CPUs physically
         # connected to its device (None = any CPU, e.g. TCPs and TMPs).
         self.allowed_cpus = set(allowed_cpus) if allowed_cpus is not None else None
@@ -117,7 +119,7 @@ class ProcessPair:
         work = self.serve_request(proc, message)
         if self.env.trace is not None:
             work = self._traced(proc, message, work)
-        self.spawn(work, f"h{message.msg_id}", inline=True)
+        Process(self.env, work, self.name, inline=True, owners=self._active_handlers)
 
     def _traced(self, proc: OsProcess, message: Message, work: Generator) -> Generator:
         # Causal tracing: the sub-handler is one serve span, child of
@@ -140,25 +142,14 @@ class ProcessPair:
         The one way to start one: request handlers, boxcar flushes and
         the TMP pump all run this way, and ``_kill_handlers`` kills them
         on takeover and on pair-down.  An ``inline`` start runs the
-        first segment in the caller's step.
+        first segment in the caller's step.  Each is a member of
+        ``_active_handlers`` from before its first segment until it
+        finishes or is killed.
         """
-        run = self.env.process(
-            self._owned(work), name=f"{self.name}.{suffix}", inline=inline
+        return Process(
+            self.env, work, f"{self.name}.{suffix}", inline=inline,
+            owners=self._active_handlers,
         )
-        if run.is_alive:
-            # A scheduled start has not run yet: a takeover before its
-            # first step must still kill it.
-            self._active_handlers.add(run)
-        return run
-
-    def _owned(self, work: Generator) -> Generator:
-        run = self.env.active_process
-        # An inline start registers here, before its first segment runs.
-        self._active_handlers.add(run)
-        try:
-            yield from work
-        finally:
-            self._active_handlers.discard(run)
 
     def serve_request(self, proc: OsProcess, message: Message) -> Generator:
         """Process one request.  Subclasses must implement this."""
@@ -183,7 +174,8 @@ class ProcessPair:
 
     def _kill_handlers(self, reason: str) -> None:
         handlers, self._active_handlers = self._active_handlers, set()
-        for handler in handlers:
+        # A killed handler leaves ``handlers``: iterate a copy.
+        for handler in list(handlers):
             handler.kill(reason)
 
     def on_takeover(self) -> None:
@@ -203,7 +195,7 @@ class ProcessPair:
 
     def checkpoint(self, _charge: bool = True, **entries: Any) -> Generator:
         """Replicate ``entries`` of ``self.state`` to the backup image."""
-        return self._replicate((), entries, _charge, "keys", sorted(entries))
+        return self._replicate((), entries, _charge, "keys")
 
     def checkpoint_update(self, table: str, updates: Optional[Dict[Any, Any]] = None,
                           removals: Any = (), _charge: bool = True) -> Generator:
@@ -213,7 +205,7 @@ class ProcessPair:
         suppression entries) where re-copying the whole table per
         operation would be wrong.
         """
-        return self._replicate(((table, updates, removals),), None, _charge, "table", table)
+        return self._replicate(((table, updates, removals),), None, _charge, "table")
 
     def checkpoint_multi(self, parts: Any, scalars: Optional[Dict[str, Any]] = None,
                          _charge: bool = True) -> Generator:
@@ -224,12 +216,10 @@ class ProcessPair:
         the coalescing the real pairs did: one IPC carries every delta
         an operation produced.
         """
-        return self._replicate(
-            parts, scalars, _charge, "tables", [table for table, _u, _r in parts]
-        )
+        return self._replicate(parts, scalars, _charge, "tables")
 
     def _replicate(self, parts: Any, scalars: Optional[Dict[str, Any]], charge: bool,
-                   trace_key: str, trace_value: Any) -> Generator:
+                   trace_key: str) -> Generator:
         """The one checkpoint body behind the three entry points above.
 
         Applies ``parts`` and ``scalars`` to the primary's state; with a
@@ -237,11 +227,15 @@ class ProcessPair:
         on the operation's previous one) and mirrors them.  The backup
         has its own memory, so it gets private copies — except of
         immutable values (registered types, ``shared_tables``), which
-        it shares.
+        it shares.  The ``checkpoint`` record names what was sent under
+        ``trace_key``: the scalar ``keys``, the one ``table`` or the
+        ``tables``.
         """
         state = self.state
         for table, updates, removals in parts:
-            table_state = state.setdefault(table, {})
+            table_state = state.get(table)
+            if table_state is None:
+                table_state = state[table] = {}
             if updates:
                 table_state.update(updates)
             for key in removals:
@@ -256,13 +250,25 @@ class ProcessPair:
             node = self.node_os.node
             latency = node.latencies.checkpoint
             node.buses.record_transfer(latency)
-            yield self.env.timeout(latency)
+            yield Timeout(self.env, latency)
             self.checkpoints_sent += 1
-            self._trace("checkpoint", **{trace_key: trace_value})
+            probe = self.env.probe
+            if probe.recording:
+                if trace_key == "keys":
+                    sent: Any = sorted(scalars)
+                elif trace_key == "table":
+                    sent = parts[0][0]
+                else:
+                    sent = [table for table, _u, _r in parts]
+                probe.emit("checkpoint", pair=self._label, **{trace_key: sent})
+            else:
+                probe.count("checkpoint")
         atomic = ATOMIC_TYPES
         backup_state = self.backup_state
         for table, updates, removals in parts:
-            backup_table = backup_state.setdefault(table, {})
+            backup_table = backup_state.get(table)
+            if backup_table is None:
+                backup_table = backup_state[table] = {}
             if updates:
                 if table in self.shared_tables:
                     backup_table.update(updates)
@@ -364,7 +370,7 @@ class ProcessPair:
         self._trace("pair_restarted", primary_cpu=primary_cpu)
 
     def _trace(self, kind: str, **fields: Any) -> None:
-        self.env.probe.emit(kind, pair=f"{self.node_name}.{self.name}", **fields)
+        self.env.probe.emit(kind, pair=self._label, **fields)
 
     def __repr__(self) -> str:
         return (

@@ -2,7 +2,9 @@
 
 A :class:`Channel` is an unbounded FIFO queue of items.  ``put`` never
 blocks; ``get`` returns an event that succeeds with the oldest item as
-soon as one is available.  Getters are served in request order.
+soon as one is available.  Getters are served in request order.  A
+getter parked before the item arrived is resumed inside ``put``, in the
+putter's step: handing over an item costs no engine event.
 
 Channels are the building block of the message system: every OS process
 owns one as its inbox.
@@ -14,7 +16,7 @@ from collections import deque
 from typing import Any, Deque, Optional
 
 from .engine import Environment
-from .events import Event
+from .events import PENDING, Event
 
 __all__ = ["Channel", "ChannelClosed"]
 
@@ -48,11 +50,21 @@ class Channel:
         """Deposit ``item``; returns False if the channel is closed."""
         if self._closed is not None:
             return False
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter.triggered:
+        getters = self._getters
+        while getters:
+            getter = getters.popleft()
+            if getter._value is not PENDING:
                 continue  # getter gave up (e.g. timed out) meanwhile
-            getter.succeed(item)
+            # Process the getter here, as the engine would one step
+            # later; the putter may itself be a running process.
+            getter._ok = True
+            getter._value = item
+            callbacks, getter.callbacks = getter.callbacks, None
+            env = self.env
+            outer = env._active_process
+            for callback in callbacks:
+                callback(getter)
+            env._active_process = outer
             return True
         self._items.append(item)
         return True

@@ -172,12 +172,16 @@ class Process(Event):
     A process normally starts at its init event, one engine step later;
     an ``inline`` process runs its first segment inside the constructor,
     in the caller's step.
+
+    ``owners`` is a set the process belongs to while it runs: it joins
+    before its first segment and leaves when it finishes or is killed
+    (a process-pair's live handlers, killed together on takeover).
     """
 
-    __slots__ = ("name", "_generator", "_target", "_kill_pending")
+    __slots__ = ("name", "_generator", "_target", "_kill_pending", "_owners")
 
     def __init__(self, env: "Environment", generator, name: str = "",
-                 inline: bool = False):
+                 inline: bool = False, owners: Optional[set] = None):
         if not hasattr(generator, "send"):
             raise SimulationError(
                 f"Process requires a generator, got {generator!r}"
@@ -187,6 +191,9 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self._kill_pending: Optional[Any] = None
+        self._owners = owners
+        if owners is not None:
+            owners.add(self)
         if inline:
             # The caller may itself be a running process: restore it.
             outer = env._active_process
@@ -231,9 +238,14 @@ class Process(Event):
             self._kill_pending = reason
             return
         self._detach()
+        self._die(reason)
+
+    def _die(self, reason: Any) -> None:
         generator, self._generator = self._generator, None
         if generator is not None:
             generator.close()
+        if self._owners is not None:
+            self._owners.discard(self)
         self._ok = False
         self._value = ProcessKilled(reason)
         self.defused = True
@@ -255,7 +267,12 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         if self._generator is None:
             return  # killed while a resume was already scheduled
-        self._detach()
+        target = self._target
+        if target is not None and target.callbacks is not None:
+            # Woken by something other than its target (an interrupt).
+            self._detach()
+        else:
+            self._target = None
         self.env._active_process = self
         try:
             if event._ok:
@@ -273,13 +290,7 @@ class Process(Event):
             self.env._active_process = None
         if self._kill_pending is not None:
             reason, self._kill_pending = self._kill_pending, None
-            generator, self._generator = self._generator, None
-            if generator is not None:
-                generator.close()
-            self._ok = False
-            self._value = ProcessKilled(reason)
-            self.defused = True
-            self.env.schedule(self)
+            self._die(reason)
             return
         if not isinstance(target, Event):
             exc = SimulationError(
@@ -304,6 +315,8 @@ class Process(Event):
 
     def _finish(self, ok: bool, value: Any) -> None:
         self._generator = None
+        if self._owners is not None:
+            self._owners.discard(self)
         self._ok = ok
         self._value = value
         if ok and not self.callbacks:

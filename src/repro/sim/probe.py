@@ -65,6 +65,13 @@ class Probe:
         # record list per assertion is O(total records) each time.
         self._by_kind: Dict[str, List[TraceRecord]] = {}
 
+    @property
+    def recording(self) -> bool:
+        """True when :meth:`emit` builds a record: records are kept or a
+        subscriber listens.  A hot site that would format fields only
+        for the record tests this first and otherwise just counts."""
+        return self.keep_records or bool(self._subscribers)
+
     def count(self, name: str, n: int = 1) -> None:
         """Add ``n`` to the counter ``name``."""
         counts = self.counts

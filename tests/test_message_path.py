@@ -16,11 +16,13 @@ import pytest
 
 from repro.guardian import (
     Cluster,
+    ProcessDied,
     ProcessPair,
     ProcessUnavailable,
     RequestTimeout,
 )
 from repro.hardware import Latencies
+from repro.sim import ProcessKilled
 
 
 class EchoPair(ProcessPair):
@@ -458,3 +460,56 @@ class TestTakeoverRace:
         cluster.run(until=10.0)
         assert not worker.is_alive
         assert ticks == [1.0, 2.0]
+
+
+class TestHandlerOwnership:
+    """A handler is a member of ``_active_handlers`` while it runs."""
+
+    def test_handlers_leave_the_owner_set_when_they_finish(self):
+        cluster = make_cluster()
+        pair = EchoPair(cluster.os("alpha"), "$echo", 0, 1)
+        during = []
+
+        def client(proc):
+            # Finishes inside its inline first segment: no wait.
+            yield from proc.request("alpha", "$echo", {"n": 1})
+            during.append(len(pair._active_handlers))
+            yield from proc.request("alpha", "$echo", {"wait": 3.0})
+            during.append(len(pair._active_handlers))
+
+        def observer():
+            yield cluster.env.timeout(cluster.latencies.local_message * 4 + 1.0)
+            during.append(len(pair._active_handlers))
+
+        cluster.env.process(observer())
+        run_client(cluster, "alpha", client)
+        # Empty after each request; one handler while the waiting one ran.
+        assert during == [0, 1, 0]
+        assert pair._active_handlers == set()
+
+    def test_takeover_mid_request_kills_the_handler(self):
+        cluster = make_cluster()
+        pair = EchoPair(cluster.os("alpha"), "$echo", 0, 1)
+        in_flight = []
+
+        def fail_primary():
+            yield cluster.env.timeout(5.0)
+            in_flight.extend(pair._active_handlers)
+            cluster.node("alpha").fail_cpu(0)
+
+        cluster.env.process(fail_primary())
+
+        def client(proc):
+            try:
+                yield from proc.request("alpha", "$echo", {"wait": 10.0})
+            except ProcessDied:
+                return "died"
+            return "replied"
+
+        assert run_client(cluster, "alpha", client, cpu=2) == "died"
+        assert pair.takeovers == 1
+        assert len(in_flight) == 1
+        handler = in_flight[0]
+        assert not handler.is_alive
+        assert isinstance(handler.value, ProcessKilled)
+        assert pair._active_handlers == set()

@@ -4,9 +4,11 @@ import pytest
 
 from repro.sim import (
     AllOf,
+    Channel,
     Environment,
     Event,
     Interrupt,
+    Process,
     ProcessKilled,
     RandomStreams,
     SimulationError,
@@ -53,6 +55,21 @@ class TestTracer:
         assert probe.counts == {"tick": 2, "tick.extra": 3}
         assert probe.records == []
 
+    def test_recording_predicate(self):
+        env = Environment()
+        probe = env.probe
+        assert probe.recording
+        probe.keep_records = False
+        assert not probe.recording
+
+        def listener(record):
+            pass
+
+        probe.subscribe(listener)
+        assert probe.recording
+        probe.unsubscribe(listener)
+        assert not probe.recording
+
     def test_select_filters_fields(self):
         env = Environment()
         _emit_at(env, 1.0, "msg", node="a")
@@ -84,6 +101,44 @@ class TestTracer:
 
 
 class TestKernelEdges:
+    def test_owned_process_leaves_its_owners_when_it_ends(self):
+        env = Environment()
+        owners = set()
+
+        def quick():
+            return
+            yield  # pragma: no cover - generator marker
+
+        def slow():
+            yield env.timeout(5.0)
+
+        inline = Process(env, quick(), inline=True, owners=owners)
+        assert not inline.is_alive and owners == set()
+        finishing = Process(env, slow(), owners=owners)
+        killed = Process(env, slow(), owners=owners)
+        assert owners == {finishing, killed}
+        env.run(until=1.0)
+        killed.kill("test")
+        assert owners == {finishing}
+        env.run()
+        assert owners == set()
+
+    def test_parked_getter_resumes_inside_put(self):
+        env = Environment()
+        channel = Channel(env)
+        got = []
+
+        def getter():
+            got.append((yield channel.get()))
+
+        env.process(getter())
+        env.run()
+        before = env.events_processed
+        channel.put("item")
+        # Resumed in the putter's step: no engine event was needed.
+        assert got == ["item"]
+        assert env.events_processed == before
+
     def test_self_kill_via_cpu_failure_is_safe(self):
         """A process triggering a failure that kills itself dies at its
         next yield instead of crashing the kernel."""

@@ -44,6 +44,16 @@ class TestTransids:
         assert a < b
         assert len({a, b, Transid("alpha", 0, 1)}) == 2
 
+    def test_hash_is_the_field_tuple_hash(self):
+        # Sets and dicts of transids iterate in hash order: the hash is
+        # that of (home_node, cpu, sequence), so their order is stable.
+        transid = Transid("alpha", 2, 9)
+        assert hash(transid) == hash(("alpha", 2, 9))
+        assert (transid.home_node, transid.cpu, transid.sequence) == ("alpha", 2, 9)
+        assert sorted([Transid("b", 0, 1), Transid("a", 1, 1), Transid("a", 0, 2)]) == [
+            Transid("a", 0, 2), Transid("a", 1, 1), Transid("b", 0, 1)
+        ]
+
 
 class TestLegalTransitions:
     def test_figure3_edge_set(self):
