@@ -383,14 +383,13 @@ class AuditProcess(ProcessPair):
                 ]
             )
         self.forces += 1
-        metrics = self.env.metrics
-        if metrics is not None:
-            metrics.observe("audit.force_ms", self.env.now - t0)
-            transid = getattr(message.payload, "transid", None)
-            if transid is not None and self.env.now > t0:
-                metrics.spans.record(
-                    str(transid), "audit-force", "audit", t0, self.env.now
-                )
+        probe = self.env.probe
+        if probe.listening:
+            probe.note(
+                "phase", transid=getattr(message.payload, "transid", None),
+                name="audit-force", category="audit", start=t0,
+                histogram="audit.force_ms",
+            )
         proc.reply(message, {"ok": True, "trail_records": self.trail.total_records})
 
     def _records_for(self, transid: Transid) -> List[AuditRecord]:

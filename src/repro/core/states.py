@@ -123,15 +123,20 @@ class StateBroadcaster:
         "once the 'ended' state has completed, the transid leaves the
         system" — but the transition itself is validated and traced.
         """
-        current = self.current_state(transid)
+        # Liveness is read once: the current state comes from the same
+        # live tables, in CPU order, that the broadcast then writes.
+        live = [self.tables[cpu.number] for cpu in self.node.alive_cpus()]
+        current = None
+        for table in live:
+            current = table.get(transid)
+            if current is not None:
+                break
         if new_state not in LEGAL_TRANSITIONS[current]:
             raise IllegalTransition(transid, current, new_state)
-        live = self.node.alive_cpus()
-        for cpu in live:
-            table = self.tables[cpu.number]
+        for table in live:
             if not table and current is not None:
                 # Freshly restored CPU: re-seed from a survivor.
-                source = self._survivor_table(exclude=cpu.number)
+                source = next((other for other in live if other), None)
                 if source is not None:
                     table.update(source)
             table[transid] = new_state
@@ -153,12 +158,6 @@ class StateBroadcaster:
             for table in self.tables.values():
                 table.pop(transid, None)
         return self.node.latencies.bus_broadcast
-
-    def _survivor_table(self, exclude: int) -> Optional[Dict[Transid, TxState]]:
-        for cpu in self.node.cpus:
-            if cpu.up and cpu.number != exclude and self.tables[cpu.number]:
-                return self.tables[cpu.number]
-        return None
 
     def live_transids(self) -> List[Transid]:
         seen: Dict[Transid, TxState] = {}

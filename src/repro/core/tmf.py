@@ -183,9 +183,11 @@ class TmfNode:
         """Broadcast a state change, consume its bus time, span it."""
         t0 = self.env.now
         yield self.env.timeout(self.broadcaster.broadcast(transid, new_state))
-        metrics = self.env.metrics
-        if metrics is not None and self.env.now > t0:
-            metrics.spans.record(str(transid), span_name, "bus", t0, self.env.now)
+        probe = self.env.probe
+        if probe.listening:
+            probe.note(
+                "phase", transid=transid, name=span_name, category="bus", start=t0
+            )
 
     # ------------------------------------------------------------------
     # Application entry points (generator helpers)
@@ -194,14 +196,11 @@ class TmfNode:
         """BEGIN-TRANSACTION: new transid, broadcast 'active' node-wide."""
         transid = self.generator.next(proc.cpu.number)
         self._new_record(transid, home=True, origin_cpu=proc.cpu.number)
-        hub = self.env.trace
-        if hub is not None:
-            # Root (or re-root, on restart) the caller's trace at this
-            # transid: a TCP unit's serve span becomes the trace's root.
-            hub.adopt(transid)
-        metrics = self.env.metrics
-        if metrics is not None:
-            metrics.tx_begin(str(transid), self.env.now)
+        probe = self.env.probe
+        if probe.listening:
+            # XRAY opens the transaction's span tree; TRACE roots (or
+            # re-roots, on restart) the caller's trace at this transid.
+            probe.note("tx.begin", transid=transid)
         yield from self._broadcast_timed(transid, TxState.ACTIVE, "begin")
         self._trace("begin_transaction", transid=str(transid))
         return transid
@@ -550,11 +549,9 @@ class TmfNode:
         yield record.settled_event
 
     def _finish_settle(self, record: TransactionRecord, done: str) -> None:
-        metrics = self.env.metrics
-        if metrics is not None:
-            # First settler (home node, normally) closes the span tree;
-            # later settlers of a distributed transaction no-op.
-            metrics.tx_end(str(record.transid), self.env.now, done)
+        probe = self.env.probe
+        if probe.listening:
+            probe.note("tx.end", transid=record.transid, outcome=done)
         record.done = done
         record.settling = False
         event, record.settled_event = record.settled_event, None

@@ -134,14 +134,11 @@ class LockManager:
         raise LockTimeout(transid, target)
 
     def _observe_wait(self, transid: Any, wait_start: float) -> None:
-        metrics = self.env.metrics
-        if metrics is None:
-            return
-        waited = self.env.now - wait_start
-        metrics.observe("lock.wait_ms", waited)
-        if waited > 0:
-            metrics.spans.record(
-                str(transid), "lock-wait", "lock", wait_start, self.env.now
+        probe = self.env.probe
+        if probe.listening:
+            probe.note(
+                "phase", transid=transid, name="lock-wait", category="lock",
+                start=wait_start, histogram="lock.wait_ms",
             )
 
     def _grant(self, transid: Any, target: LockTarget) -> None:

@@ -301,20 +301,13 @@ class DiscProcess(ProcessPair):
                 return
             io_start = self.env.now
             yield from self._charge_io(snapshot)
-            self.env.probe.count(f"disc.ops.{op_name(message.payload)}")
-            metrics = self.env.metrics
-            if metrics is not None:
-                io_ms = self.env.now - io_start
-                if io_ms > 0:
-                    metrics.observe("disc.op_ms", io_ms)
-                    if message.transid is not None:
-                        metrics.spans.record(
-                            str(message.transid),
-                            "disc-io",
-                            "disc",
-                            io_start,
-                            self.env.now,
-                        )
+            probe = self.env.probe
+            probe.count(f"disc.ops.{op_name(message.payload)}")
+            if probe.listening and self.env.now > io_start:
+                probe.note(
+                    "phase", transid=message.transid, name="disc-io",
+                    category="disc", start=io_start, histogram="disc.op_ms",
+                )
             proc.reply(message, reply)
         finally:
             self.pending_requests -= 1
@@ -778,9 +771,9 @@ class DiscProcess(ProcessPair):
         that force.
         """
         pending = self.state["unforwarded"]
-        metrics = self.env.metrics
-        if metrics is not None:
-            metrics.observe("boxcar.occupancy", len(pending))
+        probe = self.env.probe
+        if probe.listening:
+            probe.note("observe", name="boxcar.occupancy", value=len(pending))
         if len(pending) >= BOXCAR_RECORDS and self._forward_event is None:
             self.spawn(self._flush_once(proc, FLUSH_MAX_RECORDS), "boxcar")
 
@@ -801,11 +794,12 @@ class DiscProcess(ProcessPair):
         """Serve ForceBoxcar: phase one's explicit drain (group commit)."""
         start = self.env.now
         flushed = yield from self._drain_boxcar(proc, FLUSH_FORCE)
-        self.env.probe.count("boxcar.forces")
-        metrics = self.env.metrics
-        if metrics is not None and payload.transid is not None and self.env.now > start:
-            metrics.spans.record(
-                str(payload.transid), "boxcar-drain", "disc", start, self.env.now
+        probe = self.env.probe
+        probe.count("boxcar.forces")
+        if probe.listening:
+            probe.note(
+                "phase", transid=payload.transid, name="boxcar-drain",
+                category="disc", start=start,
             )
         return {"ok": True, "flushed": flushed}
 
@@ -858,9 +852,9 @@ class DiscProcess(ProcessPair):
                 self._forwarded_seqs.append(record.seq)
             self.audit_batches_sent += 1
             self.audit_records_forwarded += len(batch)
-            metrics = self.env.metrics
-            if metrics is not None:
-                metrics.observe("boxcar.batch_records", len(batch))
+            probe = self.env.probe
+            if probe.listening:
+                probe.note("observe", name="boxcar.batch_records", value=len(batch))
             self._trace("boxcar_flush", reason=reason, records=len(batch))
         return len(batch)
 

@@ -58,6 +58,8 @@ class EncompassSystem:
         self.server_classes: Dict[Tuple[str, str], ServerClass] = {}
         self.tcps: Dict[Tuple[str, str], TerminalControlProcess] = {}
         self.pathway_monitors: Dict[str, PathwayMonitor] = {}
+        #: the XRAY registry, subscribed to the probe when measured.
+        self.metrics: Optional[MetricsRegistry] = None
         self.sampler: Optional[Sampler] = None
         self.trace_collector: Optional[TraceCollector] = None
         self.watchdog: Optional[Watchdog] = None
@@ -72,11 +74,6 @@ class EncompassSystem:
     def probe(self):
         """The run's always-on counters and record stream."""
         return self.cluster.env.probe
-
-    @property
-    def metrics(self):
-        """The XRAY registry (None when unmeasured)."""
-        return self.cluster.metrics
 
     def node_os(self, node: str) -> NodeOs:
         return self.cluster.os(node)
@@ -210,16 +207,16 @@ class SystemBuilder:
         trace: bool = False,
         watchdog: Any = None,
     ):
-        metrics = MetricsRegistry() if measure else None
-        self.cluster = Cluster(
-            seed=seed, keep_trace=keep_trace, metrics=metrics, trace=trace
-        )
+        self.cluster = Cluster(seed=seed, keep_trace=keep_trace)
         self.dictionary = DataDictionary()
         self.system = EncompassSystem(self.cluster, self.dictionary)
+        # XRAY and TRACE are the probe's subscribers, subscribed before
+        # any construction emits so they see the stream from time zero.
+        if measure:
+            self.system.metrics = MetricsRegistry()
+            self.cluster.env.probe.subscribe(self.system.metrics.on_record)
         if trace:
-            # Subscribe before any construction emits, so the collector
-            # sees the whole record stream from time zero.
-            self.system.trace_collector = TraceCollector(self.cluster.trace_hub)
+            self.system.trace_collector = TraceCollector(self.cluster.env)
         # ``watchdog`` accepts True (default thresholds) or a
         # :class:`WatchdogConfig`; installed in :meth:`build`.
         self.watchdog_config: Optional[WatchdogConfig] = None
@@ -408,7 +405,7 @@ class SystemBuilder:
         node_os = self.cluster.os(ddl_node)
         proc = node_os.spawn("$ddl", 0, ddl, register=False)
         self.cluster.run(proc.sim_process)
-        if self.cluster.metrics is not None:
+        if self.system.metrics is not None:
             # Utilization sampling only on measured runs: the sampler is
             # read-only with respect to simulated state, so the event
             # history replays identically, but its events would still

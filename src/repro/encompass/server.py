@@ -209,15 +209,15 @@ class ServerClass:
             message = yield from proc.receive()
             context = ServerContext(proc, self.client, message)
             handle_start = self.env.now
-            # Causal tracing: one serve span per request, on the server
-            # instance's own track (single-threaded, so the loop process
-            # holds at most one active context at a time).
-            hub = self.env.trace
-            trace_ctx = None
-            if hub is not None:
-                trace_ctx = hub.serve_begin(
-                    message, node=self.node_os.node.name,
-                    proc_name=proc.name, cpu=proc.cpu.number,
+            # Each request is served between two notes (one serve span
+            # for TRACE, on the instance's own track: the loop serves one
+            # request at a time).
+            probe = self.env.probe
+            listening = probe.listening
+            if listening:
+                probe.note(
+                    "serve.begin", message=message, node=self.node_os.node.name,
+                    proc=proc.name, cpu=proc.cpu.number,
                 )
             try:
                 reply = yield from self.handler(context, message.payload)
@@ -237,13 +237,15 @@ class ServerClass:
                                      "detail": f"{type(exc).__name__}: {exc}"})
                 continue
             finally:
-                if hub is not None:
-                    hub.serve_end(trace_ctx)
+                if listening:
+                    probe.note("serve.end", message=message)
             self.requests_served += 1
-            self.env.probe.count("server.requests")
-            metrics = self.env.metrics
-            if metrics is not None:
-                metrics.observe("server.handle_ms", self.env.now - handle_start)
+            probe.count("server.requests")
+            if listening:
+                probe.note(
+                    "observe", name="server.handle_ms",
+                    value=self.env.now - handle_start,
+                )
             proc.reply(message, reply if reply is not None else {"ok": True})
 
 

@@ -226,9 +226,8 @@ class TerminalControlProcess(ProcessPair):
         restarts = result.get("attempts", 1) - 1
         if restarts > 0:
             probe.count("unit.restarts", restarts)
-        metrics = self.env.metrics
-        if metrics is not None:
-            metrics.observe("unit.latency_ms", self.env.now - unit_start)
+        if probe.listening:
+            probe.note("observe", name="unit.latency_ms", value=self.env.now - unit_start)
         yield from self.checkpoint_update(
             "completed", updates={message.msg_id: result}
         )

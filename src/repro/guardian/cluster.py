@@ -28,23 +28,9 @@ class Cluster:
         seed: int = 0,
         latencies: Optional[Latencies] = None,
         keep_trace: bool = True,
-        metrics: Optional[Any] = None,
-        trace: bool = False,
     ):
         self.env = Environment()
-        # The XRAY metrics registry rides on the environment so every
-        # layer can probe it without plumbing; None = unmeasured run.
-        self.metrics = metrics
-        self.env.metrics = metrics
         self.env.probe.keep_records = keep_trace
-        # The causal-tracing hub rides on the environment the same way;
-        # None = untraced run.  (Lazy import: guardian must stay
-        # importable below repro.trace.)
-        self.trace_hub: Optional[Any] = None
-        if trace:
-            from ..trace.context import TraceHub
-            self.trace_hub = TraceHub(self.env)
-        self.env.trace = self.trace_hub
         self.streams = RandomStreams(seed)
         self.latencies = latencies or Latencies()
         self.network = Network(self.env, self.latencies)

@@ -106,8 +106,9 @@ class Message:
         self.deadline = _NEVER
         self.source_cpu = 0
         self.dest_cpu = 0
-        #: trace context stamped by the TraceHub on traced runs (None on
-        #: untraced runs and on untraced background chatter).
+        #: the request's span, stamped by a probe subscriber on its
+        #: ``rpc.send`` note (the TRACE collector does; None on untraced
+        #: runs and on untraced background chatter).
         self.trace_ctx: Optional[Any] = None
 
     def __repr__(self) -> str:
@@ -330,22 +331,21 @@ class MessageSystem:
         )
         message.source_cpu = caller.cpu.number
         message.timeout = timeout
-        hub = self.env.trace
-        if hub is None:
+        probe = self.env.probe
+        if not probe.listening:
             reply = yield self._post(message)
             return reply
-        # Causal tracing: allocate the request's span as a child of the
-        # sender's active context and stamp it onto the message, so the
-        # serving side (possibly on another node) can link up.
-        trace_ctx = hub.on_send(message, message.source_cpu)
+        # A subscriber may stamp the request's span onto the message
+        # here (TRACE does), so the serving side, possibly on another
+        # node, can link up.
+        probe.note("rpc.send", message=message)
         try:
             reply = yield self._post(message)
             return reply
         finally:
-            # The requester-observed end of the span: reply, error, or
-            # the caller's death (GeneratorExit runs this too).
-            if trace_ctx is not None:
-                hub.on_rpc_done(trace_ctx)
+            # The requester-observed end: reply, error, or the caller's
+            # death (GeneratorExit runs this too).
+            probe.note("rpc.done", message=message)
 
     def _post(self, message: Message) -> Event:
         """Account the request's transit and start its timer.

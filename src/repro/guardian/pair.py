@@ -117,24 +117,23 @@ class ProcessPair:
     def _start_handler(self, proc: OsProcess, message: Message) -> None:
         """Start the request's handler inside the delivering step."""
         work = self.serve_request(proc, message)
-        if self.env.trace is not None:
-            work = self._traced(proc, message, work)
+        if self.env.probe.listening:
+            work = self._noted(proc, message, work)
         Process(self.env, work, self.name, inline=True, owners=self._active_handlers)
 
-    def _traced(self, proc: OsProcess, message: Message, work: Generator) -> Generator:
-        # Causal tracing: the sub-handler is one serve span, child of
-        # the message's send span.  The span closes even when the
-        # handler is killed mid-request (takeover): GeneratorExit runs
-        # the finally, and serve_end only emits — it never yields.
-        hub = self.env.trace
-        ctx = hub.serve_begin(
-            message, node=self.node_name, proc_name=self.name,
-            cpu=proc.cpu.number,
+    def _noted(self, proc: OsProcess, message: Message, work: Generator) -> Generator:
+        # The sub-handler serves between two notes (one serve span for
+        # TRACE).  The end is noted even when the handler is killed
+        # mid-request (takeover): GeneratorExit runs the finally.
+        probe = self.env.probe
+        probe.note(
+            "serve.begin", message=message, node=self.node_name,
+            proc=self.name, cpu=proc.cpu.number,
         )
         try:
             yield from work
         finally:
-            hub.serve_end(ctx)
+            probe.note("serve.end", message=message)
 
     def spawn(self, work: Generator, suffix: str, inline: bool = False) -> Process:
         """Run ``work`` as a coroutine that dies with this primary.

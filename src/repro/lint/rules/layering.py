@@ -7,14 +7,13 @@ The stack must keep Figure 1/2's shape::
 
 A module may import repro packages at its own tier or below, never
 above.  The measurement subsystems (``measure``, ``trace``) sit outside
-the stack: runtime code reaches them only through the environment —
-the XRAY registry ``env.metrics`` and the TRACE hub ``env.trace``, each
-``None`` when off — and counts and events go through the always-on
-``env.probe`` of ``repro.sim``.  A direct import is legal only in the
-composition roots that *install* the registry and hub (and the one
-Histogram convergence point from PR 1).  ``repro.lint`` and
-``repro.bench`` are tooling: nothing imports them, and they import the
-stack freely.
+the stack: they are subscribers of the always-on ``env.probe`` of
+``repro.sim``, and the stack reaches them only by counting, emitting
+and noting on that one stream.  A direct import is legal only in the
+composition root that *subscribes* them (``encompass.config``) and the
+documented convergence points (the workload drivers' Histogram and the
+shared table renderer).  ``repro.lint`` and ``repro.bench`` are
+tooling: nothing imports them, and they import the stack freely.
 """
 
 from __future__ import annotations
@@ -40,19 +39,18 @@ RANKS = {
     "workloads": 6,
 }
 
-#: packages reachable only via env.metrics / env.trace.
+#: probe subscribers: the stack reaches them only through env.probe.
 PROBE_PACKAGES = frozenset({"measure", "trace"})
 
 #: tool packages: they import the stack freely, nothing imports them.
 TOOLING_PACKAGES = frozenset({"lint", "bench"})
 
-#: modules allowed to import measure/trace directly: the two
-#: composition roots that install the probes onto the environment
-#: (cluster, config), plus the documented convergence points — the
-#: Histogram of PR 1 (drivers) and the shared table renderer (sweep).
+#: modules allowed to import measure/trace directly: the composition
+#: root that subscribes them to the probe (config), plus the documented
+#: convergence points — the workload drivers' Histogram and the shared
+#: table renderer (sweep).
 PROBE_IMPORT_ALLOWLIST = frozenset(
     {
-        ("repro", "guardian", "cluster"),
         ("repro", "encompass", "config"),
         ("repro", "workloads", "drivers"),
         ("repro", "workloads", "sweep"),
@@ -65,8 +63,8 @@ class LayeringRule(Rule):
     name = "layering"
     description = (
         "imports must follow sim -> hardware -> guardian -> discprocess -> "
-        "core -> encompass -> apps/workloads; measure/trace only via the "
-        "env probe convention"
+        "core -> encompass -> apps/workloads; measure/trace only as "
+        "env.probe subscribers"
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
@@ -121,8 +119,8 @@ class LayeringRule(Rule):
             return self.finding(
                 module,
                 node,
-                f"direct import of repro.{target} from {own} — reach it "
-                f"through env.{'metrics' if target == 'measure' else 'trace'}",
+                f"direct import of repro.{target} from {own} — note on "
+                f"env.probe; repro.{target} subscribes to it",
             )
         own_rank = RANKS.get(own)
         target_rank = RANKS.get(target)

@@ -1,20 +1,20 @@
 """Rule ``probe-coverage``: guardian send paths must reach a probe.
 
-Observability rides the environment: the always-on ``env.probe``
-(counters and the record stream) and the TRACE hub ``env.trace``.  The
-convention only works if every send/rpc path actually *reaches* one —
-a new message path added without a probe is invisible to the counters,
-the XRAY report and the causal tracer, and nothing at runtime notices.
+Observability rides the environment: the always-on ``env.probe`` is
+the one channel (counters, records and the notes its XRAY and TRACE
+subscribers fold).  The convention only works if every send/rpc path
+actually *reaches* it — a new message path added without a probe is
+invisible to the counters, the XRAY report and the causal tracer, and
+nothing at runtime notices.
 
 A function in ``repro/guardian/`` is a **send path** if it constructs a
 ``Message``, calls ``record_transfer`` (bus/transit accounting), or
 calls ``accept`` (delivery into an inbox).  Every send path must be
-*probe-covered*: its body reads ``<...>.env.probe`` or
-``<...>.env.trace``, or it calls — by name, to fixpoint across the
-scanned files — a function that is.  Delegation is the norm
-(``reply`` probes via ``_transit_latency``), so coverage propagates
-through the static call graph rather than demanding a probe per
-function.
+*probe-covered*: its body reads ``<...>.env.probe``, or it calls — by
+name, to fixpoint across the scanned files — a function that is.
+Delegation is the norm (``reply`` probes via ``_transit_latency``), so
+coverage propagates through the static call graph rather than
+demanding a probe per function.
 
 BOXCAR extended the convention into ``repro/discprocess/``: the audit
 boxcar forwards off the operation's critical path, so an unprobed flush
@@ -35,8 +35,6 @@ from ..base import Finding, ModuleInfo, Rule, register
 
 __all__ = ["ProbeCoverageRule"]
 
-#: attribute names whose read constitutes a probe.
-_PROBE_ATTRS = frozenset({"probe", "trace"})
 
 #: call targets that make a guardian function a send path.
 _SEND_MARKERS = frozenset({"record_transfer", "accept"})
@@ -100,11 +98,11 @@ def _is_coroutine(func: ast.AST) -> bool:
 
 
 def _has_direct_probe(func: ast.AST) -> bool:
-    """True when the body reads ``<...>.env.probe`` or ``<...>.env.trace``."""
+    """True when the body reads ``<...>.env.probe``."""
     for node in ast.walk(func):
         if (
             isinstance(node, ast.Attribute)
-            and node.attr in _PROBE_ATTRS
+            and node.attr == "probe"
             and isinstance(node.value, (ast.Name, ast.Attribute))
         ):
             base = node.value
@@ -120,7 +118,7 @@ class ProbeCoverageRule(Rule):
     description = (
         "every guardian send/rpc path (Message construction, transit "
         "accounting, inbox delivery) and every discprocess boxcar/audit-"
-        "shipping path must reach an env.probe/env.trace probe, "
+        "shipping path must reach env.probe, "
         "directly or through its callees"
     )
 
@@ -167,9 +165,8 @@ class ProbeCoverageRule(Rule):
             yield self.finding(
                 module,
                 func,
-                f"send path {qualname}() has no env.probe/env.trace "
-                f"probe on any static call path — count or emit it "
-                f"through env.probe",
+                f"send path {qualname}() reaches env.probe on no static "
+                f"call path — count or emit it through env.probe",
             )
         self._required = []
 

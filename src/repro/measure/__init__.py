@@ -4,7 +4,7 @@ Simulation-time observability for the reproduction, named for Tandem's
 XRAY performance monitor (the tool ENCOMPASS operators used to watch
 CPU, bus, disc, and process activity on a live system):
 
-* :mod:`repro.measure.registry` — gauges and log-scale histograms
+* :mod:`repro.measure.registry` — log-scale histograms
   (p50/p90/p99 without storing samples);
 * :mod:`repro.measure.spans` — per-transaction phase spans and the
   critical-path breakdown of where latency went;
@@ -13,11 +13,10 @@ CPU, bus, disc, and process activity on a live system):
 * :mod:`repro.measure.report` — deterministic JSON run reports and the
   human-readable "XRAY screen".
 
-Enable it with ``SystemBuilder(measure=True)``; unmeasured systems carry
-``env.metrics = None`` and every site that feeds it skips the work.
-Counts are always on in every run: they live in ``env.probe.counts``
-(:class:`repro.sim.Probe`), and the report's ``counters`` section reads
-them from there.
+Enable it with ``SystemBuilder(measure=True)``, which subscribes a
+:class:`MetricsRegistry` to the run's one stream, ``env.probe``
+(:class:`repro.sim.Probe`).  Counts are always on in every run: the
+report's ``counters`` section reads ``env.probe.counts``.
 """
 
 from .registry import Histogram, MetricsRegistry

@@ -1,15 +1,11 @@
-"""Measured-only metrics: gauges, log-scale histograms, and spans.
+"""Measured-only metrics: log-scale histograms and spans.
 
 The XRAY measurement subsystem's data model.  A :class:`MetricsRegistry`
-holds what only a measured run keeps; the sites that feed it reach it as
-``env.metrics`` and record through three verbs — ``set_gauge``,
-``observe`` (histogram), and the transaction span hooks
-``tx_begin``/``tx_end``.
-
-Unmeasured runs carry ``env.metrics = None``, so each feeding site pays
-one ``is not None`` test — pay-for-what-you-measure.  Counts are not
-kept here: every run counts through the always-on ``env.probe``
-(:class:`repro.sim.Probe`).
+holds what only a measured run keeps.  ``SystemBuilder(measure=True)``
+subscribes :meth:`MetricsRegistry.on_record` to the run's
+``env.probe``, where it folds the ``tx.begin``/``tx.end``, ``phase``
+and ``observe`` notes into the span log and the histograms.  Counts are
+not kept here: every run counts through the always-on probe.
 
 The :class:`Histogram` uses fixed log-scale buckets (a configurable
 number per decade), so p50/p90/p99 are computed without storing samples:
@@ -20,7 +16,7 @@ sample quantile, and count/mean/min/max are exact.
 from __future__ import annotations
 
 import math
-from typing import Dict
+from typing import Any, Dict
 
 from .spans import SpanLog
 
@@ -158,17 +154,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """The measured-only state of one run: gauges, histograms, spans, samples."""
+    """The measured-only state of one run: histograms, spans, samples."""
 
     def __init__(self):
-        self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.samples: list = []          # appended by measure.sampler
         self.spans = SpanLog()
-
-    # -- verbs ----------------------------------------------------------
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
 
     def histogram(self, name: str) -> Histogram:
         """The named histogram, created on first use."""
@@ -177,14 +168,36 @@ class MetricsRegistry:
             hist = self.histograms[name] = Histogram(name)
         return hist
 
-    def observe(self, name: str, value: float) -> None:
-        self.histogram(name).record(value)
+    def on_record(self, record: Any) -> None:
+        """Fold one note of the probe stream; other records pass by.
 
-    # -- transaction span hooks ----------------------------------------
-    def tx_begin(self, key: str, t: float) -> None:
-        self.spans.begin_tx(key, t)
-
-    def tx_end(self, key: str, t: float, outcome: str = "committed") -> None:
-        finished = self.spans.end_tx(key, t, outcome)
-        if finished is not None:
-            self.observe("tx.latency_ms", finished.latency)
+        A ``phase`` ending now is one sample of its ``histogram`` (when
+        named) and, for a transaction and a nonzero duration, one span
+        of the transaction's tree.
+        """
+        kind = record.kind
+        if kind == "phase":
+            fields = record.fields
+            start = fields["start"]
+            histogram = fields.get("histogram")
+            if histogram is not None:
+                self.histogram(histogram).record(record.time - start)
+            transid = fields["transid"]
+            if transid is not None and record.time > start:
+                self.spans.record(
+                    str(transid), fields["name"], fields["category"],
+                    start, record.time,
+                )
+        elif kind == "observe":
+            self.histogram(record.fields["name"]).record(record.fields["value"])
+        elif kind == "tx.begin":
+            self.spans.begin_tx(str(record.fields["transid"]), record.time)
+        elif kind == "tx.end":
+            fields = record.fields
+            # The first settler closes the tree; later settlers of a
+            # distributed transaction no-op.
+            finished = self.spans.end_tx(
+                str(fields["transid"]), record.time, fields["outcome"]
+            )
+            if finished is not None:
+                self.histogram("tx.latency_ms").record(finished.latency)

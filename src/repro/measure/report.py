@@ -12,9 +12,7 @@ Works on unmeasured systems too: the counters and the volume, TMF, and
 audit statistics are always on; only the gauge/histogram/span/sample
 sections come back empty.
 
-No top-level imports from the rest of ``repro`` — the table renderer is
-imported lazily inside :func:`render_report` to keep this module
-cycle-free.
+Imports nothing outside :mod:`repro.measure`, so it stays cycle-free.
 """
 
 from __future__ import annotations
@@ -31,9 +29,11 @@ __all__ = ["build_report", "to_json", "render_report", "write_report"]
 def build_report(system: Any) -> Dict[str, Any]:
     """A JSON-friendly report of everything ``system`` measured."""
     env = system.env
-    measured = env.metrics is not None
-    registry = env.metrics if measured else MetricsRegistry()
+    measured = system.metrics is not None
+    registry = system.metrics if measured else MetricsRegistry()
     counts = env.probe.counts
+    # The gauges are the latest sample's utilizations.
+    latest = registry.samples[-1]["utilization"] if registry.samples else {}
     report: Dict[str, Any] = {
         "meta": {
             "nodes": list(system.cluster.node_names),
@@ -43,7 +43,7 @@ def build_report(system: Any) -> Dict[str, Any]:
             "samples": len(registry.samples),
         },
         "counters": {k: counts[k] for k in sorted(counts)},
-        "gauges": {k: registry.gauges[k] for k in sorted(registry.gauges)},
+        "gauges": {f"util.{k}": latest[k] for k in sorted(latest)},
         "histograms": {
             k: registry.histograms[k].summary()
             for k in sorted(registry.histograms)

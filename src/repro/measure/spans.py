@@ -21,7 +21,6 @@ from any layer without cycles.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Dict, List, Optional
 
 __all__ = ["Span", "SpanLog", "CATEGORIES"]
@@ -33,10 +32,6 @@ CATEGORIES = ("cpu", "bus", "disc", "lock", "audit", "other")
 #: (defensive: a workload that begins but never ends transactions must
 #: not grow memory without limit)
 MAX_OPEN_TX = 4096
-
-#: per-transaction breakdowns kept for inspection (aggregates are exact
-#: regardless; this only bounds the ``recent`` deque)
-RECENT_LIMIT = 1024
 
 
 class Span:
@@ -130,7 +125,6 @@ class SpanLog:
         self._open: Dict[str, Span] = {}       # key -> open root span
         self.finished = 0
         self.dropped = 0
-        self.recent: deque = deque(maxlen=RECENT_LIMIT)
         # Aggregates across all finished transactions:
         self.totals: Dict[str, float] = {c: 0.0 for c in CATEGORIES}
         self.total_latency = 0.0
@@ -195,7 +189,6 @@ class SpanLog:
         self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
         for category, value in record.breakdown.items():
             self.totals[category] += value
-        self.recent.append(record)
         return record
 
     # ------------------------------------------------------------------

@@ -29,9 +29,9 @@ class Environment:
     """Execution environment for a single simulation run.
 
     ``__slots__`` keeps the per-step attribute traffic (``_now``,
-    ``_queue``, ``events_processed``, the ``probe``/``metrics``/``trace``
-    reads) on the fast path; the slot list is the complete attribute
-    surface of an environment.
+    ``_queue``, ``events_processed``, the ``probe`` reads) on the fast
+    path; the slot list is the complete attribute surface of an
+    environment.
     """
 
     __slots__ = (
@@ -40,8 +40,6 @@ class Environment:
         "_eid",
         "_active_process",
         "probe",
-        "metrics",
-        "trace",
         "events_processed",
         "topology_epoch",
     )
@@ -53,14 +51,6 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: the run's always-on counters and record stream.
         self.probe = Probe(self)
-        #: XRAY registry of the owning run: histograms, gauges, spans and
-        #: samples (set by the cluster when measurement is enabled; None
-        #: means unmeasured — the sites that feed it guard on this).
-        self.metrics: Optional[Any] = None
-        #: trace hub of the owning run (set by the cluster when causal
-        #: tracing is enabled; None means untraced — same guard pattern
-        #: as ``metrics``).
-        self.trace: Optional[Any] = None
         self.events_processed = 0
         #: bumped by every hardware up/down transition, so caches derived
         #: from the topology (the network's routes) can tell they are stale.

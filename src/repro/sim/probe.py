@@ -1,27 +1,45 @@
 """The one observability channel of a simulation run.
 
 Every :class:`~repro.sim.Environment` carries a :class:`Probe` as
-``env.probe``, so every layer reaches it without plumbing.  It has two
-verbs:
+``env.probe``, so every layer reaches it without plumbing.  It has
+three verbs:
 
 * :meth:`Probe.count` -- an always-on named counter, a plain dict
   increment into ``probe.counts``;
 * :meth:`Probe.emit` -- one structured occurrence: it counts ``kind``
   and, when records are kept or a subscriber listens, builds a
-  :class:`TraceRecord` stamped with the simulated time.
+  :class:`TraceRecord` stamped with the simulated time;
+* :meth:`Probe.note` -- an uncounted, unkept occurrence of
+  :data:`NOTE_KINDS` for the subscribers only.  A site tests
+  ``probe.listening`` first, so a run with no subscriber pays one
+  attribute read per site.
 
-Experiments assert on the records (e.g. "every state transition
-observed is an edge of Figure 3"); the TRACE collector and the watchdog
-subscribe to the stream; the benchmark harness, the XRAY report and
-TMFCOM read the counts.
+The XRAY registry (:mod:`repro.measure`), the TRACE collector and
+watchdog (:mod:`repro.trace`) and test captures subscribe to the
+stream; the stack imports none of them.  The benchmark harness, the
+XRAY report and TMFCOM read the counts.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-__all__ = ["Probe", "TraceRecord"]
+__all__ = ["NOTE_KINDS", "Probe", "TraceRecord"]
+
+#: kinds of :meth:`Probe.note`, with their fields.
+NOTE_KINDS = frozenset({
+    "tx.begin",      # transid: a transaction began on its home node
+    "tx.end",        # transid, outcome: a participant settled it
+    "phase",         # transid, name, category, start, histogram: a timed
+                     # phase that ends now
+    "observe",       # name, value: one histogram sample
+    "rpc.send",      # message: a request leaves its requester
+    "rpc.done",      # message: the requester stops waiting for it
+    "serve.begin",   # message, node, proc, cpu: a server takes a request
+    "serve.end",     # message: it has finished with it
+})
 
 
 @dataclass(frozen=True)
@@ -60,6 +78,8 @@ class Probe:
         self.counts: Dict[str, int] = {}
         self.records: List[TraceRecord] = []
         self._subscribers: List[Callable[[TraceRecord], None]] = []
+        #: True while any subscriber is registered.
+        self.listening = False
         # Per-kind index over ``records``: experiment assertions select by
         # kind over and over, and a linear scan of a long run's full
         # record list per assertion is O(total records) each time.
@@ -70,7 +90,7 @@ class Probe:
         """True when :meth:`emit` builds a record: records are kept or a
         subscriber listens.  A hot site that would format fields only
         for the record tests this first and otherwise just counts."""
-        return self.keep_records or bool(self._subscribers)
+        return self.keep_records or self.listening
 
     def count(self, name: str, n: int = 1) -> None:
         """Add ``n`` to the counter ``name``."""
@@ -81,7 +101,7 @@ class Probe:
         """Count an occurrence of ``kind`` and stream it at the current time."""
         counts = self.counts
         counts[kind] = counts.get(kind, 0) + 1
-        if not self.keep_records and not self._subscribers:
+        if not self.keep_records and not self.listening:
             return
         record = TraceRecord(time=self.env._now, kind=kind, fields=fields)
         if self.keep_records:
@@ -90,9 +110,20 @@ class Probe:
         for subscriber in self._subscribers:
             subscriber(record)
 
+    def note(self, kind: str, **fields: Any) -> None:
+        """Stream an uncounted, unkept occurrence to the subscribers.
+
+        ``kind`` is one of :data:`NOTE_KINDS`.  Callers test
+        ``listening`` first, so an unobserved run builds nothing.
+        """
+        record = TraceRecord(time=self.env._now, kind=kind, fields=fields)
+        for subscriber in self._subscribers:
+            subscriber(record)
+
     def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
-        """Invoke ``callback`` for every future record."""
+        """Invoke ``callback`` for every future record and note."""
         self._subscribers.append(callback)
+        self.listening = True
 
     def unsubscribe(self, callback: Callable[[TraceRecord], None]) -> None:
         """Stop invoking ``callback``.  Unknown callbacks are ignored.
@@ -107,9 +138,12 @@ class Probe:
             self._subscribers.remove(callback)
         except ValueError:
             pass
+        self.listening = bool(self._subscribers)
 
-    def capture(self, kind: Optional[str] = None, **criteria: Any) -> "_Capture":
-        """Context manager collecting matching records while active::
+    @contextmanager
+    def capture(self, kind: Optional[str] = None,
+                **criteria: Any) -> Iterator[List[TraceRecord]]:
+        """Collect the matching records streamed while active::
 
             with env.probe.capture("takeover", node="alpha") as records:
                 ...  # run some simulation
@@ -118,7 +152,17 @@ class Probe:
         The subscription is removed on exit, so captures are safe on
         ``keep_records=False`` runs.
         """
-        return _Capture(self, kind, criteria)
+        records: List[TraceRecord] = []
+
+        def collect(record: TraceRecord) -> None:
+            if (kind is None or record.kind == kind) and _matches(record, criteria):
+                records.append(record)
+
+        self.subscribe(collect)
+        try:
+            yield records
+        finally:
+            self.unsubscribe(collect)
 
     def select(self, kind: str, **criteria: Any) -> List[TraceRecord]:
         """Records of ``kind`` whose fields match all ``criteria``."""
@@ -127,7 +171,7 @@ class Probe:
     def iter(self, kind: Optional[str] = None, **criteria: Any) -> Iterator[TraceRecord]:
         pool = self.records if kind is None else self._by_kind.get(kind, [])
         for record in pool:
-            if all(record.fields.get(k) == v for k, v in criteria.items()):
+            if _matches(record, criteria):
                 yield record
 
     def clear(self) -> None:
@@ -136,24 +180,5 @@ class Probe:
         self._by_kind.clear()
 
 
-class _Capture:
-    """Subscription-backed record collector (see :meth:`Probe.capture`)."""
-
-    def __init__(self, probe: Probe, kind: Optional[str], criteria: Dict[str, Any]):
-        self.probe = probe
-        self.kind = kind
-        self.criteria = criteria
-        self.records: List[TraceRecord] = []
-
-    def _on_record(self, record: TraceRecord) -> None:
-        if self.kind is not None and record.kind != self.kind:
-            return
-        if all(record.fields.get(k) == v for k, v in self.criteria.items()):
-            self.records.append(record)
-
-    def __enter__(self) -> List[TraceRecord]:
-        self.probe.subscribe(self._on_record)
-        return self.records
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.probe.unsubscribe(self._on_record)
+def _matches(record: TraceRecord, criteria: Dict[str, Any]) -> bool:
+    return all(record.fields.get(k) == v for k, v in criteria.items())

@@ -5,12 +5,12 @@ Where the XRAY measurement subsystem (:mod:`repro.measure`) answers
 in causal order, across processes and nodes": XRAY aggregates, TRACE
 narrates.
 
-* :mod:`repro.trace.context` — the per-run :class:`TraceHub` riding on
-  ``env.trace``, threading transid-rooted trace contexts through every
-  :class:`repro.guardian.message.Message` automatically;
-* :mod:`repro.trace.collect` — the :class:`TraceCollector` folding the
-  probe's record stream into per-transaction span trees
-  (``system.trace_of(transid)``);
+* :mod:`repro.trace.collect` — the :class:`TraceCollector`, a
+  subscriber of ``env.probe`` like the XRAY registry: it opens and
+  closes spans on the stream's request, serve and transaction-begin
+  notes, stamps each request's span onto its
+  :class:`repro.guardian.message.Message`, and pins the domain records
+  to the span they were emitted in (``system.trace_of(transid)``);
 * :mod:`repro.trace.export` — deterministic Chrome ``trace_event``
   timelines (``system.write_timeline(path)``) and the plain-text
   flight-recorder screen;
@@ -22,15 +22,12 @@ detectors); see the README's "Tracing a transaction" section.
 """
 
 from .collect import Span, TraceCollector, TransactionTrace
-from .context import TraceContext, TraceHub
 from .export import timeline, timeline_json, write_timeline
 from .watchdog import Watchdog, WatchdogConfig
 
 __all__ = [
     "Span",
     "TraceCollector",
-    "TraceContext",
-    "TraceHub",
     "TransactionTrace",
     "Watchdog",
     "WatchdogConfig",

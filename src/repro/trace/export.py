@@ -106,7 +106,7 @@ def _track_name(span: Any) -> str:
     # A serve span sits on the serving process's own track; an rpc span
     # sits on the *requesting* process's track (where the caller waits).
     if span.kind == "rpc":
-        return getattr(span, "requester", "") or "requests"
+        return span.requester or "requests"
     return span.name or "tx"
 
 

@@ -60,19 +60,12 @@ class Watchdog:
     def __init__(
         self,
         system: Any,
-        config: Optional[WatchdogConfig] = None,
-        legal_transitions: Optional[Dict[Optional[str], Tuple[str, ...]]] = None,
+        config: WatchdogConfig,
+        legal_transitions: Dict[Optional[str], Tuple[str, ...]],
     ):
-        if legal_transitions is None:
-            # Refuse to run with the Figure-3 detector silently blind:
-            # the builder must inject core.states.legal_transitions_by_name().
-            raise ValueError(
-                "Watchdog requires the Figure-3 table — pass "
-                "legal_transitions=legal_transitions_by_name()"
-            )
         self.system = system
         self.env = system.env
-        self.config = config or WatchdogConfig()
+        self.config = config
         self.alarms: List[Any] = []
         self.checks_run = 0
         self.process = None
@@ -122,9 +115,6 @@ class Watchdog:
     # ------------------------------------------------------------------
     # Detector 1: Figure-3 edges (subscription — fires immediately)
     # ------------------------------------------------------------------
-    def _legal_transitions(self) -> Dict[Optional[str], Tuple[str, ...]]:
-        return self._legal
-
     def _on_record(self, record: Any) -> None:
         if record.kind != "state_broadcast":
             return
@@ -136,7 +126,7 @@ class Watchdog:
         key = (node, transid)
         current = self._tx_state.get(key)
         current_state = current[0] if current is not None else None
-        legal = self._legal_transitions().get(current_state, ())
+        legal = self._legal.get(current_state, ())
         if state not in legal:
             self._alarm(
                 "illegal_transition", node=node, transid=transid,

@@ -159,16 +159,23 @@ class TestLayeringRule:
             "repro/core/probing.py": """\
                 from repro.measure import MetricsRegistry
                 """,
-            # cluster.py is a composition root: it installs the probes.
-            "repro/guardian/cluster.py": """\
+            # config.py is the composition root: it subscribes the
+            # registry and the collector to the probe.
+            "repro/encompass/config.py": """\
                 from repro.measure import MetricsRegistry
+                from repro.trace import TraceCollector
+                """,
+            # The cluster installs nothing, so it may import neither.
+            "repro/guardian/cluster.py": """\
+                from repro.trace import TraceCollector
                 """,
         })
         result = lint(tmp_path, select=["layering"])
-        assert len(result.findings) == 1
-        finding = result.findings[0]
-        assert finding.path.endswith("core/probing.py")
-        assert "env.metrics" in finding.message
+        paths = sorted(finding.path for finding in result.findings)
+        assert len(paths) == 2
+        assert paths[0].endswith("core/probing.py")
+        assert paths[1].endswith("guardian/cluster.py")
+        assert all("env.probe" in f.message for f in result.findings)
 
     def test_runtime_must_not_import_lint(self, tmp_path):
         write_tree(tmp_path, {
@@ -314,9 +321,10 @@ class TestFigure3Rule:
 # probe-coverage
 # ----------------------------------------------------------------------
 class TestProbeCoverageRule:
-    """Each case runs a second input too: reaching only ``env.probe``
-    covers a send path, and reaching only the measured-only
-    ``env.metrics`` registry covers nothing."""
+    """Each case runs a second input too: reaching ``env.probe`` covers
+    a send path, and reaching any other environment attribute (the
+    ``env.metrics``/``env.trace`` names of the retired side channels
+    included) covers nothing."""
 
     def test_unprobed_send_path(self, tmp_path):
         for attr in ("node", "env.metrics"):
@@ -349,7 +357,7 @@ class TestProbeCoverageRule:
 
     def test_coverage_propagates_through_callees(self, tmp_path):
         # The probe lives in the delegate, even in another file.
-        cases = {"trace": 0, "probe": 0, "metrics": 1}
+        cases = {"trace": 1, "probe": 0, "metrics": 1}
         for attr, expected in cases.items():
             root = tmp_path / attr
             write_tree(root, {

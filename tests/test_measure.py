@@ -25,6 +25,7 @@ from repro.apps.banking import (
 from repro.encompass import SystemBuilder
 from repro.measure import Histogram, MetricsRegistry
 from repro.measure.spans import CATEGORIES, SpanLog
+from repro.sim import Environment
 from repro.workloads import run_closed_loop
 
 
@@ -135,12 +136,19 @@ def test_span_first_closer_wins_and_unattributed():
 
 
 def test_registry_tx_hooks_feed_latency_histogram():
+    env = Environment()
     registry = MetricsRegistry()
-    registry.tx_begin("t1", 0.0)
-    registry.tx_end("t1", 40.0, "committed")
-    registry.tx_begin("t2", 10.0)
-    registry.tx_end("t2", 100.0, "aborted")
-    registry.tx_end("t2", 120.0, "aborted")        # ignored (already closed)
+    env.probe.subscribe(registry.on_record)
+
+    def note_at(time, kind, **fields):
+        env.run(until=time)
+        env.probe.note(kind, **fields)
+
+    note_at(0.0, "tx.begin", transid="t1")
+    note_at(10.0, "tx.begin", transid="t2")
+    note_at(40.0, "tx.end", transid="t1", outcome="committed")
+    note_at(100.0, "tx.end", transid="t2", outcome="aborted")
+    note_at(120.0, "tx.end", transid="t2", outcome="aborted")  # ignored (already closed)
     assert registry.spans.outcomes == {"committed": 1, "aborted": 1}
     hist = registry.histograms["tx.latency_ms"]
     assert hist.count == 2
@@ -202,8 +210,8 @@ def test_measurement_does_not_perturb_the_simulation():
     assert [m.end for m in result_measured.metrics] == [
         m.end for m in result_unmeasured.metrics
     ]
-    # Unmeasured runs carry no registry at all.
-    assert unmeasured.env.metrics is None and unmeasured.metrics is None
+    # Unmeasured runs carry no registry at all: nothing listens.
+    assert not unmeasured.probe.listening and unmeasured.metrics is None
     assert unmeasured.sampler is None
     # The unmeasured report renders: the always-on counters are there,
     # the measured-only sections are empty.

@@ -1,7 +1,8 @@
 """The always-on probe: one counter namespace that every reader shares.
 
-* counting is always on: a measured and an unmeasured run, with and
-  without kept records, count exactly the same things;
+* counting is always on: measured and unmeasured, traced and untraced
+  runs, with and without kept records, count exactly the same things,
+  so the XRAY report of a measured run does not depend on tracing;
 * the XRAY report's ``counters``, the bench counters and TMFCOM's
   STATUS COUNTERS all read ``env.probe.counts``;
 * a DISCPROCESS takeover keeps its volume's statistics counting.
@@ -22,8 +23,9 @@ from repro.workloads import FailureEvent, FailureSchedule, run_closed_loop
 ACCOUNTS = 8
 
 
-def _banking(seed, measure=False, keep_trace=True):
-    builder = SystemBuilder(seed=seed, keep_trace=keep_trace, measure=measure)
+def _banking(seed, measure=False, keep_trace=True, trace=False):
+    builder = SystemBuilder(seed=seed, keep_trace=keep_trace, measure=measure,
+                            trace=trace)
     builder.add_node("alpha", cpus=4)
     builder.add_volume("alpha", "$data", cpus=(0, 1))
     install_banking(builder, "alpha", "$data", server_instances=3)
@@ -58,22 +60,33 @@ def test_counts_are_always_on_and_every_reader_agrees():
     runs = {}
     for measure in (False, True):
         for keep_trace in (False, True):
-            system, terminals = _banking(seed=7, measure=measure, keep_trace=keep_trace)
-            _drive(system, terminals, duration=1000.0)
-            runs[measure, keep_trace] = system
-    counts = runs[False, False].probe.counts
+            for trace in (False, True):
+                system, terminals = _banking(seed=7, measure=measure,
+                                             keep_trace=keep_trace, trace=trace)
+                _drive(system, terminals, duration=1000.0)
+                runs[measure, keep_trace, trace] = system
+    counts = runs[False, False, False].probe.counts
     assert counts["commit"] > 0 and counts["checkpoint"] > 0
     for system in runs.values():
         assert system.probe.counts == counts
-    assert runs[False, False].probe.records == []
+    assert runs[False, False, False].probe.records == []
 
-    system = runs[True, True]
+    system = runs[True, True, False]
     report = system.xray_report()
     assert report["counters"] == dict(sorted(counts.items()))
     base = _base_counters(system)
     assert base["msg_local"] == counts["msg_local"]
     assert base["msg_network"] == counts.get("msg_network", 0)
     assert Tmfcom(system.tmf["alpha"]).counters() == report["counters"]
+
+
+def test_xray_report_does_not_depend_on_tracing():
+    reports = []
+    for trace in (False, True):
+        system, terminals = _banking(seed=7, measure=True, trace=trace)
+        _drive(system, terminals, duration=1000.0)
+        reports.append(system.xray_json())
+    assert reports[0] == reports[1]
 
 
 def test_takeover_keeps_volume_statistics():

@@ -5,8 +5,8 @@ Four properties pin the design, mirroring tests/test_measure.py:
 * tracing is deterministic: two same-seed traced runs produce a
   byte-identical timeline JSON;
 * tracing never perturbs the simulation: the traced run commits exactly
-  what the untraced same-seed run commits, and untraced runs carry no
-  hub at all;
+  what the untraced same-seed run commits, and untraced runs have no
+  subscriber on the probe;
 * the assembled trace of a distributed transaction is a causally
   ordered tree spanning the nodes it touched, with TCP, server,
   DISCPROCESS, audit and TMP hops all present;
@@ -132,8 +132,8 @@ def test_tracing_does_not_perturb_the_simulation():
     # A clean run alarms nothing.
     assert traced.watchdog.summary()["alarms"] == 0
     assert traced.xray_report()["watchdog"]["alarms"] == 0
-    # Untraced runs carry no hub at all on the environment...
-    assert untraced.env.trace is None
+    # Untraced runs have no subscriber on the probe...
+    assert not untraced.probe.listening
     assert untraced.trace_collector is None and untraced.watchdog is None
     assert "watchdog" not in untraced.xray_report()
     # ...and the accessors refuse rather than degrade silently.
