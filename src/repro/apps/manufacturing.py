@@ -67,8 +67,6 @@ class ManufacturingApp:
     def __init__(self, system: Any, nodes: Sequence[str]):
         self.system = system
         self.nodes = tuple(nodes)
-        self.deferred_applied = 0
-        self.deferred_queued = 0
 
     def _gupd_destination(self, from_node: str, dest_node: str) -> str:
         """Route to a live $gupd server instance at ``dest_node``.
@@ -144,7 +142,6 @@ class ManufacturingApp:
                 },
             )
             seq += 1
-            self.deferred_queued += 1
         return {"ok": True, "version": record["version"]}
 
     def _apply_deferred(self, ctx: ServerContext, node: str, request: Dict[str, Any]) -> Generator:
@@ -223,7 +220,6 @@ class ManufacturingApp:
                             proc, suspense, (entry["seq"],), transid=transid
                         )
                         yield from tmf.end(proc, transid)
-                        app.deferred_applied += 1
                     except (FileSystemError, FileError, TransactionAborted):
                         yield from tmf.abort(proc, transid, "deferred apply failed")
                         blocked.add(dest)

@@ -306,7 +306,7 @@ class AuditProcess(ProcessPair):
             proc.reply(message, {"ok": True, "records": tuple(records)})
         else:
             proc.reply(
-                message, {"ok": False, "error": f"unknown request {payload!r}"}
+                message, {"ok": False, "error": "bad_request", "detail": repr(payload)}
             )
 
     def _append(self, proc: OsProcess, message: Message, payload: AppendAudit) -> Generator:

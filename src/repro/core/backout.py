@@ -58,8 +58,6 @@ class BackoutProcess(ProcessPair):
     ):
         self.filesystem = filesystem
         super().__init__(node_os, name, primary_cpu, backup_cpu)
-        self.backouts = 0
-        self.records_undone = 0
 
     def serve_request(self, proc: OsProcess, message: Message) -> Generator:
         payload = message.payload
@@ -71,8 +69,6 @@ class BackoutProcess(ProcessPair):
         except FileSystemError as exc:
             proc.reply(message, {"ok": False, "error": "backout_failed", "detail": str(exc)})
             return
-        self.backouts += 1
-        self.records_undone += undone
         self._trace(
             "transaction_backed_out",
             transid=str(payload.transid),

@@ -155,4 +155,4 @@ class TmpProcess(ProcessPair):
             )
             proc.reply(message, {"ok": True})
         else:
-            proc.reply(message, {"ok": False, "error": f"unknown request {payload!r}"})
+            proc.reply(message, {"ok": False, "error": "bad_request", "detail": repr(payload)})

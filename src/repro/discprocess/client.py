@@ -84,7 +84,7 @@ class NotFoundError(FileError):
 
 
 class FileUnavailableError(FileError):
-    """Volume down / file missing / audit subsystem unavailable."""
+    """Volume down (drives or its AUDITPROCESS lost) or file missing."""
 
 
 class SecurityViolationError(FileError):
@@ -100,7 +100,6 @@ _ERROR_CLASSES = {
     "not_found": NotFoundError,
     "no_such_file": FileUnavailableError,
     "volume_down": FileUnavailableError,
-    "audit_unavailable": FileUnavailableError,
     "audit_requires_transaction": FileError,
     "file_exists": FileError,
     "bad_request": FileError,

@@ -41,13 +41,8 @@ __all__ = [
     "VolumeStats",
     "FlushCache",
     "ERROR_CODES",
-    "op_name",
 ]
 
-
-def op_name(payload: Any) -> str:
-    """The protocol name of a request payload (used as a metric key)."""
-    return type(payload).__name__
 
 #: every error code a DISCPROCESS reply may carry
 ERROR_CODES = (
@@ -55,13 +50,15 @@ ERROR_CODES = (
     "not_locked",          # update/delete without a prior record lock
     "tx_not_active",       # transid not in 'active' state (per the
                            # broadcast state table): op rejected
+    "security_violation",  # the file's read/write security refuses the
+                           # requesting process
     "duplicate_key",
     "not_found",
     "no_such_file",
     "file_exists",
     "audit_requires_transaction",
-    "audit_unavailable",   # the volume's AUDITPROCESS pair is down
-    "volume_down",         # both drives / catastrophic failure
+    "volume_down",         # both drives, or the volume's AUDITPROCESS
+                           # pair, lost
     "bad_request",
 )
 

@@ -32,8 +32,7 @@ Fidelity notes:
 
   - a full boxcar — :data:`BOXCAR_RECORDS` images aboard — departs on
     its own, off the operation's critical path;
-  - phase one's :class:`~.ops.ForceBoxcar` drains it before the trail
-    force;
+  - phase one's boxcar force drains it before the trail force;
   - the quiesce that precedes a backout drains it, because backout
     reads the images back from the AUDITPROCESS;
   - a takeover re-forwards whatever the new primary inherited.
@@ -48,7 +47,7 @@ Fidelity notes:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from ..guardian import FileSystem, FileSystemError, Message, NodeOs, OsProcess, ProcessPair
 from ..hardware import MirroredVolume, VolumeUnavailable
@@ -82,7 +81,6 @@ from .ops import (
     UpdateRecord,
     VolumeStats,
     WriteSlot,
-    op_name,
 )
 from .records import ENTRY_SEQUENCED, KEY_SEQUENCED, RELATIVE
 from .relative import SlotError
@@ -136,9 +134,9 @@ class DiscProcess(ProcessPair):
         self._flushed_keys: List[BlockKey] = []
         self._forwarded_seqs: List[int] = []
         self._completed_order: Deque[int] = deque(maxlen=_COMPLETED_LIMIT)
-        #: plain counters surfaced by VolumeStats: AppendAudit batches
-        #: shipped and the images they carried (records/batches > 1 is
-        #: the boxcar's round-trip saving).
+        #: plain counters surfaced by the volume statistics: AppendAudit
+        #: batches shipped and the images they carried (records/batches
+        #: > 1 is the boxcar's round-trip saving).
         self.audit_batches_sent = 0
         self.audit_records_forwarded = 0
         # Boxcar runtime (volatile; reset by _build_runtime on takeover):
@@ -146,7 +144,7 @@ class DiscProcess(ProcessPair):
         # idle).
         self._forward_event: Optional[Event] = None
         # In-flight audited mutations per transid (volatile: handlers die
-        # with the primary).  Lets QuiesceTransaction order backout after
+        # with the primary).  Lets an abort's quiesce order backout after
         # every straggling operation of an aborting transaction.
         self._inflight: Dict[str, int] = {}
         # The physical disc serves one request at a time (single
@@ -265,7 +263,8 @@ class DiscProcess(ProcessPair):
             pass  # self-crash recorded; pending requests see volume_down
 
     # ------------------------------------------------------------------
-    # Request dispatch
+    # Request dispatch: one row of the op table (see _OPS) per request
+    # type says which checks run before its handler.
     # ------------------------------------------------------------------
     def serve_request(self, proc: OsProcess, message: Message) -> Generator:
         if self.crashed:
@@ -275,23 +274,19 @@ class DiscProcess(ProcessPair):
         if recorded is not None:
             proc.reply(message, recorded)
             return
+        payload = message.payload
+        op = _OPS.get(payload.__class__) or _unknown_op(payload)
         self.pending_requests += 1
         try:
             snapshot = self._io_snapshot()
             try:
-                reply = yield from self._dispatch(proc, message)
+                reply = yield from self._dispatch(proc, message, op)
+            except _Refused as refusal:
+                reply = refusal.reply
             except LockTimeout:
                 reply = _err("lock_timeout")
             except DuplicateKey:
                 reply = _err("duplicate_key")
-            except _NoSuchFile as exc:
-                reply = _err("no_such_file", file=str(exc))
-            except _AuditedWithoutTransaction:
-                reply = _err("audit_requires_transaction")
-            except _TxNotActive as exc:
-                reply = _err("tx_not_active", transid=str(exc))
-            except _SecurityViolation as exc:
-                reply = _err("security_violation", detail=str(exc))
             except (KeyNotFound, SlotError):
                 reply = _err("not_found")
             except VolumeUnavailable:
@@ -302,7 +297,7 @@ class DiscProcess(ProcessPair):
             io_start = self.env.now
             yield from self._charge_io(snapshot)
             probe = self.env.probe
-            probe.count(f"disc.ops.{op_name(message.payload)}")
+            probe.count(op.counter)
             if probe.listening and self.env.now > io_start:
                 probe.note(
                     "phase", transid=message.transid, name="disc-io",
@@ -312,134 +307,62 @@ class DiscProcess(ProcessPair):
         finally:
             self.pending_requests -= 1
 
-    _TRACKED_OPS = (
-        InsertRecord,
-        UpdateRecord,
-        DeleteRecord,
-        WriteSlot,
-        AppendSlot,
-        AppendEntry,
-        ReadRecord,
-        ReadSlot,
-        LockRecord,
-        LockFile,
-    )
+    def _dispatch(self, proc: OsProcess, message: Message, op: _Op) -> Generator:
+        """Check a request against its op row, then run the row's handler.
 
-    def _dispatch(self, proc: OsProcess, message: Message) -> Generator:
-        payload = message.payload
-        if message.transid is not None and isinstance(payload, self._TRACKED_OPS):
-            # Track the operation so an abort can quiesce behind it.
-            tx_key = str(message.transid)
-            self._inflight[tx_key] = self._inflight.get(tx_key, 0) + 1
-            try:
-                reply = yield from self._dispatch_inner(proc, message)
-            finally:
-                remaining = self._inflight.get(tx_key, 1) - 1
-                if remaining <= 0:
-                    self._inflight.pop(tx_key, None)
-                else:
-                    self._inflight[tx_key] = remaining
-            return reply
-        reply = yield from self._dispatch_inner(proc, message)
-        return reply
-
-    _READ_OPS = (ReadRecord, ScanRecords, ReadViaIndex, ReadSlot, ReadEntry, ScanEntries)
-    _WRITE_OPS = (
-        InsertRecord, UpdateRecord, DeleteRecord, WriteSlot, AppendSlot,
-        AppendEntry, LockRecord, LockFile,
-    )
-
-    def _check_security(self, message: Message) -> None:
-        """Enforce the file's access controls against the requester.
-
-        The principal is the requesting process's network identity
-        (node + process name), checked per function (read vs write) —
-        §Data Base Management feature 5.
+        Security comes first, and only for a file that exists (the
+        principal is the requester's network identity, node + process
+        name, checked per function: §Data Base Management feature 5).
+        Then the file must exist with the row's organization, and the
+        handler receives it.  A handler returns its reply, or a generator
+        that finishes with it.
         """
         payload = message.payload
-        if isinstance(payload, self._READ_OPS):
-            function = "read"
-        elif isinstance(payload, self._WRITE_OPS):
-            function = "write"
-        else:
-            return  # system/administrative operations
-        file = self.files.get(payload.file)
-        if file is None:
-            return  # existence errors handled downstream
-        principal = f"{message.source_node}.{message.source_name}"
-        if not file.schema.security.allows(function, principal):
-            raise _SecurityViolation(
-                f"{principal} may not {function} {payload.file}"
-            )
-
-    def _dispatch_inner(self, proc: OsProcess, message: Message) -> Generator:
-        payload = message.payload
-        self._check_security(message)
-        if isinstance(payload, CreateFile):
-            reply = yield from self._create_file(payload)
-        elif isinstance(payload, ReadRecord):
-            reply = yield from self._read_record(proc, message, payload)
-        elif isinstance(payload, InsertRecord):
-            reply = yield from self._insert(proc, message, payload)
-        elif isinstance(payload, UpdateRecord):
-            reply = yield from self._update(proc, message, payload)
-        elif isinstance(payload, DeleteRecord):
-            reply = yield from self._delete(proc, message, payload)
-        elif isinstance(payload, ScanRecords):
-            file = self._file(payload.file, KEY_SEQUENCED)
-            rows = file.scan(payload.low, payload.high, payload.limit)
-            reply = {"ok": True, "rows": fast_deepcopy(rows)}
-        elif isinstance(payload, ReadViaIndex):
-            file = self._file(payload.file, KEY_SEQUENCED)
-            records = file.read_via_index(payload.field, payload.value)
-            reply = {"ok": True, "records": fast_deepcopy(records)}
-        elif isinstance(payload, (LockRecord, LockFile)):
-            reply = yield from self._explicit_lock(proc, message, payload)
-        elif isinstance(payload, ReadSlot):
-            reply = yield from self._read_record(proc, message, payload)
-        elif isinstance(payload, WriteSlot):
-            reply = yield from self._write_slot(proc, message, payload)
-        elif isinstance(payload, AppendSlot):
-            reply = yield from self._append_slot(proc, message, payload)
-        elif isinstance(payload, AppendEntry):
-            reply = yield from self._append_entry(proc, message, payload)
-        elif isinstance(payload, ReadEntry):
-            file = self._file(payload.file, ENTRY_SEQUENCED)
-            reply = {"ok": True, "record": fast_deepcopy(file.read_entry(payload.esn))}
-        elif isinstance(payload, ScanEntries):
-            file = self._file(payload.file, ENTRY_SEQUENCED)
-            reply = {
-                "ok": True,
-                "rows": fast_deepcopy(
-                    file.scan_entries(payload.start_esn, payload.limit)
-                ),
-            }
-        elif isinstance(payload, QuiesceTransaction):
-            reply = yield from self._quiesce(proc, payload)
-        elif isinstance(payload, ForceBoxcar):
-            reply = yield from self._force_boxcar(proc, payload)
-        elif isinstance(payload, ReleaseLocks):
-            reply = yield from self._release_locks(payload)
-        elif isinstance(payload, BackoutOp):
-            reply = yield from self._backout(proc, message, payload)
-        elif isinstance(payload, VolumeStats):
-            reply = self._stats()
-        elif isinstance(payload, FlushCache):
-            written = self.store.flush()
-            reply = {"ok": True, "blocks_written": written}
-        else:
-            reply = _err("bad_request", detail=repr(payload))
-        return reply
+        file = None
+        if op.function is not None:
+            file = self.files.get(payload.file)
+            if file is not None:
+                principal = f"{message.source_node}.{message.source_name}"
+                if not file.schema.security.allows(op.function, principal):
+                    raise _Refused(
+                        "security_violation",
+                        detail=f"{principal} may not {op.function} {payload.file}",
+                    )
+            organization = op.organization
+            if organization is not None:
+                if file is None:
+                    raise _Refused("no_such_file", file=payload.file)
+                if file.schema.organization != organization:
+                    raise _Refused(
+                        "no_such_file", file=f"{payload.file} is not {organization}"
+                    )
+        reply = op.handler(self, proc, message, payload, file)
+        if reply.__class__ is dict:
+            return reply
+        if not op.tracked or message.transid is None:
+            return (yield from reply)
+        # Track the operation so an abort can quiesce behind it.
+        tx_key = str(message.transid)
+        inflight = self._inflight
+        inflight[tx_key] = inflight.get(tx_key, 0) + 1
+        try:
+            return (yield from reply)
+        finally:
+            remaining = inflight.get(tx_key, 1) - 1
+            if remaining <= 0:
+                inflight.pop(tx_key, None)
+            else:
+                inflight[tx_key] = remaining
 
     # ------------------------------------------------------------------
-    # File management
+    # File management and browse reads
     # ------------------------------------------------------------------
-    def _create_file(self, payload: CreateFile) -> Generator:
+    def _create_file(self, proc, message, payload, file) -> Generator:
         schema = payload.schema
         if schema.name in self.files:
-            return _err("file_exists")
+            raise _Refused("file_exists")
         if schema.audited and not self.audited:
-            return _err(
+            raise _Refused(
                 "bad_request",
                 detail=f"audited file {schema.name} on unaudited volume {self.name}",
             )
@@ -452,104 +375,91 @@ class DiscProcess(ProcessPair):
         self.store.unpin(journal)
         return {"ok": True}
 
-    def _file(self, file_name: str, organization: Optional[str] = None) -> StructuredFile:
-        file = self.files.get(file_name)
-        if file is None:
-            raise _NoSuchFile(file_name)
-        if organization is not None and file.schema.organization != organization:
-            raise _NoSuchFile(f"{file_name} is not {organization}")
-        return file
+    def _scan_records(self, proc, message, payload, file) -> Dict[str, Any]:
+        rows = file.scan(payload.low, payload.high, payload.limit)
+        return {"ok": True, "rows": fast_deepcopy(rows)}
+
+    def _read_via_index(self, proc, message, payload, file) -> Dict[str, Any]:
+        records = file.read_via_index(payload.field, payload.value)
+        return {"ok": True, "records": fast_deepcopy(records)}
+
+    def _read_entry(self, proc, message, payload, file) -> Dict[str, Any]:
+        return {"ok": True, "record": fast_deepcopy(file.read_entry(payload.esn))}
+
+    def _scan_entries(self, proc, message, payload, file) -> Dict[str, Any]:
+        rows = file.scan_entries(payload.start_esn, payload.limit)
+        return {"ok": True, "rows": fast_deepcopy(rows)}
+
+    def _flush_cache(self, proc, message, payload, file) -> Dict[str, Any]:
+        return {"ok": True, "blocks_written": self.store.flush()}
 
     # ------------------------------------------------------------------
-    # Reads and explicit locks
+    # Keyed reads and explicit locks
     # ------------------------------------------------------------------
-    def _read_record(self, proc: OsProcess, message: Message, payload: Any) -> Generator:
-        """A ReadRecord (key-sequenced) or ReadSlot (relative), maybe locking."""
-        if isinstance(payload, ReadSlot):
-            file = self._file(payload.file, RELATIVE)
-            key, read = payload.record_number, file.read_slot
-        else:
-            file = self._file(payload.file, KEY_SEQUENCED)
-            key, read = payload.key, file.read
+    def _read_record(self, proc, message, payload, file) -> Generator:
+        return self._read(message, payload, file.read, payload.key)
+
+    def _read_slot(self, proc, message, payload, file) -> Generator:
+        return self._read(message, payload, file.read_slot, payload.record_number)
+
+    def _read(self, message: Message, payload: Any, read: Any, key: Any) -> Generator:
+        """Read the record at ``key``, first locking it if the request asks."""
         lock_delta = {}
         if payload.lock:
-            if message.transid is None:
-                return _err("bad_request", detail="lock requires a transaction")
-            self._check_tx_active(message.transid)
-            self._register(message.transid)
-            target = ("rec", payload.file, key)
-            yield from self.locks.acquire_record(
-                message.transid, payload.file, key, payload.lock_timeout
+            transid = self._lock_owner(message)
+            lock_delta = yield from self._take_record_lock(
+                transid, payload.file, key, payload.lock_timeout
             )
-            lock_delta[target] = message.transid
         record = read(key)
         if lock_delta:
             yield from self.checkpoint_update("locks", updates=lock_delta)
         return {"ok": True, "record": fast_deepcopy(record)}
 
-    def _explicit_lock(self, proc: OsProcess, message: Message, payload: Any) -> Generator:
-        if message.transid is None:
-            return _err("bad_request", detail="lock requires a transaction")
-        self._check_tx_active(message.transid)
-        self._register(message.transid)
-        if isinstance(payload, LockFile):
-            target: Tuple[Any, ...] = ("file", payload.file)
-            yield from self.locks.acquire_file(
-                message.transid, payload.file, payload.lock_timeout
-            )
-        else:
-            target = ("rec", payload.file, payload.key)
-            yield from self.locks.acquire_record(
-                message.transid, payload.file, payload.key, payload.lock_timeout
-            )
-        yield from self.checkpoint_update("locks", updates={target: message.transid})
+    def _lock_record(self, proc, message, payload, file) -> Generator:
+        transid = self._lock_owner(message)
+        lock_delta = yield from self._take_record_lock(
+            transid, payload.file, payload.key, payload.lock_timeout
+        )
+        yield from self.checkpoint_update("locks", updates=lock_delta)
+        return {"ok": True}
+
+    def _lock_file(self, proc, message, payload, file) -> Generator:
+        transid = self._lock_owner(message)
+        yield from self.locks.acquire_file(transid, payload.file, payload.lock_timeout)
+        yield from self.checkpoint_update("locks", updates={("file", payload.file): transid})
         return {"ok": True}
 
     # ------------------------------------------------------------------
     # Mutations (key-sequenced)
     # ------------------------------------------------------------------
-    def _insert(self, proc: OsProcess, message: Message, payload: InsertRecord) -> Generator:
-        file = self._file(payload.file, KEY_SEQUENCED)
-        transid = yield from self._mutation_preamble(file, message)
+    def _insert(self, proc, message, payload, file) -> Generator:
+        transid = self._mutation_owner(file, message)
         record = fast_deepcopy(payload.record)
         file.schema.check_record(record)
         key = file.schema.key_of(record)
-        lock_delta = {}
-        if transid is not None:
-            # "TMF automatically generates locks on all new records
-            # inserted by a transaction."
-            target = ("rec", payload.file, key)
-            yield from self.locks.acquire_record(
-                transid, payload.file, key, payload.lock_timeout
-            )
-            lock_delta[target] = transid
+        # "TMF automatically generates locks on all new records inserted
+        # by a transaction."
+        lock_delta = yield from self._take_record_lock(
+            transid, payload.file, key, payload.lock_timeout
+        )
         file.insert(record)
         audit = self._make_audit(transid, file, "insert", key, None, record)
         reply = {"ok": True, "key": key}
-        yield from self._finish_mutation(proc, message, audit, lock_delta, reply)
-        return reply
+        return (yield from self._finish_mutation(proc, message, audit, lock_delta, reply))
 
-    def _update(self, proc: OsProcess, message: Message, payload: UpdateRecord) -> Generator:
-        file = self._file(payload.file, KEY_SEQUENCED)
-        transid = yield from self._mutation_preamble(file, message)
+    def _update(self, proc, message, payload, file) -> Generator:
+        transid = self._mutation_owner(file, message)
         record = fast_deepcopy(payload.record)
         file.schema.check_record(record)
         key = file.schema.key_of(record)
-        if transid is not None and not self._holds_lock(transid, payload.file, key):
-            # "TMF verifies that all records updated or deleted by a
-            # transaction have been previously locked."
-            return _err("not_locked", key=key)
+        self._require_lock(transid, payload.file, key)
         old = file.update(record)
         audit = self._make_audit(transid, file, "update", key, old, record)
-        reply = {"ok": True}
-        yield from self._finish_mutation(proc, message, audit, {}, reply)
-        return reply
+        return (yield from self._finish_mutation(proc, message, audit, {}, {"ok": True}))
 
-    def _delete(self, proc: OsProcess, message: Message, payload: DeleteRecord) -> Generator:
-        file = self._file(payload.file, KEY_SEQUENCED)
-        transid = yield from self._mutation_preamble(file, message)
-        if transid is not None and not self._holds_lock(transid, payload.file, payload.key):
-            return _err("not_locked", key=payload.key)
+    def _delete(self, proc, message, payload, file) -> Generator:
+        transid = self._mutation_owner(file, message)
+        self._require_lock(transid, payload.file, payload.key)
         old = file.delete(payload.key)
         # The lock on the deleted key's value stays held by the transid
         # (it was acquired at read time) until release — exactly the
@@ -557,100 +467,119 @@ class DiscProcess(ProcessPair):
         # deleted".
         audit = self._make_audit(transid, file, "delete", payload.key, old, None)
         reply = {"ok": True, "record": fast_deepcopy(old)}
-        yield from self._finish_mutation(proc, message, audit, {}, reply)
-        return reply
+        return (yield from self._finish_mutation(proc, message, audit, {}, reply))
 
     # ------------------------------------------------------------------
     # Mutations (relative / entry-sequenced)
     # ------------------------------------------------------------------
-    def _write_slot(self, proc: OsProcess, message: Message, payload: WriteSlot) -> Generator:
-        file = self._file(payload.file, RELATIVE)
-        transid = yield from self._mutation_preamble(file, message)
-        lock_delta = {}
-        if transid is not None:
-            target = ("rec", payload.file, payload.record_number)
-            yield from self.locks.acquire_record(
-                transid, payload.file, payload.record_number, payload.lock_timeout
-            )
-            lock_delta[target] = transid
-        record = fast_deepcopy(payload.record)
-        old = file.write_slot(payload.record_number, record)
-        audit = self._make_audit(
-            transid, file, "write_slot", payload.record_number, old, record
+    def _write_slot(self, proc, message, payload, file) -> Generator:
+        transid = self._mutation_owner(file, message)
+        number = payload.record_number
+        lock_delta = yield from self._take_record_lock(
+            transid, payload.file, number, payload.lock_timeout
         )
+        record = fast_deepcopy(payload.record)
+        old = file.write_slot(number, record)
+        audit = self._make_audit(transid, file, "write_slot", number, old, record)
         reply = {"ok": True, "old": fast_deepcopy(old)}
-        yield from self._finish_mutation(proc, message, audit, lock_delta, reply)
-        return reply
+        return (yield from self._finish_mutation(proc, message, audit, lock_delta, reply))
 
-    def _append_slot(self, proc: OsProcess, message: Message, payload: AppendSlot) -> Generator:
-        file = self._file(payload.file, RELATIVE)
-        transid = yield from self._mutation_preamble(file, message)
+    def _append_slot(self, proc, message, payload, file) -> Generator:
+        transid = self._mutation_owner(file, message)
         record = fast_deepcopy(payload.record)
         number = file.base.next_record_number
-        lock_delta = {}
-        if transid is not None:
-            target = ("rec", payload.file, number)
-            yield from self.locks.acquire_record(
-                transid, payload.file, number, payload.lock_timeout
-            )
-            lock_delta[target] = transid
+        lock_delta = yield from self._take_record_lock(
+            transid, payload.file, number, payload.lock_timeout
+        )
         file.write_slot(number, record)
         audit = self._make_audit(transid, file, "write_slot", number, None, record)
         reply = {"ok": True, "record_number": number}
-        yield from self._finish_mutation(proc, message, audit, lock_delta, reply)
-        return reply
+        return (yield from self._finish_mutation(proc, message, audit, lock_delta, reply))
 
-    def _append_entry(self, proc: OsProcess, message: Message, payload: AppendEntry) -> Generator:
-        file = self._file(payload.file, ENTRY_SEQUENCED)
-        transid = yield from self._mutation_preamble(file, message)
+    def _append_entry(self, proc, message, payload, file) -> Generator:
+        transid = self._mutation_owner(file, message)
         record = fast_deepcopy(payload.record)
         esn = file.append_entry(record)
-        lock_delta = {}
-        if transid is not None:
-            target = ("rec", payload.file, esn)
-            self.locks.try_acquire_record(transid, payload.file, esn)
-            lock_delta[target] = transid
+        lock_delta = yield from self._take_record_lock(transid, payload.file, esn, None)
         audit = self._make_audit(transid, file, "append_entry", esn, None, record)
         reply = {"ok": True, "esn": esn}
-        yield from self._finish_mutation(proc, message, audit, lock_delta, reply)
-        return reply
+        return (yield from self._finish_mutation(proc, message, audit, lock_delta, reply))
 
     # ------------------------------------------------------------------
     # Transaction support
     # ------------------------------------------------------------------
-    def _mutation_preamble(self, file: StructuredFile, message: Message) -> Generator:
+    def _mutation_owner(self, file: StructuredFile, message: Message) -> Any:
         """Validate transactionality; returns the lock owner (or None)."""
         transid = message.transid
         if file.schema.audited:
             if transid is None:
-                raise _AuditedWithoutTransaction()
+                raise _Refused("audit_requires_transaction")
             if not self.audited:
                 raise VolumeUnavailable(
                     f"audited file {file.name} on unaudited volume {self.name}"
                 )
-            self._check_tx_active(transid)
-            self._register(transid)
-        elif transid is not None:
-            self._check_tx_active(transid)
-            self._register(transid)
+        if transid is not None:
+            self._join(transid)
         return transid
-        yield  # pragma: no cover - generator marker
 
-    def _check_tx_active(self, transid: Any) -> None:
-        """Reject work for a transaction no longer in 'active' state.
+    def _lock_owner(self, message: Message) -> Any:
+        """The transid a lock request locks for (a lock needs one)."""
+        transid = message.transid
+        if transid is None:
+            raise _Refused("bad_request", detail="lock requires a transaction")
+        self._join(transid)
+        return transid
 
-        This is what the node-wide state broadcast of §Transaction State
-        Change buys: every DISCPROCESS can locally see that a transid has
-        entered 'ending'/'aborting' and refuse late updates from servers
-        that have not yet learned of the failure.
+    def _join(self, transid: Any) -> None:
+        """Admit work of ``transid``: refuse it unless 'active', then make
+        this volume a participant.
+
+        The refusal is what the node-wide state broadcast of §Transaction
+        State Change buys: every DISCPROCESS can locally see that a
+        transid has entered 'ending'/'aborting' and refuse late updates
+        from servers that have not yet learned of the failure.
         """
-        if self.tmf_registry is None:
+        registry = self.tmf_registry
+        if registry is None:
             return
-        allowed = getattr(self.tmf_registry, "mutation_allowed", None)
-        if allowed is not None and not allowed(transid):
-            raise _TxNotActive(str(transid))
+        if not registry.mutation_allowed(transid):
+            raise _Refused("tx_not_active", transid=str(transid))
+        registry.register_participant(
+            transid, volume=self.name, audit_process=self.audit_process
+        )
 
-    def _quiesce(self, proc: OsProcess, payload: QuiesceTransaction) -> Generator:
+    def _take_record_lock(
+        self, transid: Any, file_name: str, key: Any, timeout: Optional[float]
+    ) -> Generator:
+        """Lock one record for ``transid`` (if any); returns the ``locks``
+        checkpoint delta.
+
+        ``timeout=None`` is for an entry the operation itself just
+        appended (the request carries no lock timeout): the grant is
+        tried once, without waiting.
+        """
+        if transid is None:
+            return {}
+        if timeout is None:
+            self.locks.try_acquire_record(transid, file_name, key)
+        else:
+            yield from self.locks.acquire_record(transid, file_name, key, timeout)
+        return {("rec", file_name, key): transid}
+
+    def _require_lock(self, transid: Any, file_name: str, key: Any) -> None:
+        """Refuse to update or delete a record ``transid`` has not locked.
+
+        "TMF verifies that all records updated or deleted by a
+        transaction have been previously locked."
+        """
+        locks = self.locks
+        if transid is not None and not (
+            locks.holder_of_record(file_name, key) == transid
+            or locks.holder_of_file(file_name) == transid
+        ):
+            raise _Refused("not_locked", key=key)
+
+    def _quiesce(self, proc, message, payload, file) -> Generator:
         """Wait out in-flight operations of an aborting transaction."""
         tx_key = str(payload.transid)
         waited = 0.0
@@ -661,18 +590,6 @@ class DiscProcess(ProcessPair):
         # so they must be *at* the AUDITPROCESS, not aboard the boxcar.
         yield from self._drain_boxcar(proc, FLUSH_FORCE)
         return {"ok": True, "waited": waited}
-
-    def _register(self, transid: Any) -> None:
-        if self.tmf_registry is not None:
-            self.tmf_registry.register_participant(
-                transid, volume=self.name, audit_process=self.audit_process
-            )
-
-    def _holds_lock(self, transid: Any, file_name: str, key: Any) -> bool:
-        return (
-            self.locks.holder_of_record(file_name, key) == transid
-            or self.locks.holder_of_file(file_name) == transid
-        )
 
     def _make_audit(
         self,
@@ -709,7 +626,11 @@ class DiscProcess(ProcessPair):
         lock_delta: Dict[Any, Any],
         reply: Dict[str, Any],
     ) -> Generator:
-        """Checkpoint, load the boxcar — the WAL-equivalent tail of an op."""
+        """Checkpoint, load the boxcar — the WAL-equivalent tail of an op.
+
+        Returns ``reply``, which the checkpoint records for duplicate
+        suppression.
+        """
         journal = self._take_journal()
         prune = [key for key in self._flushed_keys if key not in journal]
         self._flushed_keys = []
@@ -735,6 +656,7 @@ class DiscProcess(ProcessPair):
         self.store.unpin(journal)
         if audit_updates:
             self._boxcar_note(proc)
+        return reply
 
     def _take_journal(self) -> Dict[BlockKey, Any]:
         journal = dict(self.store.journal)
@@ -757,7 +679,7 @@ class DiscProcess(ProcessPair):
         """True while audit images are aboard the boxcar or on the wire.
 
         TMF's phase one consults this (node-local fast path) to skip the
-        ForceBoxcar round-trip when there is provably nothing to drain.
+        boxcar-force round-trip when there is provably nothing to drain.
         """
         return self._forward_event is not None or bool(self.state["unforwarded"])
 
@@ -790,8 +712,8 @@ class DiscProcess(ProcessPair):
             flushed += yield from self._forward_audit(proc, reason)
         return flushed
 
-    def _force_boxcar(self, proc: OsProcess, payload: ForceBoxcar) -> Generator:
-        """Serve ForceBoxcar: phase one's explicit drain (group commit)."""
+    def _force_boxcar(self, proc, message, payload, file) -> Generator:
+        """Phase one's explicit drain of the boxcar (group commit)."""
         start = self.env.now
         flushed = yield from self._drain_boxcar(proc, FLUSH_FORCE)
         probe = self.env.probe
@@ -861,7 +783,7 @@ class DiscProcess(ProcessPair):
     # ------------------------------------------------------------------
     # Lock release (phase two) and backout
     # ------------------------------------------------------------------
-    def _release_locks(self, payload: ReleaseLocks) -> Generator:
+    def _release_locks(self, proc, message, payload, file) -> Generator:
         targets = self.locks.locks_held(payload.transid)
         released = self.locks.release_all(payload.transid)
         if targets:
@@ -874,10 +796,12 @@ class DiscProcess(ProcessPair):
         )
         return {"ok": True, "released": released}
 
-    def _backout(self, proc: OsProcess, message: Message, payload: BackoutOp) -> Generator:
+    def _backout(self, proc, message, payload, file) -> Generator:
         """Apply the inverse of one audit record (idempotently)."""
         record = payload.audit_record
-        file = self._file(record.file)
+        file = self.files.get(record.file)
+        if file is None:
+            raise _Refused("no_such_file", file=record.file)
         transid = record.transid
         op = record.op
         undone = True
@@ -901,13 +825,12 @@ class DiscProcess(ProcessPair):
         elif op == "append_entry":
             file.base.void(record.key)
         else:
-            return _err("bad_request", detail=f"cannot back out op {op!r}")
+            raise _Refused("bad_request", detail=f"cannot back out op {op!r}")
         audit = self._make_audit(
             transid, file, "backout", record.key, record.after, record.before
         )
         reply = {"ok": True, "undone": undone}
-        yield from self._finish_mutation(proc, message, audit, {}, reply)
-        return reply
+        return (yield from self._finish_mutation(proc, message, audit, {}, reply))
 
     # ------------------------------------------------------------------
     # Total-failure recovery support (used by ROLLFORWARD)
@@ -1071,17 +994,75 @@ class DiscProcess(ProcessPair):
             yield self.env.timeout(hit_cost)
 
 
-class _AuditedWithoutTransaction(Exception):
-    pass
+class _Refused(Exception):
+    """A request the DISCPROCESS refuses: its reply is ``_err(code, **extra)``."""
+
+    def __init__(self, code: str, **extra: Any):
+        super().__init__(code)
+        self.reply = _err(code, **extra)
 
 
-class _NoSuchFile(Exception):
-    pass
+#: access classes of an op row: a read, a read that may lock, a write;
+#: the last two are tracked in flight.
+READ, LOCK, WRITE = "read", "lock", "write"
+#: the security function each access class checks
+_FUNCTION = {READ: "read", LOCK: "read", WRITE: "write", None: None}
 
 
-class _TxNotActive(Exception):
-    pass
+class _Op(NamedTuple):
+    """What the DISCPROCESS does with one request type."""
+
+    handler: Callable[..., Any]    # (dp, proc, message, payload, file)
+    organization: Optional[str]    # the named file must exist with it
+    function: Optional[str]        # "read"/"write": the security check
+    tracked: bool                  # counted in flight, for an abort's quiesce
+    counter: str                   # disc.ops.<request type>
 
 
-class _SecurityViolation(Exception):
-    pass
+def _op_table(rows: Dict[type, Tuple[Any, Optional[str], Optional[str]]]) -> Dict[type, _Op]:
+    return {
+        kind: _Op(
+            handler,
+            organization,
+            _FUNCTION[access],
+            access in (LOCK, WRITE),
+            f"disc.ops.{kind.__name__}",
+        )
+        for kind, (handler, organization, access) in rows.items()
+    }
+
+
+def _refuse_unknown(dp, proc, message, payload, file) -> None:
+    raise _Refused("bad_request", detail=repr(payload))
+
+
+def _unknown_op(payload: Any) -> _Op:
+    return _Op(_refuse_unknown, None, None, False, f"disc.ops.{type(payload).__name__}")
+
+
+#: The op table: per request type, its handler, the organization its
+#: file must have (None: the handler looks up no file), and its access
+#: class (None: a system or administrative request, unchecked).
+_OPS = _op_table({
+    CreateFile: (DiscProcess._create_file, None, None),
+    ReadRecord: (DiscProcess._read_record, KEY_SEQUENCED, LOCK),
+    InsertRecord: (DiscProcess._insert, KEY_SEQUENCED, WRITE),
+    UpdateRecord: (DiscProcess._update, KEY_SEQUENCED, WRITE),
+    DeleteRecord: (DiscProcess._delete, KEY_SEQUENCED, WRITE),
+    ScanRecords: (DiscProcess._scan_records, KEY_SEQUENCED, READ),
+    ReadViaIndex: (DiscProcess._read_via_index, KEY_SEQUENCED, READ),
+    LockRecord: (DiscProcess._lock_record, None, WRITE),
+    LockFile: (DiscProcess._lock_file, None, WRITE),
+    ReadSlot: (DiscProcess._read_slot, RELATIVE, LOCK),
+    WriteSlot: (DiscProcess._write_slot, RELATIVE, WRITE),
+    AppendSlot: (DiscProcess._append_slot, RELATIVE, WRITE),
+    AppendEntry: (DiscProcess._append_entry, ENTRY_SEQUENCED, WRITE),
+    ReadEntry: (DiscProcess._read_entry, ENTRY_SEQUENCED, READ),
+    ScanEntries: (DiscProcess._scan_entries, ENTRY_SEQUENCED, READ),
+    QuiesceTransaction: (DiscProcess._quiesce, None, None),
+    ForceBoxcar: (DiscProcess._force_boxcar, None, None),
+    ReleaseLocks: (DiscProcess._release_locks, None, None),
+    BackoutOp: (DiscProcess._backout, None, None),
+    VolumeStats: (lambda dp, *request: dp._stats(), None, None),
+    FlushCache: (DiscProcess._flush_cache, None, None),
+})

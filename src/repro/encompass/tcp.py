@@ -130,7 +130,6 @@ class TerminalControlProcess(ProcessPair):
         self.terminals: Dict[str, str] = {}
         self.restart_limit = restart_limit
         self.units_committed = 0
-        self.units_aborted = 0
         self.restarts_total = 0
         super().__init__(node_os, name, primary_cpu, backup_cpu)
         self._apply_state_defaults()
@@ -307,7 +306,6 @@ class TerminalControlProcess(ProcessPair):
             except AbortTransaction as exc:
                 # Voluntary abort: back out, no automatic restart.
                 yield from self.tmf.abort(proc, transid, exc.reason)
-                self.units_aborted += 1
                 return {
                     "ok": False,
                     "error": "aborted",
@@ -333,7 +331,6 @@ class TerminalControlProcess(ProcessPair):
                 reason=last_error,
             )
             yield self.env.timeout(self._backoff(payload.terminal_id, attempt))
-        self.units_aborted += 1
         return {
             "ok": False,
             "error": "restart_limit",

@@ -29,15 +29,13 @@ class BusPair:
         self.env = env
         self.x = InterprocessorBus(env, f"{node_name}.busX")
         self.y = InterprocessorBus(env, f"{node_name}.busY")
-        #: accumulated transfer time (ms) and transfer count over both
-        #: buses; the XRAY sampler reads deltas to derive occupancy.
+        #: accumulated transfer time (ms) over both buses; the XRAY
+        #: sampler reads deltas to derive occupancy.
         self.busy_ms = 0.0
-        self.transfers = 0
 
     def record_transfer(self, ms: float) -> None:
         """Account one interprocessor transfer of ``ms`` on the pair."""
         self.busy_ms += ms
-        self.transfers += 1
 
     @property
     def buses(self) -> List[InterprocessorBus]:

@@ -100,10 +100,6 @@ class MirroredVolume:
             raise ValueError("a volume has one or two drives")
         if not self.controllers:
             raise ValueError("a volume needs at least one controller")
-        #: physical block-operation tallies (all drives of the mirror);
-        #: read by the XRAY report alongside the DISCPROCESS counters.
-        self.block_reads = 0
-        self.block_writes = 0
 
     @property
     def mirrored(self) -> bool:
@@ -133,7 +129,6 @@ class MirroredVolume:
         drives = self.serviceable_drives()
         if not drives:
             raise VolumeUnavailable(f"no serviceable drive on {self.name}")
-        self.block_writes += 1
         for drive in drives:
             drive.blocks[block_id] = image
 
@@ -141,7 +136,6 @@ class MirroredVolume:
         drives = self.serviceable_drives()
         if not drives:
             raise VolumeUnavailable(f"no serviceable drive on {self.name}")
-        self.block_reads += 1
         return drives[0].blocks.get(block_id, default)
 
     def delete_block(self, block_id: Any) -> None:

@@ -23,7 +23,6 @@ XRAY report and TMFCOM read the counts.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 __all__ = ["NOTE_KINDS", "Probe", "TraceRecord"]
@@ -42,25 +41,33 @@ NOTE_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
 class TraceRecord:
-    """One traced occurrence."""
+    """One traced occurrence; its ``fields`` also read as attributes."""
 
-    time: float
-    kind: str
-    fields: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("time", "kind", "fields")
+
+    def __init__(self, time: float, kind: str, fields: Optional[Dict[str, Any]] = None):
+        self.time = time
+        self.kind = kind
+        self.fields = {} if fields is None else fields
 
     def __getattr__(self, name: str) -> Any:
-        # Dunder lookups (``__deepcopy__``, ``__getstate__``, ...) must
-        # fail fast: copy/pickle probe them on instances whose ``fields``
-        # attribute may not exist yet (e.g. mid-unpickle), and delegating
-        # would recurse through ``self.fields`` forever.
-        if name.startswith("__") and name.endswith("__"):
+        # Reached only for a name that is not a set slot.  Dunder lookups
+        # (``__deepcopy__``, ``__setstate__``, ...) and ``fields`` itself
+        # (unset on a half-built instance) must fail fast: delegating
+        # them would recurse through ``self.fields`` forever.
+        if name == "fields" or (name.startswith("__") and name.endswith("__")):
             raise AttributeError(name)
         try:
-            return self.__dict__["fields"][name]
+            return self.fields[name]
         except KeyError:
             raise AttributeError(name) from None
+
+    def __reduce__(self) -> Any:
+        return (TraceRecord, (self.time, self.kind, self.fields))
+
+    def __repr__(self) -> str:
+        return f"TraceRecord(time={self.time!r}, kind={self.kind!r}, fields={self.fields!r})"
 
 
 class Probe:
