@@ -10,15 +10,20 @@ protocols —
   the commit record written to the Monitor Audit Trail is the commit
   point, and phase two releases locks;
 * the **distributed two-phase commit**: phase one is a critical-response
-  wave down the transid-transmission tree (each node forces its local
-  audit and transitively polls its own children); any participant can
-  unilaterally abort until it acks phase one; after acking it must hold
-  the transaction's locks until the disposition arrives (possibly after
-  a partition heals, or by manual override); phase two and abort
-  propagation are safe-delivery messages retried until received.
+  wave down the transid-transmission tree (each node polls its own
+  children in parallel, forcing its local audit while their votes are
+  on the way, so the wave costs one round trip per tree level); any
+  participant can unilaterally abort until it acks phase one; after
+  acking it must hold the transaction's locks until the disposition
+  arrives (possibly after a partition heals, or by manual override);
+  phase two and abort propagation are safe-delivery messages retried
+  until received.
 
 A :class:`TmfNode` exists per node; there is no network master — the
-home node of each transaction coordinates that transaction only.
+home node of each transaction coordinates that transaction only.  Every
+request the coordinator makes of several participants at once (phase
+one, lock release, abort quiesce) goes out as one fan-out
+(:meth:`FileSystem.send_all`) and is joined once.
 """
 
 from __future__ import annotations
@@ -401,56 +406,76 @@ class TmfNode:
     # Protocol internals
     # ------------------------------------------------------------------
     def _phase1_here_and_below(self, proc: OsProcess, record: TransactionRecord) -> Generator:
-        """Force local audit, then critical-response phase 1 to children."""
+        """Force local audit and, with children, poll them in parallel."""
+        if record.children:
+            reason = yield from self._poll_children(proc, record)
+        else:
+            reason = yield from self._force_local(proc, record)
+        if reason is None:
+            return True
+        record.abort_reason = reason
+        return False
+
+    def _poll_children(self, proc: OsProcess, record: TransactionRecord) -> Generator:
+        """Critical-response phase 1 to the children, overlapped with the local force.
+
+        Every child's ``TmpPhase1`` is posted first; while they travel
+        (and poll their own children), this node drains its volumes'
+        boxcars and forces its trail, then joins the children's votes.
+        Returns the reason of a failure, or None: the first local one,
+        else the first child's in name order.
+        """
+        children = sorted(record.children)
+        with self.filesystem.post_all(
+            proc,
+            [(f"\\{child}.{self.tmp_name}", TmpPhase1(record.transid))
+             for child in children],
+            PHASE1_TIMEOUT,
+        ) as votes:
+            self.phase1_sent += len(children)
+            reason = yield from self._force_local(proc, record)
+            replies = yield from votes.join()
+        if reason is not None:
+            return reason
+        for child, reply in zip(children, replies):
+            if isinstance(reply, FileSystemError):
+                return f"phase 1: {child} inaccessible ({reply})"
+            if reply.get("vote") != "yes":
+                return f"phase 1: {child} voted no"
+        return None
+
+    def _force_local(self, proc: OsProcess, record: TransactionRecord) -> Generator:
+        """Drain the volumes' boxcars, then force the trails.
+
+        Returns the reason of a failure, or None.  The boxcar drains go
+        out together: images still aboard (or on the wire) must reach
+        the AUDITPROCESS before the trail force can cover them.
+        Node-local fast path: a registered DISCPROCESS with a
+        provably-empty boxcar is skipped without a round-trip.
+        """
         transid = record.transid
-        # Drain each participating volume's audit boxcar first: images
-        # still aboard (or on the wire) must reach the AUDITPROCESS
-        # before the trail force below can cover them.  Node-local fast
-        # path: a registered DISCPROCESS with a provably-empty boxcar is
-        # skipped without a round-trip.
+        drains = []
         for volume in sorted(record.local_volumes):
             disc = self.disc_objects.get(volume)
-            if disc is not None and not disc.audit_drain_needed:
-                continue
-            try:
-                reply = yield from self.filesystem.send(
-                    proc, volume, ForceBoxcar(transid),
-                    timeout=FORCE_TIMEOUT,
-                )
-            except FileSystemError as exc:
-                record.abort_reason = f"boxcar drain failed: {exc}"
-                return False
+            if disc is None or disc.audit_drain_needed:
+                drains.append((volume, ForceBoxcar(transid)))
+        replies = yield from self.filesystem.send_all(proc, drains, FORCE_TIMEOUT)
+        for reply in replies:
+            if isinstance(reply, FileSystemError):
+                return f"boxcar drain failed: {reply}"
             if not reply.get("ok"):
-                record.abort_reason = "boxcar drain rejected"
-                return False
-        for audit_name in sorted(record.local_audit_processes):
-            try:
-                reply = yield from self.filesystem.send(
-                    proc, audit_name, ForceAudit(transid),
-                    timeout=FORCE_TIMEOUT,
-                )
-            except FileSystemError as exc:
-                record.abort_reason = f"audit force failed: {exc}"
-                return False
+                return "boxcar drain rejected"
+        forces = [
+            (audit_name, ForceAudit(transid))
+            for audit_name in sorted(record.local_audit_processes)
+        ]
+        replies = yield from self.filesystem.send_all(proc, forces, FORCE_TIMEOUT)
+        for reply in replies:
+            if isinstance(reply, FileSystemError):
+                return f"audit force failed: {reply}"
             if not reply.get("ok"):
-                record.abort_reason = "audit force rejected"
-                return False
-        for child in sorted(record.children):
-            self.phase1_sent += 1
-            try:
-                reply = yield from self.filesystem.send(
-                    proc,
-                    f"\\{child}.{self.tmp_name}",
-                    TmpPhase1(transid),
-                    timeout=PHASE1_TIMEOUT,
-                )
-            except FileSystemError as exc:
-                record.abort_reason = f"phase 1: {child} inaccessible ({exc})"
-                return False
-            if reply.get("vote") != "yes":
-                record.abort_reason = f"phase 1: {child} voted no"
-                return False
-        return True
+                return "audit force rejected"
+        return None
 
     def _abort_core(self, proc: OsProcess, record: TransactionRecord, reason: str) -> Generator:
         """ABORTING → backout → completion record → ABORTED → unlock."""
@@ -463,17 +488,13 @@ class TmfNode:
             )
         # Quiesce: the ABORTING broadcast stops *new* operations of this
         # transid; wait out any already in flight so the backout sees
-        # their audit images.
-        for volume in sorted(record.local_volumes):
-            try:
-                yield from self.filesystem.send(
-                    proc,
-                    volume,
-                    QuiesceTransaction(transid),
-                    timeout=30_000.0,
-                )
-            except FileSystemError:
-                continue
+        # their audit images.  A volume that cannot answer is skipped.
+        yield from self.filesystem.send_all(
+            proc,
+            [(volume, QuiesceTransaction(transid))
+             for volume in sorted(record.local_volumes)],
+            30_000.0,
+        )
         if record.local_volumes:
             try:
                 yield from self.filesystem.send(
@@ -509,18 +530,13 @@ class TmfNode:
         yield self.env.timeout(self.node_os.node.latencies.disc_write / 2)
 
     def _release_local(self, proc: OsProcess, record: TransactionRecord, committed: bool) -> Generator:
-        for volume in sorted(record.local_volumes):
-            try:
-                yield from self.filesystem.send(
-                    proc,
-                    volume,
-                    ReleaseLocks(record.transid, committed=committed),
-                    timeout=5000.0,
-                )
-            except FileSystemError:
-                # Volume pair down — its locks died with it; recovery
-                # (ROLLFORWARD) rebuilds a lock-free volume.
-                continue
+        # A volume pair that is down fails its slot: its locks died with
+        # it, and recovery (ROLLFORWARD) rebuilds a lock-free volume.
+        release = ReleaseLocks(record.transid, committed=committed)
+        yield from self.filesystem.send_all(
+            proc, [(volume, release) for volume in sorted(record.local_volumes)],
+            5000.0,
+        )
 
     def _cleanup(self, record: TransactionRecord) -> None:
         for audit_name in record.local_audit_processes:

@@ -332,7 +332,10 @@ class DiscProcess(ProcessPair):
             if organization is not None:
                 if file is None:
                     raise _Refused("no_such_file", file=payload.file)
-                if file.schema.organization != organization:
+                if (
+                    organization != ANY_ORGANIZATION
+                    and file.schema.organization != organization
+                ):
                     raise _Refused(
                         "no_such_file", file=f"{payload.file} is not {organization}"
                     )
@@ -556,12 +559,14 @@ class DiscProcess(ProcessPair):
 
         ``timeout=None`` is for an entry the operation itself just
         appended (the request carries no lock timeout): the grant is
-        tried once, without waiting.
+        tried once, without waiting, and a lock another transaction
+        already holds on the entry is neither taken nor checkpointed.
         """
         if transid is None:
             return {}
         if timeout is None:
-            self.locks.try_acquire_record(transid, file_name, key)
+            if not self.locks.try_acquire_record(transid, file_name, key):
+                return {}
         else:
             yield from self.locks.acquire_record(transid, file_name, key, timeout)
         return {("rec", file_name, key): transid}
@@ -1005,6 +1010,9 @@ class _Refused(Exception):
 #: access classes of an op row: a read, a read that may lock, a write;
 #: the last two are tracked in flight.
 READ, LOCK, WRITE = "read", "lock", "write"
+#: the organization of an op row whose file must exist, whatever its
+#: organization (an explicit lock)
+ANY_ORGANIZATION = "any"
 #: the security function each access class checks
 _FUNCTION = {READ: "read", LOCK: "read", WRITE: "write", None: None}
 
@@ -1041,8 +1049,9 @@ def _unknown_op(payload: Any) -> _Op:
 
 
 #: The op table: per request type, its handler, the organization its
-#: file must have (None: the handler looks up no file), and its access
-#: class (None: a system or administrative request, unchecked).
+#: file must have (None: the handler looks up no file; ANY_ORGANIZATION:
+#: the file must exist), and its access class (None: a system or
+#: administrative request, unchecked).
 _OPS = _op_table({
     CreateFile: (DiscProcess._create_file, None, None),
     ReadRecord: (DiscProcess._read_record, KEY_SEQUENCED, LOCK),
@@ -1051,8 +1060,8 @@ _OPS = _op_table({
     DeleteRecord: (DiscProcess._delete, KEY_SEQUENCED, WRITE),
     ScanRecords: (DiscProcess._scan_records, KEY_SEQUENCED, READ),
     ReadViaIndex: (DiscProcess._read_via_index, KEY_SEQUENCED, READ),
-    LockRecord: (DiscProcess._lock_record, None, WRITE),
-    LockFile: (DiscProcess._lock_file, None, WRITE),
+    LockRecord: (DiscProcess._lock_record, ANY_ORGANIZATION, WRITE),
+    LockFile: (DiscProcess._lock_file, ANY_ORGANIZATION, WRITE),
     ReadSlot: (DiscProcess._read_slot, RELATIVE, LOCK),
     WriteSlot: (DiscProcess._write_slot, RELATIVE, WRITE),
     AppendSlot: (DiscProcess._append_slot, RELATIVE, WRITE),

@@ -7,13 +7,17 @@ a cost *category* (``cpu``, ``bus``, ``disc``, ``lock``, ``audit``,
 attaches to the transaction's root span (or to an explicit parent), so
 the tree mirrors where simulated time was actually spent.
 
-When a transaction ends, the tree is folded into a *breakdown*: each
-span contributes its **self time** (duration minus the overlap of its
-children) to its category, and root time not covered by any child is
-attributed to ``cpu`` — in this simulator, un-annotated transaction time
-is request processing on some CPU.  The per-category totals accumulate
-across transactions, which is exactly the data the XRAY report renders
-as "where did the latency go".
+When a transaction ends, the tree is folded into a *breakdown* along
+its critical path.  Each span owns part of its parent's time: where
+siblings overlap (a commit drains several volumes and polls its child
+nodes at once), the shared time belongs only to the sibling that ends
+last, the one the parent waited for.  A span charges to its category the
+owned time its own children do not cover, and root time not covered by
+any child is attributed to ``cpu`` — in this simulator, un-annotated
+transaction time is request processing on some CPU.  Every instant of a
+transaction is charged once, so its shares sum to 1.  The per-category
+totals accumulate across transactions, which is exactly the data the
+XRAY report renders as "where did the latency go".
 
 No imports from the rest of ``repro`` — this module must be importable
 from any layer without cycles.
@@ -21,7 +25,7 @@ from any layer without cycles.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["Span", "SpanLog", "CATEGORIES"]
 
@@ -61,13 +65,11 @@ class Span:
         return max(self.end - self.start, 0.0)
 
     def self_time(self) -> float:
-        """Duration not covered by child spans (clamped at zero).
-
-        Children are charged in full; sequential, non-overlapping child
-        phases are the norm here (the simulation's generator processes
-        serialize their waits), so a simple sum is exact.
-        """
-        return max(self.duration - sum(c.duration for c in self.children), 0.0)
+        """Duration not covered by the union of the child spans."""
+        owned = [(self.start, self.start + self.duration)]
+        for child in self.children:
+            owned = _minus(owned, child.start, child.start + child.duration)
+        return _length(owned)
 
     def __repr__(self) -> str:
         return (
@@ -103,19 +105,49 @@ class TxRecord:
 
 
 def _fold(root: Span) -> Dict[str, float]:
-    """Per-category self-time totals over the span tree.
+    """Per-category critical-path totals over the span tree.
 
-    The root's own self time goes to ``cpu`` regardless of its nominal
+    A span's owned time is handed to its children latest-ending first,
+    each taking what it covers of what is left; the rest is the span's
+    own.  The root's own time goes to ``cpu`` regardless of its nominal
     category: uncovered transaction time is request processing.
     """
     breakdown = {category: 0.0 for category in CATEGORIES}
-    breakdown["cpu"] += root.self_time()
-    stack = list(root.children)
+    stack = [(root, "cpu", [(root.start, root.start + root.duration)])]
     while stack:
-        span = stack.pop()
-        breakdown[span.category] += span.self_time()
-        stack.extend(span.children)
+        span, category, owned = stack.pop()
+        # Stable: of two siblings ending together, the earlier recorded
+        # one ends last.
+        for child in sorted(span.children, key=lambda c: -(c.start + c.duration)):
+            end = child.start + child.duration
+            taken = _minus(owned, float("-inf"), child.start)
+            taken = _minus(taken, end, float("inf"))
+            stack.append((child, child.category, taken))
+            owned = _minus(owned, child.start, end)
+        breakdown[category] += _length(owned)
     return breakdown
+
+
+def _minus(
+    intervals: List[Tuple[float, float]], start: float, end: float
+) -> List[Tuple[float, float]]:
+    """Disjoint ``intervals`` less ``[start, end)``."""
+    if end <= start:
+        return intervals
+    left = []
+    for lo, hi in intervals:
+        if hi <= start or lo >= end:
+            left.append((lo, hi))
+            continue
+        if lo < start:
+            left.append((lo, start))
+        if hi > end:
+            left.append((end, hi))
+    return left
+
+
+def _length(intervals: List[Tuple[float, float]]) -> float:
+    return sum(hi - lo for lo, hi in intervals)
 
 
 class SpanLog:

@@ -55,16 +55,7 @@ class Channel:
             getter = getters.popleft()
             if getter._value is not PENDING:
                 continue  # getter gave up (e.g. timed out) meanwhile
-            # Process the getter here, as the engine would one step
-            # later; the putter may itself be a running process.
-            getter._ok = True
-            getter._value = item
-            callbacks, getter.callbacks = getter.callbacks, None
-            env = self.env
-            outer = env._active_process
-            for callback in callbacks:
-                callback(getter)
-            env._active_process = outer
+            getter.succeed_inline(item)
             return True
         self._items.append(item)
         return True

@@ -124,6 +124,22 @@ class Event:
         self.env.schedule(self)
         return self
 
+    def succeed_inline(self, value: Any = None) -> None:
+        """Trigger the event with ``value`` and process it in this step.
+
+        Its callbacks run here, as the engine would run them one step
+        later, so a waiter parked on the event resumes without an engine
+        event of its own.  The caller may itself be a running process.
+        """
+        self._ok = True
+        self._value = value
+        callbacks, self.callbacks = self.callbacks, None
+        env = self.env
+        outer = env._active_process
+        for callback in callbacks:
+            callback(self)
+        env._active_process = outer
+
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception."""
         if self.triggered:

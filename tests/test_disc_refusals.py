@@ -117,6 +117,21 @@ class TestNoSuchFile:
             "no_such_file", file="ghost"
         )
 
+    def test_explicit_lock_on_a_missing_file(self, volume):
+        """An explicit lock looks its file up like every other request,
+        so a refused lock makes the volume no participant."""
+        transid = volume.begin()
+        assert volume.send(LockRecord("ghost", (1,)), transid=transid) == refused(
+            "no_such_file", file="ghost"
+        )
+        assert volume.send(LockFile("ghost"), transid=transid) == refused(
+            "no_such_file", file="ghost"
+        )
+        assert volume.tmf.records[transid].local_volumes == set()
+        # Any organization will do for an explicit lock.
+        assert volume.send(LockRecord("slots", 3), transid=transid) == {"ok": True}
+        assert volume.send(LockFile("log"), transid=transid) == {"ok": True}
+
 
 def test_file_exists(volume):
     assert volume.send(CreateFile(ACCOUNTS)) == refused("file_exists")
@@ -222,11 +237,21 @@ def test_not_found(volume):
     )
 
 
-def test_lock_on_a_missing_file_is_granted(volume):
-    """An explicit lock names a file but never looks it up."""
-    transid = volume.begin()
-    assert volume.send(LockRecord("ghost", (1,)), transid=transid) == {"ok": True}
-    assert volume.send(LockFile("ghost"), transid=transid) == {"ok": True}
+def test_append_checkpoints_only_the_entry_lock_it_got(volume):
+    """T1 holds an explicit lock on the entry T2 then appends: T2's append
+    succeeds without the lock, and the backup's table still says T1."""
+    first, second = volume.begin(), volume.begin()
+    assert volume.send(LockRecord("log", 0), transid=first) == {"ok": True}
+    assert volume.send(AppendEntry("log", {"n": 1}), transid=second) == {
+        "ok": True, "esn": 0,
+    }
+    dp = volume.rig.disc_processes[("alpha", "$data")]
+    assert dp.locks.holder_of_record("log", 0) == first
+    assert dp.backup_state["locks"][("rec", "log", 0)] == first
+    volume.rig.cluster.node("alpha").fail_cpu(dp.primary_cpu)
+    volume.rig.cluster.run(until=volume.rig.cluster.env.now + 50.0)
+    assert dp.takeovers == 1
+    assert dp.locks.holder_of_record("log", 0) == first
 
 
 def test_one_error_vocabulary():

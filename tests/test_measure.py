@@ -117,6 +117,23 @@ def test_span_breakdown_charges_children_and_cpu_residue():
     assert set(shares) == set(CATEGORIES)
 
 
+def test_overlapping_siblings_charge_shared_time_once():
+    # A boxcar drain and an audit force in parallel: [0, 10) and [5, 20).
+    log = SpanLog()
+    log.begin_tx("t1", 0.0)
+    log.record("t1", "boxcar-drain", "disc", 0.0, 10.0)
+    log.record("t1", "audit-force", "audit", 5.0, 20.0)
+    record = log.end_tx("t1", 30.0)
+    assert record.root.self_time() == 10.0       # 30 less the union [0, 20)
+    # The shared [5, 10) goes to the force, which ends last.
+    assert record.breakdown == {
+        "cpu": 10.0, "bus": 0.0, "disc": 5.0, "lock": 0.0, "audit": 15.0,
+        "other": 0.0,
+    }
+    assert max(record.breakdown.values()) <= 15.0
+    assert math.isclose(sum(record.shares().values()), 1.0)
+
+
 def test_span_first_closer_wins_and_unattributed():
     log = SpanLog()
     log.begin_tx("d1", 0.0)

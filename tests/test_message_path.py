@@ -6,7 +6,9 @@ message and starts its handler in that step, and one reply event, which
 A reply deadline waits in the message system's deadline queue and costs
 an engine event only if it passes unanswered.  These tests pin that cost
 and the semantics the shorter path must keep: timeout ties and order,
-lost replies, deaths in transit, and takeover races.
+lost replies, deaths in transit, and takeover races.  A fan-out
+(:meth:`FileSystem.send_all`) costs the events of its requests, and each
+of its requests keeps the semantics of :meth:`FileSystem.send`.
 """
 
 import gc
@@ -16,6 +18,8 @@ import pytest
 
 from repro.guardian import (
     Cluster,
+    FileSystemError,
+    PathDown,
     ProcessDied,
     ProcessPair,
     ProcessUnavailable,
@@ -513,3 +517,122 @@ class TestHandlerOwnership:
         assert not handler.is_alive
         assert isinstance(handler.value, ProcessKilled)
         assert pair._active_handlers == set()
+
+
+class TestFanOut:
+    """``FileSystem.send_all``/``post_all``: many requests, one join."""
+
+    def test_destinations_answer_in_parallel(self):
+        cluster = make_cluster(nodes=("alpha", "beta", "gamma"))
+        EchoPair(cluster.os("beta"), "$echo", 0, 1)
+        EchoPair(cluster.os("gamma"), "$echo", 0, 1)
+        hop = cluster.latencies.network_hop
+
+        def client(proc):
+            replies = yield from cluster.fs("alpha").send_all(
+                proc, [("\\beta.$echo", {"n": 1}), ("\\gamma.$echo", {"n": 2})],
+                timeout=100.0,
+            )
+            return replies, cluster.env.now
+
+        replies, now = run_client(cluster, "alpha", client)
+        assert replies == [{"n": 1}, {"n": 2}]
+        assert now == 2 * hop                   # one round trip, not two
+
+    def test_one_destination_costs_what_send_costs(self):
+        cluster = make_cluster()
+        EchoPair(cluster.os("alpha"), "$echo", 0, 1)
+        EchoPair(cluster.os("alpha"), "$other", 0, 1)
+        env = cluster.env
+        fs = cluster.fs("alpha")
+
+        def client(proc):
+            def posted(requests):
+                with fs.post_all(proc, requests, timeout=100.0) as fan:
+                    yield from fan.join()
+
+            one, two = [("$echo", {"n": 1})], [("$echo", {"n": 1}), ("$other", {"n": 2})]
+            costs = []
+            for send in (
+                lambda: fs.send(proc, "$echo", {"n": 1}, timeout=100.0),
+                lambda: fs.send_all(proc, one, timeout=100.0),
+                lambda: posted(one),
+                lambda: fs.send_all(proc, two, timeout=100.0),
+                lambda: posted(two),
+            ):
+                before = env.events_processed
+                yield from send()
+                costs.append(env.events_processed - before)
+            return costs
+
+        # Two events per request, and no join event.
+        assert run_client(cluster, "alpha", client, cpu=2) == [2, 2, 2, 4, 4]
+
+    def test_a_dead_primary_is_retried_under_its_message_id(self):
+        cluster = make_cluster()
+        dying = EchoPair(cluster.os("alpha"), "$dying", 0, 1)
+        steady = EchoPair(cluster.os("alpha"), "$steady", 2, 3)
+
+        def fail_primary():
+            yield cluster.env.timeout(5.0)
+            cluster.node("alpha").fail_cpu(0)
+
+        cluster.env.process(fail_primary())
+
+        def client(proc):
+            replies = yield from cluster.fs("alpha").send_all(
+                proc, [("$dying", {"wait": 10.0}), ("$steady", {"wait": 1.0})]
+            )
+            return replies
+
+        assert run_client(cluster, "alpha", client, cpu=2) == [
+            {"wait": 10.0}, {"wait": 1.0},
+        ]
+        assert dying.takeovers == 1
+        served = [entry[1] for entry in dying.log if entry[0] == "serve"]
+        assert len(served) == 2 and served[0] == served[1]
+        assert [entry[0] for entry in steady.log] == ["start", "serve"]
+
+    def test_a_path_down_fills_only_its_own_slot(self):
+        cluster = make_cluster(nodes=("alpha", "beta", "gamma"))
+        EchoPair(cluster.os("beta"), "$echo", 0, 1)
+        EchoPair(cluster.os("gamma"), "$echo", 0, 1)
+        cluster.network.partition(["alpha", "beta"], ["gamma"])
+
+        def client(proc):
+            replies = yield from cluster.fs("alpha").send_all(
+                proc, [("\\gamma.$echo", {"n": 1}), ("\\beta.$echo", {"n": 2})]
+            )
+            return replies
+
+        down, reply = run_client(cluster, "alpha", client)
+        assert isinstance(down, FileSystemError)
+        assert isinstance(down.cause, PathDown)
+        assert down.destination == "\\gamma.$echo"
+        assert reply == {"n": 2}
+
+    @pytest.mark.parametrize("joined", [True, False])
+    def test_killed_requester_leaves_undelivered_requests_undelivered(self, joined):
+        cluster = make_cluster(nodes=("alpha", "beta"))
+        near = EchoPair(cluster.os("alpha"), "$echo", 0, 1)
+        far = EchoPair(cluster.os("beta"), "$echo", 0, 1)
+        hop = cluster.latencies.network_hop
+
+        def client(proc):
+            with cluster.fs("alpha").post_all(
+                proc, [("$echo", {"n": 1}), ("\\beta.$echo", {"n": 2})]
+            ) as fan:
+                if not joined:
+                    yield cluster.env.timeout(hop)    # other work first
+                yield from fan.join()
+
+        cluster.os("alpha").spawn("$client", 2, client, register=False)
+
+        def fail_client_cpu():
+            yield cluster.env.timeout(hop / 2)
+            cluster.node("alpha").fail_cpu(2)
+
+        cluster.env.process(fail_client_cpu())
+        cluster.run()
+        assert [entry[0] for entry in near.log] == ["start", "serve"]
+        assert far.log == [("start", 0)]

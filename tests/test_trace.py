@@ -281,3 +281,41 @@ def test_flight_recorder_screen_and_tmfcom_delegation(distributed_trace):
     assert "no trace recorded" in tmfcom.trace("\\nowhere.9.9")
     bare = Tmfcom(system.tmf["node1"])
     assert "tracing not enabled" in bare.trace(trace.transid)
+
+
+def test_phase_one_polls_the_children_in_parallel():
+    """A home node with two child nodes sends both ``TmpPhase1`` at once."""
+    builder = SystemBuilder(seed=5, trace=True)
+    for name in ("node1", "node2", "node3"):
+        builder.add_node(name, cpus=4)
+        builder.add_volume(name, "$data", cpus=(0, 1))
+    for name in ("node2", "node3"):
+        builder.define_file(FileSchema(
+            name=f"ledger.{name}", organization=KEY_SEQUENCED,
+            primary_key=("entry",), audited=True,
+            partitions=(PartitionSpec(name, "$data"),),
+        ))
+    system = builder.build()
+    tmf, client = system.tmf["node1"], system.clients["node1"]
+
+    def driver(proc):
+        transid = yield from tmf.begin(proc)
+        for name in ("node2", "node3"):
+            yield from client.insert(
+                proc, f"ledger.{name}", {"entry": 1}, transid=transid
+            )
+        yield from tmf.end(proc, transid)
+        return transid
+
+    proc = system.spawn("node1", "$run", driver, cpu=2)
+    transid = system.cluster.run(proc.sim_process)
+    trace = system.trace_of(transid)
+    # The TMP's first request to each child TMP is its phase one (the
+    # remote begins came from the driver; phase two follows later).
+    phase_one = {}
+    for span in trace.spans:
+        if span.kind == "rpc" and span.requester == "$TMP" and span.node == "node1":
+            phase_one.setdefault(span.name, span)
+    assert sorted(phase_one) == ["node2.$TMP", "node3.$TMP"]
+    first, second = phase_one.values()
+    assert max(first.start, second.start) < min(first.end, second.end)
