@@ -5,6 +5,8 @@ report, and (when a baseline of the same mode exists) compares against
 it:
 
 * exit 1 on **counter drift** — the simulated history changed;
+* exit 1 on a **counter improvement** — cost counters dropped and
+  nothing else moved — until the baseline is re-recorded;
 * exit 0 with ``::warning::`` lines on a wall-clock **soft fail**;
 * exit 0 silently when clean.
 

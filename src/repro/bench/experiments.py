@@ -864,12 +864,10 @@ class _KvPair(ProcessPair):
         if op.get("op") == "put":
             self.state["kv"][op["key"]] = op["value"]
             reply = {"ok": True, "version": len(self.state["kv"])}
-            yield from self.checkpoint_update(
-                "kv", updates={op["key"]: op["value"]}
-            )
-            yield from self.checkpoint_update(
-                "completed", updates={message.msg_id: reply}, _charge=False
-            )
+            yield from self.checkpoint_multi((
+                ("kv", {op["key"]: op["value"]}, ()),
+                ("completed", {message.msg_id: reply}, ()),
+            ))
         else:
             reply = {"ok": True, "value": self.state["kv"].get(op["key"])}
         proc.reply(message, reply)

@@ -55,10 +55,6 @@ class BlockStore:
     def blocks_of(self, file_name: str) -> Iterator[BlockKey]:
         raise NotImplementedError
 
-    def drop_file(self, file_name: str) -> None:
-        for key in list(self.blocks_of(file_name)):
-            self.delete(*key)
-
 
 class VolumeBlockStore(BlockStore):
     """A block store writing directly to a mirrored disc volume.

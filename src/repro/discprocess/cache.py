@@ -132,9 +132,6 @@ class BlockCache:
         self._dirty.clear()
         self._pinned.clear()
 
-    def dirty_count(self) -> int:
-        return len(self._dirty)
-
 
 class CachedVolumeStore(BlockStore):
     """A :class:`BlockStore` over cache + a physical backing store.

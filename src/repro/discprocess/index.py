@@ -81,11 +81,6 @@ class AlternateIndex:
         rows = self.tree.scan(low=(value,), high=(value, TOP))
         return [primary_key for _entry, primary_key in rows]
 
-    def lookup_range(self, low: Any, high: Any) -> List[Key]:
-        """Primary keys with low <= field <= high (in field order)."""
-        rows = self.tree.scan(low=(low,), high=(high, TOP))
-        return [primary_key for _entry, primary_key in rows]
-
 
 class StructuredFile:
     """A schema-typed file plus its automatically-maintained indices.

@@ -11,7 +11,10 @@ specified as part of the lock request."  (paper, §Data Base Management)
 The manager is sim-integrated: ``acquire_record``/``acquire_file`` are
 generator helpers that suspend the caller until the lock is granted or
 the caller's timeout expires (:class:`LockTimeout` — the signal that
-drives RESTART-TRANSACTION at the application level).
+drives RESTART-TRANSACTION at the application level).  A timed wait is
+one event, the waiter's own: a release succeeds it with the grant, and
+the deadline's timer fails it unless the grant came first, so a lock is
+never granted to a waiter that has already timed out.
 
 A waits-for-graph deadlock detector is also provided, *not* used by the
 reproduction's normal path, as the ablation baseline for bench E4.
@@ -22,7 +25,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from ..sim import AnyOf, Environment, Event
+from ..sim import Environment, Event
 
 __all__ = ["LockManager", "LockTimeout", "LockTarget"]
 
@@ -48,6 +51,11 @@ class _Waiter:
         self.transid = transid
         self.target = target
         self.since = since  # enqueue time (the watchdog's wait horizon)
+
+    def expire(self, _deadline: Event) -> None:
+        """Deadline timer callback: time the wait out unless granted."""
+        if not self.event.triggered:
+            self.event.fail(LockTimeout(self.transid, self.target))
 
 
 class LockManager:
@@ -121,17 +129,16 @@ class LockManager:
         waiter = _Waiter(Event(self.env), transid, target, since=self.env.now)
         self._queues.setdefault(target, deque()).append(waiter)
         self._trace("lock_wait", transid=str(transid), target=target)
-        wait_start = self.env.now
-        deadline = self.env.timeout(timeout)
-        outcome = yield AnyOf(self.env, [waiter.event, deadline])
-        if waiter.event in outcome:
-            self._observe_wait(transid, wait_start)
-            return  # granted by a release
-        self._remove_waiter(waiter)
-        self.timeouts += 1
-        self._trace("lock_timeout", transid=str(transid), target=target)
-        self._observe_wait(transid, wait_start)
-        raise LockTimeout(transid, target)
+        self.env.timeout(timeout).callbacks.append(waiter.expire)
+        try:
+            yield waiter.event
+        except LockTimeout:
+            self._remove_waiter(waiter)
+            self.timeouts += 1
+            self._trace("lock_timeout", transid=str(transid), target=target)
+            self._observe_wait(transid, waiter.since)
+            raise
+        self._observe_wait(transid, waiter.since)
 
     def _observe_wait(self, transid: Any, wait_start: float) -> None:
         probe = self.env.probe

@@ -371,10 +371,10 @@ class DiscProcess(ProcessPair):
             )
         self.files[schema.name] = StructuredFile(self.store, schema, create=True)
         journal = self._take_journal()
-        yield from self.checkpoint_update(
-            "files", updates={schema.name: schema}
-        )
-        yield from self.checkpoint_update("dirty", updates=journal, _charge=False)
+        yield from self.checkpoint_multi((
+            ("files", {schema.name: schema}, ()),
+            ("dirty", journal, ()),
+        ))
         self.store.unpin(journal)
         return {"ok": True}
 

@@ -227,15 +227,11 @@ class TerminalControlProcess(ProcessPair):
             probe.count("unit.restarts", restarts)
         if probe.listening:
             probe.note("observe", name="unit.latency_ms", value=self.env.now - unit_start)
-        yield from self.checkpoint_update(
-            "completed", updates={message.msg_id: result}
-        )
-        yield from self.checkpoint_update(
-            "inputs", removals=[message.msg_id], _charge=False
-        )
-        yield from self.checkpoint_update(
-            "pending_commit", removals=[message.msg_id], _charge=False
-        )
+        yield from self.checkpoint_multi((
+            ("completed", {message.msg_id: result}, ()),
+            ("inputs", None, (message.msg_id,)),
+            ("pending_commit", None, (message.msg_id,)),
+        ))
         self._remember(message.msg_id)
         proc.reply(message, result)
 
@@ -260,12 +256,10 @@ class TerminalControlProcess(ProcessPair):
         except FileSystemError:
             return None  # cannot resolve; re-run (transid will settle first)
         if reply.get("disposition") == "committed":
-            yield from self.checkpoint_update(
-                "completed", updates={message.msg_id: ready_reply}
-            )
-            yield from self.checkpoint_update(
-                "pending_commit", removals=[message.msg_id], _charge=False
-            )
+            yield from self.checkpoint_multi((
+                ("completed", {message.msg_id: ready_reply}, ()),
+                ("pending_commit", None, (message.msg_id,)),
+            ))
             self._remember(message.msg_id)
             return ready_reply
         yield from self.checkpoint_update(
@@ -353,7 +347,3 @@ class TerminalControlProcess(ProcessPair):
             old = self._completed_order.pop(0)
             self.state["completed"].pop(old, None)
             self.backup_state.get("completed", {}).pop(old, None)
-
-    @property
-    def pending_inputs(self) -> int:
-        return len(self.state["inputs"])

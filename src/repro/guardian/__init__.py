@@ -19,7 +19,7 @@ from .message import (
     RequestTimeout,
 )
 from .pair import PairDown, ProcessPair
-from .process import NodeOs, OsProcess, ReceiveTimeout
+from .process import NodeOs, OsProcess
 
 __all__ = [
     "Cluster",
@@ -35,7 +35,6 @@ __all__ = [
     "ProcessDied",
     "ProcessPair",
     "ProcessUnavailable",
-    "ReceiveTimeout",
     "RequestTimeout",
     "parse_destination",
 ]

@@ -19,7 +19,7 @@ through the File System, which adds the behaviour the paper relies on:
   exchange), exactly as §Distributed Transaction Processing describes;
 * **fan-out** — :meth:`FileSystem.post_all` posts a list of requests at
   once and joins their replies once (:class:`FanOut`), each request
-  retried on its own exactly as :meth:`FileSystem.send` retries one.
+  its own :meth:`FileSystem.send`, retries and all.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import (
     Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple,
 )
 
-from ..sim import Event, Timeout
+from ..sim import Event
 from .message import (
     DeliveryError,
     Message,
@@ -186,18 +186,17 @@ class FileSystem:
 class FanOut:
     """Requests posted at once and joined once (:meth:`FileSystem.post_all`).
 
-    Each request is one :meth:`MessageSystem.request` generator, driven
+    Each request is one :meth:`FileSystem.send` generator, driven
     without a process: the fan-out starts it (it posts the request and
-    yields the reply event), and the reply event's callback resumes it
-    with the reply or the error.  So each request keeps what
-    :meth:`FileSystem.send` gives it: its own message id, kept across
+    yields the reply event), and each event it yields resumes it from
+    that event's callback.  So each request gets exactly what
+    :meth:`FileSystem.send` gives one: its own message id, kept across
     the retries of a :class:`ProcessDied` or :class:`ProcessUnavailable`;
-    a :class:`PathDown` or :class:`RequestTimeout` as a
-    :class:`FileSystemError` in its slot; and its ``rpc.send``/
-    ``rpc.done`` notes.  A retry is a timer whose callback re-posts, and
-    the last slot filled resumes the joiner inside that step.  A fan-out
-    therefore costs the engine events of its requests and nothing more,
-    and one request costs what :meth:`send` costs.
+    a :class:`FileSystemError` in its slot when it fails for good; and
+    its ``rpc.send``/``rpc.done`` notes.  The last slot filled resumes
+    the joiner inside that step.  A fan-out therefore costs the engine
+    events of its requests and nothing more, and one request costs what
+    :meth:`send` costs.
 
     The fan-out holds a callback on every reply event from the moment
     it is posted, because :meth:`MessageSystem._deliver` drops a request
@@ -208,10 +207,7 @@ class FanOut:
     outside the joiner's span.
     """
 
-    __slots__ = (
-        "_fs", "_caller", "_timeout", "_requests", "_attempts", "_waiting",
-        "_join", "results",
-    )
+    __slots__ = ("_env", "_waiting", "_join", "results")
 
     def __init__(
         self,
@@ -220,28 +216,17 @@ class FanOut:
         requests: Sequence[Tuple[str, Any]],
         timeout: Optional[float],
     ):
-        self._fs = fs
-        self._caller = caller
-        self._timeout = timeout
-        node = fs.node_name
-        #: per request: its destination, parsed, its payload and the
-        #: message id all its attempts carry.
-        self._requests = [
-            (destination, *parse_destination(node, destination), payload,
-             next(Message._ids))
-            for destination, payload in requests
-        ]
-        self._attempts = [0] * len(requests)
-        #: what each unanswered request waits on: its reply event, with
-        #: the request generator to resume, or the delay before its
-        #: retry, with None.
-        self._waiting: Dict[Event, Tuple[int, Optional[Generator]]] = {}
+        self._env = fs.env
+        #: what each unanswered request waits on: the event its send
+        #: generator yielded last, with its slot and that generator.
+        self._waiting: Dict[Event, Tuple[int, Generator]] = {}
         #: what the joiner waits on, made when it must wait.
         self._join: Optional[Event] = None
         #: each request's reply or FileSystemError, in request order.
         self.results: List[Any] = [None] * len(requests)
-        for index in range(len(requests)):
-            self._post(index)
+        for index, (destination, payload) in enumerate(requests):
+            request = fs.send(caller, destination, payload, timeout=timeout)
+            self._advance(index, request, request.send, None)
 
     def __enter__(self) -> "FanOut":
         return self
@@ -254,62 +239,39 @@ class FanOut:
                 callbacks.remove(self._on_event)
                 if not callbacks:
                     event.defused = True
-            if request is not None:
-                request.close()
+            request.close()
         self._waiting.clear()
 
     def join(self) -> Generator:
         """Wait for every reply; return :attr:`results`.  (Generator helper.)"""
         if self._waiting:
-            self._join = Event(self._fs.env)
+            self._join = Event(self._env)
             yield self._join
         return self.results
 
     # ------------------------------------------------------------------
-    def _post(self, index: int) -> None:
-        destination, dest_node, dest_name, payload, msg_id = self._requests[index]
-        request = self._fs.node_os.message_system.request(
-            self._caller, dest_node, dest_name, payload,
-            timeout=self._timeout, msg_id=msg_id,
-        )
+    def _on_event(self, event: Event) -> None:
+        """What a request waited on landed: its reply, or a retry's delay."""
+        index, request = self._waiting.pop(event)
+        if event._ok:
+            self._advance(index, request, request.send, event._value)
+        else:
+            event.defused = True
+            self._advance(index, request, request.throw, event._value)
+
+    def _advance(self, index: int, request: Generator, step: Callable,
+                 value: Any) -> None:
+        """Resume ``request`` by ``step(value)``; park it or fill its slot."""
         try:
-            event = next(request)
-        except PathDown as exc:
-            self._settle(index, FileSystemError(destination, exc))
+            event = step(value)
+        except StopIteration as stop:
+            self._settle(index, stop.value)
+            return
+        except FileSystemError as exc:
+            self._settle(index, exc)
             return
         event.callbacks.append(self._on_event)
         self._waiting[event] = (index, request)
-
-    def _on_event(self, event: Event) -> None:
-        """A reply landed, or a retry's delay ended."""
-        index, request = self._waiting.pop(event)
-        if request is None:
-            self._post(index)
-            return
-        fs = self._fs
-        destination = self._requests[index][0]
-        attempts = self._attempts[index] + 1
-        try:
-            if event._ok:
-                request.send(event._value)
-            else:
-                event.defused = True
-                request.throw(event._value)
-        except StopIteration as stop:
-            if attempts > 1:
-                fs.env.probe.emit("send_retried_ok", attempts=attempts)
-            self._settle(index, stop.value)
-        except (ProcessDied, ProcessUnavailable) as exc:
-            fs._trace("send_retry", destination=destination, error=type(exc).__name__)
-            if attempts < fs.MAX_RETRIES:
-                self._attempts[index] = attempts
-                retry = Timeout(fs.env, fs.RETRY_DELAY)
-                retry.callbacks.append(self._on_event)
-                self._waiting[retry] = (index, None)
-            else:
-                self._settle(index, FileSystemError(destination, exc))
-        except (PathDown, RequestTimeout) as exc:
-            self._settle(index, FileSystemError(destination, exc))
 
     def _settle(self, index: int, result: Any) -> None:
         self.results[index] = result

@@ -126,7 +126,7 @@ class _DeadlineQueue:
     the answered requests at its head and releases their messages.
 
     One engine entry is armed for the earliest pending deadline.  Its key
-    is ``(deadline, 0, seq)``, with ``seq`` reserved at delivery: the key
+    is ``(deadline, seq)``, with ``seq`` reserved at delivery: the key
     a per-request :class:`~repro.sim.Timeout` would have had, so a
     deadline that fires keeps its place among all other events.  An
     entry whose request was answered pops as a no-op and re-arms for the

@@ -192,22 +192,22 @@ class ProcessPair:
     #: blocks): the backup shares them instead of copying them.
     shared_tables: frozenset = frozenset()
 
-    def checkpoint(self, _charge: bool = True, **entries: Any) -> Generator:
+    def checkpoint(self, **entries: Any) -> Generator:
         """Replicate ``entries`` of ``self.state`` to the backup image."""
-        return self._replicate((), entries, _charge, "keys")
+        return self._replicate((), entries, "keys")
 
     def checkpoint_update(self, table: str, updates: Optional[Dict[Any, Any]] = None,
-                          removals: Any = (), _charge: bool = True) -> Generator:
+                          removals: Any = ()) -> Generator:
         """Delta-checkpoint entries of the dict ``self.state[table]``.
 
         Used for large tables (dirty blocks, lock grants, duplicate-
         suppression entries) where re-copying the whole table per
         operation would be wrong.
         """
-        return self._replicate(((table, updates, removals),), None, _charge, "table")
+        return self._replicate(((table, updates, removals),), None, "table")
 
-    def checkpoint_multi(self, parts: Any, scalars: Optional[Dict[str, Any]] = None,
-                         _charge: bool = True) -> Generator:
+    def checkpoint_multi(self, parts: Any,
+                         scalars: Optional[Dict[str, Any]] = None) -> Generator:
         """Delta-checkpoint several tables (plus scalars) in one message.
 
         ``parts`` is a sequence of ``(table, updates, removals)``.  The
@@ -215,16 +215,16 @@ class ProcessPair:
         the coalescing the real pairs did: one IPC carries every delta
         an operation produced.
         """
-        return self._replicate(parts, scalars, _charge, "tables")
+        return self._replicate(parts, scalars, "tables")
 
-    def _replicate(self, parts: Any, scalars: Optional[Dict[str, Any]], charge: bool,
+    def _replicate(self, parts: Any, scalars: Optional[Dict[str, Any]],
                    trace_key: str) -> Generator:
         """The one checkpoint body behind the three entry points above.
 
         Applies ``parts`` and ``scalars`` to the primary's state; with a
-        backup, costs one checkpoint message (``charge=False`` piggybacks
-        on the operation's previous one) and mirrors them.  The backup
-        has its own memory, so it gets private copies — except of
+        backup, costs one checkpoint message and mirrors them (deltas
+        that share a message go in one :meth:`checkpoint_multi`).  The
+        backup has its own memory, so it gets private copies — except of
         immutable values (registered types, ``shared_tables``), which
         it shares.  The ``checkpoint`` record names what was sent under
         ``trace_key``: the scalar ``keys``, the one ``table`` or the
@@ -243,25 +243,24 @@ class ProcessPair:
             state.update(scalars)
         if self.backup_cpu is None:
             return
-        if charge:
-            # A checkpoint is an interprocessor message: it occupies a
-            # bus for its duration.
-            node = self.node_os.node
-            latency = node.latencies.checkpoint
-            node.buses.record_transfer(latency)
-            yield Timeout(self.env, latency)
-            self.checkpoints_sent += 1
-            probe = self.env.probe
-            if probe.recording:
-                if trace_key == "keys":
-                    sent: Any = sorted(scalars)
-                elif trace_key == "table":
-                    sent = parts[0][0]
-                else:
-                    sent = [table for table, _u, _r in parts]
-                probe.emit("checkpoint", pair=self._label, **{trace_key: sent})
+        # A checkpoint is an interprocessor message: it occupies a bus
+        # for its duration.
+        node = self.node_os.node
+        latency = node.latencies.checkpoint
+        node.buses.record_transfer(latency)
+        yield Timeout(self.env, latency)
+        self.checkpoints_sent += 1
+        probe = self.env.probe
+        if probe.recording:
+            if trace_key == "keys":
+                sent: Any = sorted(scalars)
+            elif trace_key == "table":
+                sent = parts[0][0]
             else:
-                probe.count("checkpoint")
+                sent = [table for table, _u, _r in parts]
+            probe.emit("checkpoint", pair=self._label, **{trace_key: sent})
+        else:
+            probe.count("checkpoint")
         atomic = ATOMIC_TYPES
         backup_state = self.backup_state
         for table, updates, removals in parts:

@@ -14,14 +14,10 @@ import itertools
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..hardware import Cpu, Node
-from ..sim import AnyOf, Channel, Environment, Process
+from ..sim import Channel, Environment, Process
 from .message import Message, MessageSystem, ProcessDied
 
-__all__ = ["OsProcess", "NodeOs", "ReceiveTimeout"]
-
-
-class ReceiveTimeout(Exception):
-    """``receive(timeout=...)`` expired with no message."""
+__all__ = ["OsProcess", "NodeOs"]
 
 
 class OsProcess:
@@ -77,22 +73,10 @@ class OsProcess:
         else:
             self.inbox.put(message)
 
-    def receive(self, timeout: Optional[float] = None):
-        """Wait for the next request.  (Generator helper.)
-
-        Returns a :class:`Message`; raises :class:`ReceiveTimeout` if a
-        timeout is given and expires first.
-        """
-        get_event = self.inbox.get()
-        if timeout is None:
-            message = yield get_event
-            return message
-        deadline = self.env.timeout(timeout)
-        outcome = yield AnyOf(self.env, [get_event, deadline])
-        if get_event in outcome:
-            return outcome[get_event]
-        self.inbox.cancel(get_event)
-        raise ReceiveTimeout(f"{self.name}: no message within {timeout}ms")
+    def receive(self):
+        """Wait for the next request; return it.  (Generator helper.)"""
+        message = yield self.inbox.get()
+        return message
 
     def reply(self, message: Message, payload: Any) -> None:
         """Answer a request previously returned by :meth:`receive`."""
@@ -210,9 +194,6 @@ class NodeOs:
             self._by_cpu[process.cpu.number].remove(process)
         except (KeyError, ValueError):
             pass
-
-    def processes_on_cpu(self, cpu_number: int) -> List[OsProcess]:
-        return list(self._by_cpu.get(cpu_number, []))
 
     def alive_cpu_numbers(self) -> List[int]:
         return [cpu.number for cpu in self.node.cpus if cpu.up]

@@ -40,9 +40,6 @@ class LintResult:
     suppressed: int = 0
     baselined: int = 0
 
-    def worst(self) -> Optional[Severity]:
-        return max((f.severity for f in self.findings), default=None)
-
     def count_at_least(self, severity: Severity) -> int:
         return sum(1 for f in self.findings if f.severity >= severity)
 

@@ -14,27 +14,15 @@ from .fastcopy import (
     register_fastcopy,
     register_immutable,
 )
-from .events import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    ProcessKilled,
-    SimulationError,
-    Timeout,
-)
+from .events import Event, Process, ProcessKilled, SimulationError, Timeout
 from .rng import RandomStreams, zipf_weights
 from .probe import Probe, TraceRecord
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Channel",
     "ChannelClosed",
     "Environment",
     "Event",
-    "Interrupt",
     "Probe",
     "Process",
     "ProcessKilled",

@@ -16,7 +16,7 @@ from collections import deque
 from typing import Any, Deque, Optional
 
 from .engine import Environment
-from .events import PENDING, Event
+from .events import Event
 
 __all__ = ["Channel", "ChannelClosed"]
 
@@ -50,12 +50,8 @@ class Channel:
         """Deposit ``item``; returns False if the channel is closed."""
         if self._closed is not None:
             return False
-        getters = self._getters
-        while getters:
-            getter = getters.popleft()
-            if getter._value is not PENDING:
-                continue  # getter gave up (e.g. timed out) meanwhile
-            getter.succeed_inline(item)
+        if self._getters:
+            self._getters.popleft().succeed_inline(item)
             return True
         self._items.append(item)
         return True
@@ -73,13 +69,6 @@ class Channel:
             self._getters.append(event)
         return event
 
-    def cancel(self, event: Event) -> None:
-        """Withdraw a pending getter (used after a timeout won a race)."""
-        try:
-            self._getters.remove(event)
-        except ValueError:
-            pass
-
     def close(self, reason: Any = None) -> None:
         """Close the channel; pending and future getters fail."""
         if self._closed is not None:
@@ -87,9 +76,8 @@ class Channel:
         self._closed = ChannelClosed(reason)
         while self._getters:
             getter = self._getters.popleft()
-            if not getter.triggered:
-                getter.defused = True
-                getter.fail(self._closed)
+            getter.defused = True
+            getter.fail(self._closed)
 
     def drain(self) -> list:
         """Remove and return all queued items (without waking getters)."""

@@ -3,23 +3,16 @@
 Time is a float; by convention throughout this project it is measured in
 **milliseconds** of simulated wall-clock time.  The environment is fully
 deterministic: events scheduled for the same instant are processed in
-(priority, insertion-order) sequence, so a run with the same seeds always
-produces the same history.
+insertion order, so a run with the same seeds always produces the same
+history.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Generator, List, Optional, Tuple
 
-from .events import (
-    AllOf,
-    AnyOf,
-    Event,
-    Process,
-    SimulationError,
-    Timeout,
-)
+from .events import Event, Process, SimulationError, Timeout
 from .probe import Probe
 
 __all__ = ["Environment"]
@@ -46,7 +39,7 @@ class Environment:
 
     def __init__(self):
         self._now = 0.0
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
         #: the run's always-on counters and record stream.
@@ -78,19 +71,13 @@ class Environment:
                 inline: bool = False) -> Process:
         return Process(self, generator, name=name, inline=inline)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     # ------------------------------------------------------------------
     # Scheduling and execution
     # ------------------------------------------------------------------
-    def schedule(self, event: Event, delay: float = 0.0, priority: int = 0) -> None:
+    def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Queue ``event`` for processing ``delay`` time units from now."""
         self._eid += 1
-        heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heappush(self._queue, (self._now + delay, self._eid, event))
 
     def reserve_seq(self) -> int:
         """Claim the insertion-order number the next event would take.
@@ -109,11 +96,7 @@ class Environment:
         ``when`` must not be in the past, and ``seq`` must come from
         :meth:`reserve_seq` and be queued at most once at a time.
         """
-        heappush(self._queue, (when, 0, seq, event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        heappush(self._queue, (when, seq, event))
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -135,8 +118,7 @@ class Environment:
 
         # The loop binds the queue once and processes each event inline:
         # at tens of thousands of iterations per run the attribute
-        # lookups, the ``peek()`` indirection, and a per-event call are
-        # all measurable.
+        # lookups and a per-event call are measurable.
         queue = self._queue
         while True:
             if stop_event is not None and stop_event.callbacks is None:
@@ -156,7 +138,7 @@ class Environment:
             if queue[0][0] > stop_time:
                 self._now = stop_time
                 break
-            self._now, _, _, event = heappop(queue)
+            self._now, _, event = heappop(queue)
             callbacks = event.callbacks
             if callbacks is None:
                 continue  # a tombstone: processed already, or disarmed

@@ -5,24 +5,21 @@ generator that yields :class:`Event` objects.  Yielding an event suspends
 the process until the event *triggers*; the process is then resumed with
 the event's value (or the event's exception is thrown into it).
 
-Only the small subset of machinery needed by this project is implemented:
-plain events, timeouts, processes, and ``AnyOf``/``AllOf`` composition.
+Only the machinery this project uses is implemented: plain events,
+timeouts and processes.  A process waits on one event at a time; a wait
+with a deadline is one event that the deadline's own timer fails (see
+:mod:`repro.discprocess.locks`).
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, List, Optional
 
 __all__ = [
-    "PENDING",
     "Event",
     "Timeout",
     "Process",
-    "Condition",
-    "AnyOf",
-    "AllOf",
-    "Interrupt",
     "ProcessKilled",
     "SimulationError",
 ]
@@ -51,18 +48,6 @@ _STARTED = _Started()
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel itself."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    ``cause`` carries an arbitrary description of why the process was
-    interrupted (e.g. the component whose failure woke it up).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class ProcessKilled(Exception):
@@ -176,7 +161,7 @@ class Timeout(Event):
         self.defused = False
         self.delay = delay
         env._eid += 1
-        heappush(env._queue, (env._now + delay, 0, env._eid, self))
+        heappush(env._queue, (env._now + delay, env._eid, self))
 
 
 class Process(Event):
@@ -227,17 +212,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its wait point."""
-        if self.triggered:
-            return
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event.defused = True
-        event.callbacks.append(self._resume)
-        self.env.schedule(event, priority=-1)
-
     def kill(self, reason: Any = None) -> None:
         """Terminate the process without resuming it.
 
@@ -283,12 +257,7 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         if self._generator is None:
             return  # killed while a resume was already scheduled
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            # Woken by something other than its target (an interrupt).
-            self._detach()
-        else:
-            self._target = None
+        self._target = None
         self.env._active_process = self
         try:
             if event._ok:
@@ -345,86 +314,3 @@ class Process(Event):
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else ("ok" if self._ok else "failed")
         return f"<Process {self.name!r} {state}>"
-
-
-class Condition(Event):
-    """Base for events composed of other events."""
-
-    __slots__ = ("events", "_pending")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self.events: List[Event] = list(events)
-        for event in self.events:
-            if event.env is not env:
-                raise SimulationError("events belong to different environments")
-        self._pending = 0
-        for event in self.events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                self._pending += 1
-                event.callbacks.append(self._on_trigger)
-        if not self.triggered:
-            self._maybe_finish()
-
-    def _on_trigger(self, event: Event) -> None:
-        self._pending -= 1
-        if not event._ok:
-            # The condition owns its constituents' failures: a late
-            # failure (after the condition already triggered) must not
-            # abort the simulation as "unhandled".
-            event.defused = True
-        if not self.triggered:
-            self._check(event)
-            if not self.triggered:
-                self._maybe_finish()
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _maybe_finish(self) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(Condition):
-    """Triggers as soon as any constituent event does.
-
-    Succeeds with a dict mapping each already-triggered event to its value;
-    fails if the first triggering event failed.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if not event._ok:
-            event.defused = True
-            self.fail(event._value)
-        else:
-            self.succeed(self._collect())
-
-    def _maybe_finish(self) -> None:
-        if not self.events:
-            self.succeed({})
-
-    def _collect(self) -> dict:
-        return {
-            event: event._value
-            for event in self.events
-            if event.processed and event._ok
-        }
-
-
-class AllOf(Condition):
-    """Triggers when every constituent event has; fails on first failure."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if not event._ok:
-            event.defused = True
-            self.fail(event._value)
-
-    def _maybe_finish(self) -> None:
-        if self._pending == 0:
-            self.succeed({event: event._value for event in self.events})

@@ -9,7 +9,6 @@ from repro.guardian import (
     ProcessDied,
     ProcessPair,
     ProcessUnavailable,
-    ReceiveTimeout,
     parse_destination,
 )
 
@@ -155,18 +154,6 @@ class TestMessaging:
 
         proc = node_os.spawn("$client", 1, client)
         assert cluster.run(proc.sim_process) == pytest.approx(50 + cluster.latencies.bus_message)
-
-    def test_receive_timeout(self):
-        cluster = make_cluster()
-
-        def lonely(proc):
-            try:
-                yield from proc.receive(timeout=25)
-            except ReceiveTimeout:
-                return cluster.env.now
-
-        proc = cluster.os("alpha").spawn("$lonely", 0, lonely)
-        assert cluster.run(proc.sim_process) == 25
 
     def test_reply_lost_on_partition_mid_request(self):
         cluster = make_cluster(("alpha", "beta"))

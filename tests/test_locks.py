@@ -78,6 +78,29 @@ class TestBasicLocking:
         assert outcome == [(21, "t2")]
         assert lm.timeouts == 1
 
+    def test_release_at_the_deadline_instant_grants_nothing(self, env, lm):
+        # The deadline was queued before the release: the wait times out,
+        # and the released lock must not go to the waiter that gave up.
+        assert lm.try_acquire_record("T1", "f", 1)
+        outcome = []
+
+        def waiter():
+            try:
+                yield from lm.acquire_record("T2", "f", 1, timeout=10)
+            except LockTimeout as exc:
+                outcome.append((env.now, exc.transid))
+
+        def releaser():
+            yield env.timeout(10)
+            lm.release_all("T1")
+
+        env.process(waiter())
+        env.process(releaser())
+        env.run()
+        assert outcome == [(10, "T2")]
+        assert lm.holder_of_record("f", 1) is None
+        assert lm.held_count() == 0
+
     def test_fifo_grant_order(self, env, lm):
         granted = []
 

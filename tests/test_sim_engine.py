@@ -3,13 +3,10 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Channel,
     ChannelClosed,
     Environment,
     Event,
-    Interrupt,
     ProcessKilled,
     SimulationError,
 )
@@ -136,27 +133,6 @@ def test_yield_already_triggered_event_resumes():
     assert env.run(env.process(proc())) == "early"
 
 
-def test_interrupt_wakes_process():
-    env = Environment()
-    caught = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100)
-        except Interrupt as intr:
-            caught.append((env.now, intr.cause))
-
-    p = env.process(sleeper())
-
-    def interrupter():
-        yield env.timeout(5)
-        p.interrupt("wake-up")
-
-    env.process(interrupter())
-    env.run()
-    assert caught == [(5, "wake-up")]
-
-
 def test_kill_terminates_silently():
     env = Environment()
     progressed = []
@@ -200,40 +176,6 @@ def test_waiting_on_killed_process_raises_processkilled():
 
     env.process(killer())
     assert env.run(w) == ("killed", "cpu down")
-
-
-def test_any_of_first_wins():
-    env = Environment()
-
-    def proc():
-        fast = env.timeout(1, value="fast")
-        slow = env.timeout(10, value="slow")
-        result = yield env.any_of([fast, slow])
-        return (env.now, list(result.values()))
-
-    assert env.run(env.process(proc())) == (1, ["fast"])
-
-
-def test_all_of_waits_for_all():
-    env = Environment()
-
-    def proc():
-        a = env.timeout(1, value="a")
-        b = env.timeout(5, value="b")
-        result = yield env.all_of([a, b])
-        return (env.now, sorted(result.values()))
-
-    assert env.run(env.process(proc())) == (5, ["a", "b"])
-
-
-def test_all_of_empty_triggers_immediately():
-    env = Environment()
-
-    def proc():
-        yield env.all_of([])
-        return env.now
-
-    assert env.run(env.process(proc())) == 0
 
 
 def test_yield_non_event_fails_process():
@@ -353,33 +295,3 @@ class TestChannel:
         env.process(closer())
         assert env.run(g) == "closed"
         assert ch.put("ignored") is False
-
-    def test_cancelled_getter_skipped(self):
-        env = Environment()
-        ch = Channel(env)
-        got = []
-
-        def impatient():
-            get_ev = ch.get()
-            result = yield env.any_of([get_ev, env.timeout(1, value="timeout")])
-            if get_ev in result:
-                got.append(("impatient", result[get_ev]))
-            else:
-                ch.cancel(get_ev)
-                got.append(("impatient", "gave up"))
-
-        def patient():
-            value = yield ch.get()
-            got.append(("patient", value))
-
-        env.process(impatient())
-        env.process(patient())
-
-        def putter():
-            yield env.timeout(5)
-            ch.put("item")
-
-        env.process(putter())
-        env.run()
-        assert ("impatient", "gave up") in got
-        assert ("patient", "item") in got

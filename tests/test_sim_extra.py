@@ -3,11 +3,9 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
     Channel,
     Environment,
     Event,
-    Interrupt,
     Process,
     ProcessKilled,
     RandomStreams,
@@ -160,35 +158,6 @@ class TestKernelEdges:
         assert progressed == ["returned from fail()"]
         assert isinstance(proc.sim_process.value, ProcessKilled)
 
-    def test_allof_fails_on_constituent_failure(self):
-        env = Environment()
-
-        def failing():
-            yield env.timeout(2)
-            raise ValueError("x")
-
-        def waiter():
-            ok = env.timeout(5)
-            bad = env.process(failing())
-            try:
-                yield AllOf(env, [ok, bad])
-            except ValueError:
-                return env.now
-
-        assert env.run(env.process(waiter())) == 2
-
-    def test_interrupt_has_no_effect_on_finished_process(self):
-        env = Environment()
-
-        def quick():
-            yield env.timeout(1)
-            return "done"
-
-        p = env.process(quick())
-        env.run(p)
-        p.interrupt("late")  # no-op
-        assert p.value == "done"
-
     def test_event_cannot_trigger_twice(self):
         env = Environment()
         event = Event(env)
@@ -203,25 +172,6 @@ class TestKernelEdges:
         with pytest.raises(SimulationError):
             Event(env).fail("not an exception")
 
-    def test_interrupt_carries_cause_and_leaves_target_pending(self):
-        env = Environment()
-        target = Event(env)
-        seen = {}
-
-        def proc():
-            try:
-                yield target
-            except Interrupt as intr:
-                seen["cause"] = intr.cause
-            return "after"
-
-        p = env.process(proc())
-        env.run(until=1)
-        p.interrupt({"why": "test"})
-        assert env.run(p) == "after"
-        assert seen["cause"] == {"why": "test"}
-        assert not target.triggered
-
     def test_nested_process_chain_value(self):
         env = Environment()
 
@@ -234,9 +184,3 @@ class TestKernelEdges:
 
         assert env.run(env.process(level(5))) == 5
         assert env.now == 1  # only the innermost waited
-
-    def test_peek_and_empty(self):
-        env = Environment()
-        assert env.peek() == float("inf")
-        env.timeout(7)
-        assert env.peek() == 7
