@@ -84,11 +84,7 @@ def main():
     node.total_failure()
     print("  ...every CPU down; process memory (and caches) lost...")
     node.restore_all_cpus()
-    system.audit_processes["alpha"].cold_restart(2, 3)
-    tmf.tmp.restart(2, 3)
-    tmf.backout_process.restart(2, 3)
     tmf.reset_after_total_failure()
-    dp.cold_restart(0, 1)
 
     def recover(proc):
         stats = yield from tmfcom.recover_volume(proc, archive)  # RECOVER FILES

@@ -38,6 +38,9 @@ __all__ = [
     "check_consistency",
 ]
 
+#: every account's balance after :func:`populate_banking`.
+INITIAL_BALANCE = 1000
+
 
 def banking_schemas(
     data_partitions: Tuple[PartitionSpec, ...],
@@ -174,7 +177,6 @@ def populate_banking(
     branches: int,
     tellers_per_branch: int,
     accounts: int,
-    initial_balance: int = 1000,
 ) -> None:
     """Load the initial data set (one transaction per branch)."""
     client = system.clients[node]
@@ -205,7 +207,7 @@ def populate_banking(
                     {
                         "account_id": account_id,
                         "branch_id": account_id % branches,
-                        "balance": initial_balance,
+                        "balance": INITIAL_BALANCE,
                     },
                     transid=transid,
                 )

@@ -260,11 +260,6 @@ class ManufacturingApp:
             yield from tmf.abort(proc, transid, str(exc))
             return {"ok": False, "error": "master_unavailable", "master_node": master}
 
-    def read_item(self, proc, node: str, item_id: Any, file: str = "item_master") -> Generator:
-        client = self.system.clients[node]
-        record = yield from client.read(proc, _copy_name(file, node), (item_id,))
-        return record
-
     def local_transaction(self, proc, node: str, item_id: Any, delta: int) -> Generator:
         """A purely local stock movement (most transactions in Figure 4)."""
         client = self.system.clients[node]

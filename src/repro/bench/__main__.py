@@ -25,7 +25,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.workloads import format_table
+from repro.measure import format_table
 
 from .compare import COUNTER_DRIFT, COUNTER_IMPROVEMENT, compare_reports
 from .experiments import EXPERIMENTS, determinism_digests, run_suite

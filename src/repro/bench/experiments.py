@@ -476,12 +476,8 @@ def _e5_episode(pre_archive: float, post_archive: float, check_exact: bool):
     node = system.cluster.node("alpha")
     node.total_failure()
     node.restore_all_cpus()
-    system.audit_processes["alpha"].cold_restart(2, 3)
     tmf = system.tmf["alpha"]
-    tmf.tmp.restart(2, 3)
-    tmf.backout_process.restart(2, 3)
     tmf.reset_after_total_failure()
-    dp.cold_restart(0, 1)
     rollforward = Rollforward(tmf)
     rollforward.rebuild_dispositions()
 
@@ -853,24 +849,19 @@ class _KvPair(ProcessPair):
     """A minimal replicated key-value service."""
 
     def state_defaults(self):
-        return {"kv": {}, "completed": {}}
+        return {"kv": {}}
 
     def serve_request(self, proc, message):
         op = message.payload
-        recorded = self.state["completed"].get(message.msg_id)
-        if recorded is not None:
-            proc.reply(message, recorded)
-            return
-        if op.get("op") == "put":
-            self.state["kv"][op["key"]] = op["value"]
-            reply = {"ok": True, "version": len(self.state["kv"])}
-            yield from self.checkpoint_multi((
-                ("kv", {op["key"]: op["value"]}, ()),
-                ("completed", {message.msg_id: reply}, ()),
-            ))
-        else:
-            reply = {"ok": True, "value": self.state["kv"].get(op["key"])}
-        proc.reply(message, reply)
+        if op.get("op") != "put":
+            return {"ok": True, "value": self.state["kv"].get(op["key"])}
+        self.state["kv"][op["key"]] = op["value"]
+        reply = {"ok": True, "version": len(self.state["kv"])}
+        yield from self.checkpoint_multi((
+            ("kv", {op["key"]: op["value"]}, ()),
+            self.reply_part(message, reply),
+        ))
+        return reply
 
 
 def _kv_cluster():
@@ -1340,7 +1331,7 @@ def run_suite(
 # ----------------------------------------------------------------------
 # Determinism digests (hash-randomization and fast-path identity proofs)
 # ----------------------------------------------------------------------
-def determinism_digests(seed: int = 11) -> Dict[str, str]:
+def determinism_digests() -> Dict[str, str]:
     """SHA-256 digests of a measured+traced pinned-seed banking run.
 
     The run covers every layer the FASTPATH optimisation touched (event
@@ -1350,7 +1341,7 @@ def determinism_digests(seed: int = 11) -> Dict[str, str]:
     itself — is strong evidence the simulated history is unchanged.
     """
     system, terminals = _build_banking(
-        seed=seed, accounts=16, tellers=6, terminals=6,
+        seed=11, accounts=16, tellers=6, terminals=6,
         measure=True, trace=True,
     )
     _drive(system, terminals, duration=1500.0, accounts=16, seed=99,

@@ -31,7 +31,7 @@ from .states import (
     TxState,
     legal_transitions_by_name,
 )
-from .tmf import TmfNode, TransactionAborted, TransactionRecord
+from .tmf import TMP_NAME, TmfNode, TransactionAborted, TransactionRecord
 from .tmfcom import Tmfcom
 from .tmp import (
     TmpAbort,
@@ -61,6 +61,7 @@ __all__ = [
     "RecoveryStats",
     "Rollforward",
     "StateBroadcaster",
+    "TMP_NAME",
     "TmfNode",
     "Tmfcom",
     "TmpAbort",

@@ -27,7 +27,7 @@ from ..discprocess.entryseq import EntrySequencedFile
 # The audit image carriers are defined at the layer that produces them
 # (the DISCPROCESS) and re-exported here for the consumers above.
 from ..discprocess.ops import AppendAudit, AuditRecord
-from ..guardian import Message, NodeOs, OsProcess, ProcessPair
+from ..guardian import Message, NodeOs, OsProcess, ProcessPair, bad_request
 from ..hardware import MirroredVolume
 from ..sim import register_immutable
 from .transid import Transid
@@ -262,8 +262,7 @@ class AuditProcess(ProcessPair):
       trail only: they may arrive after the aborted transaction was
       forgotten, and indexing them would revive its entry for good;
     * ``high_seq`` — per-volume highest audit sequence seen (suppresses
-      duplicates re-forwarded after a DISCPROCESS takeover);
-    * ``durable_high`` — per-volume highest sequence forced to the trail.
+      duplicates re-forwarded after a DISCPROCESS takeover).
     """
 
     def __init__(
@@ -290,7 +289,6 @@ class AuditProcess(ProcessPair):
             "buffer": {},
             "by_tx": {},
             "high_seq": {},
-            "durable_high": {},
             "next_index": 0,
         }
 
@@ -298,18 +296,14 @@ class AuditProcess(ProcessPair):
     def serve_request(self, proc: OsProcess, message: Message) -> Generator:
         payload = message.payload
         if isinstance(payload, AppendAudit):
-            yield from self._append(proc, message, payload)
-        elif isinstance(payload, ForceAudit):
-            yield from self._force(proc, message)
-        elif isinstance(payload, GetAudit):
-            records = self._records_for(payload.transid)
-            proc.reply(message, {"ok": True, "records": tuple(records)})
-        else:
-            proc.reply(
-                message, {"ok": False, "error": "bad_request", "detail": repr(payload)}
-            )
+            return (yield from self._append(payload))
+        if isinstance(payload, ForceAudit):
+            return (yield from self._force(message))
+        if isinstance(payload, GetAudit):
+            return {"ok": True, "records": tuple(self._records_for(payload.transid))}
+        return bad_request(payload)
 
-    def _append(self, proc: OsProcess, message: Message, payload: AppendAudit) -> Generator:
+    def _append(self, payload: AppendAudit) -> Generator:
         high = self.state["high_seq"].get(payload.volume, -1)
         fresh = [r for r in payload.records if r.seq > high]
         if fresh:
@@ -341,9 +335,9 @@ class AuditProcess(ProcessPair):
             for tx_key in tx_updates:
                 if tx_key not in by_tx:
                     backup_by_tx.pop(tx_key, None)
-        proc.reply(message, {"ok": True, "accepted": len(fresh)})
+        return {"ok": True, "accepted": len(fresh)}
 
-    def _force(self, proc: OsProcess, message: Message) -> Generator:
+    def _force(self, message: Message) -> Generator:
         """Write every buffered image to the trail (group commit).
 
         The images are claimed from the buffer before the disc wait, so
@@ -367,21 +361,8 @@ class AuditProcess(ProcessPair):
         self._disc_free_at = start + cost
         yield self.env.timeout(self._disc_free_at - self.env.now)
         if records:
-            durable_updates: Dict[str, int] = {}
-            for record in records:
-                volume = record.volume
-                durable_updates[volume] = max(
-                    durable_updates.get(volume, -1), record.seq
-                )
-            # One multi-part checkpoint (buffer drain + durable marks)
-            # instead of two charged messages; the primary's buffer
-            # already lost the indices above.
-            yield from self.checkpoint_multi(
-                [
-                    ("buffer", None, indices),
-                    ("durable_high", durable_updates, ()),
-                ]
-            )
+            # The primary's buffer already lost the indices above.
+            yield from self.checkpoint_multi([("buffer", None, indices)])
         self.forces += 1
         probe = self.env.probe
         if probe.listening:
@@ -390,7 +371,7 @@ class AuditProcess(ProcessPair):
                 name="audit-force", category="audit", start=t0,
                 histogram="audit.force_ms",
             )
-        proc.reply(message, {"ok": True, "trail_records": self.trail.total_records})
+        return {"ok": True, "trail_records": self.trail.total_records}
 
     def _records_for(self, transid: Transid) -> List[AuditRecord]:
         return list(self.state["by_tx"].get(str(transid), ()))
@@ -417,7 +398,6 @@ class AuditProcess(ProcessPair):
             "buffer": {},
             "by_tx": by_tx,
             "high_seq": high_seq,
-            "durable_high": dict(high_seq),
             "next_index": 0,
         }
         self.restart(primary_cpu, backup_cpu)

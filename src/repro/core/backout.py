@@ -25,6 +25,7 @@ from ..guardian import (
     NodeOs,
     OsProcess,
     ProcessPair,
+    bad_request,
 )
 from .audit import GetAudit
 from .transid import Transid
@@ -62,19 +63,17 @@ class BackoutProcess(ProcessPair):
     def serve_request(self, proc: OsProcess, message: Message) -> Generator:
         payload = message.payload
         if not isinstance(payload, BackoutTx):
-            proc.reply(message, {"ok": False, "error": "bad_request"})
-            return
+            return bad_request(payload)
         try:
             undone = yield from self._backout(proc, payload)
         except FileSystemError as exc:
-            proc.reply(message, {"ok": False, "error": "backout_failed", "detail": str(exc)})
-            return
+            return {"ok": False, "error": "backout_failed", "detail": str(exc)}
         self._trace(
             "transaction_backed_out",
             transid=str(payload.transid),
             records=undone,
         )
-        proc.reply(message, {"ok": True, "undone": undone})
+        return {"ok": True, "undone": undone}
 
     def _backout(self, proc: OsProcess, payload: BackoutTx) -> Generator:
         records: List[Any] = []

@@ -28,7 +28,7 @@ from ..discprocess.records import KEY_SEQUENCED, RELATIVE, FileSchema
 from ..guardian import FileSystemError, OsProcess
 from ..sim import fast_deepcopy
 from .audit import AuditRecord, CompletionRecord
-from .tmf import PHASE1_TIMEOUT, TmfNode
+from .tmf import PHASE1_TIMEOUT, TMP_NAME, TmfNode
 from .tmp import TmpQuery
 from .transid import Transid
 
@@ -150,7 +150,7 @@ class Rollforward:
         try:
             reply = yield from self.tmf.filesystem.send(
                 proc,
-                f"\\{transid.home_node}.{self.tmf.tmp_name}",
+                f"\\{transid.home_node}.{TMP_NAME}",
                 TmpQuery(transid),
                 timeout=PHASE1_TIMEOUT,
             )

@@ -66,6 +66,9 @@ FORCE_TIMEOUT = 5000.0
 PUMP_INTERVAL = 200.0
 #: completed-transaction records kept.
 DONE_RETENTION = 10000
+#: the registered names of every node's TMP and BACKOUTPROCESS pairs.
+TMP_NAME = "$TMP"
+BACKOUT_NAME = "$BACKOUT"
 
 
 class TransactionAborted(Exception):
@@ -104,8 +107,6 @@ class TmfNode:
         filesystem: FileSystem,
         monitor_volume: Any,
         tmp_cpus: Tuple[int, int] = (0, 1),
-        tmp_name: str = "$TMP",
-        backout_name: str = "$BACKOUT",
     ):
         self.node_os = node_os
         self.env = node_os.env
@@ -125,11 +126,9 @@ class TmfNode:
         self._safe_queue: List[Tuple[str, Any]] = []
         self._auto_aborts: List[Tuple[Transid, str]] = []
         self._interrupted: List[Transid] = []
-        self.tmp_name = tmp_name
-        self.backout_name = backout_name
-        self.tmp = TmpProcess(node_os, tmp_name, tmp_cpus[0], tmp_cpus[1], self)
+        self.tmp = TmpProcess(node_os, TMP_NAME, tmp_cpus[0], tmp_cpus[1], self)
         self.backout_process = BackoutProcess(
-            node_os, backout_name, tmp_cpus[0], tmp_cpus[1], filesystem
+            node_os, BACKOUT_NAME, tmp_cpus[0], tmp_cpus[1], filesystem
         )
         # Wire automatic transid export into the File System.
         filesystem.transid_exporter = self.export_transid
@@ -214,7 +213,7 @@ class TmfNode:
         """END-TRANSACTION: commit; raises :class:`TransactionAborted`."""
         try:
             reply = yield from self.filesystem.send(
-                proc, self.tmp_name, TmpCommit(transid), timeout=60_000.0
+                proc, TMP_NAME, TmpCommit(transid), timeout=60_000.0
             )
         except FileSystemError as exc:
             raise TransactionAborted(transid, f"TMP unavailable: {exc}") from exc
@@ -227,7 +226,7 @@ class TmfNode:
         """ABORT-TRANSACTION / RESTART-TRANSACTION: back out everywhere."""
         try:
             yield from self.filesystem.send(
-                proc, self.tmp_name, TmpAbort(transid, reason), timeout=60_000.0
+                proc, TMP_NAME, TmpAbort(transid, reason), timeout=60_000.0
             )
         except FileSystemError:
             # TMP pair down: the abort will be queued when it returns.
@@ -259,7 +258,7 @@ class TmfNode:
         try:
             reply = yield from self.filesystem.send(
                 proc,
-                f"\\{dest_node}.{self.tmp_name}",
+                f"\\{dest_node}.{TMP_NAME}",
                 TmpRemoteBegin(transid, parent=self.node_name),
                 timeout=PHASE1_TIMEOUT,
             )
@@ -428,7 +427,7 @@ class TmfNode:
         children = sorted(record.children)
         with self.filesystem.post_all(
             proc,
-            [(f"\\{child}.{self.tmp_name}", TmpPhase1(record.transid))
+            [(f"\\{child}.{TMP_NAME}", TmpPhase1(record.transid))
              for child in children],
             PHASE1_TIMEOUT,
         ) as votes:
@@ -499,7 +498,7 @@ class TmfNode:
             try:
                 yield from self.filesystem.send(
                     proc,
-                    self.backout_name,
+                    BACKOUT_NAME,
                     BackoutTx(
                         transid,
                         tuple(sorted(record.local_audit_processes)),
@@ -578,12 +577,21 @@ class TmfNode:
     # Total node failure
     # ------------------------------------------------------------------
     def reset_after_total_failure(self) -> None:
-        """Discard all in-memory state (every CPU's copy is gone).
+        """Cold-restart the node's TMF after every CPU failed and returned.
 
-        Durable knowledge — the Monitor Audit Trail — is re-attached
-        from its disc volume; dispositions are rebuilt from it by
+        The AUDITPROCESSes, the TMP, the BACKOUTPROCESS and the
+        registered DISCPROCESSes restart in their configured CPUs, in
+        that order, around this instance's own reset: all in-memory
+        state is discarded (every CPU's copy is gone), and durable
+        knowledge — the Monitor Audit Trail — is re-attached from its
+        disc volume; dispositions are rebuilt from it by
         :meth:`repro.core.rollforward.Rollforward.rebuild_dispositions`.
+        The volumes stay crashed until ROLLFORWARD reloads them.
         """
+        for audit_process in self.audit_objects.values():
+            audit_process.cold_restart(*audit_process.configured_cpus)
+        for pair in (self.tmp, self.backout_process):
+            pair.restart(*pair.configured_cpus)
         self.records.clear()
         self.dispositions.clear()
         self._done_order.clear()
@@ -594,6 +602,8 @@ class TmfNode:
                 self.monitor_trail.volume, self.monitor_trail.prefix
             )
         )
+        for disc_process in self.disc_objects.values():
+            disc_process.cold_restart(*disc_process.configured_cpus)
 
     # ------------------------------------------------------------------
     # Automatic aborts and the background pump
@@ -669,7 +679,7 @@ class TmfNode:
                 try:
                     yield from self.filesystem.send(
                         proc,
-                        f"\\{dest_node}.{self.tmp_name}",
+                        f"\\{dest_node}.{TMP_NAME}",
                         payload,
                         timeout=PHASE1_TIMEOUT,
                     )

@@ -29,7 +29,7 @@ from .rollforward import (
     dump_volume,
     purge_audit_trails,
 )
-from .tmf import PHASE1_TIMEOUT, TmfNode
+from .tmf import PHASE1_TIMEOUT, TMP_NAME, TmfNode
 from .tmp import TmpForceDisposition, TmpQuery
 from .transid import Transid
 
@@ -125,7 +125,7 @@ class Tmfcom:
         try:
             reply = yield from self.tmf.filesystem.send(
                 proc,
-                f"\\{transid.home_node}.{self.tmf.tmp_name}",
+                f"\\{transid.home_node}.{TMP_NAME}",
                 TmpQuery(transid),
                 timeout=PHASE1_TIMEOUT,
             )
@@ -145,7 +145,7 @@ class Tmfcom:
         if disposition not in ("committed", "aborted"):
             raise ValueError(f"disposition must be committed/aborted, got {disposition!r}")
         yield from self.tmf.filesystem.send(
-            proc, self.tmf.tmp_name, TmpForceDisposition(transid, disposition),
+            proc, TMP_NAME, TmpForceDisposition(transid, disposition),
             timeout=30_000.0,
         )
         return self.disposition(transid)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator
 
-from ..guardian import Message, NodeOs, OsProcess, ProcessPair
+from ..guardian import Message, NodeOs, OsProcess, ProcessPair, bad_request
 from .transid import Transid
 
 __all__ = [
@@ -131,28 +131,27 @@ class TmpProcess(ProcessPair):
         tmf = self.tmf
         if isinstance(payload, TmpCommit):
             disposition = yield from tmf.do_commit(proc, payload.transid)
-            proc.reply(message, {"ok": True, "disposition": disposition})
-        elif isinstance(payload, TmpAbort):
+            return {"ok": True, "disposition": disposition}
+        if isinstance(payload, TmpAbort):
             disposition = yield from tmf.do_abort(proc, payload.transid, payload.reason)
-            proc.reply(message, {"ok": True, "disposition": disposition})
-        elif isinstance(payload, TmpRemoteBegin):
+            return {"ok": True, "disposition": disposition}
+        if isinstance(payload, TmpRemoteBegin):
             accepted = yield from tmf.do_remote_begin(payload.transid, payload.parent)
-            proc.reply(message, {"ok": accepted})
-        elif isinstance(payload, TmpPhase1):
+            return {"ok": accepted}
+        if isinstance(payload, TmpPhase1):
             vote = yield from tmf.do_phase1(proc, payload.transid)
-            proc.reply(message, {"ok": True, "vote": vote})
-        elif isinstance(payload, TmpPhase2):
+            return {"ok": True, "vote": vote}
+        if isinstance(payload, TmpPhase2):
             yield from tmf.do_phase2(proc, payload.transid)
-            proc.reply(message, {"ok": True})
-        elif isinstance(payload, TmpAbortRemote):
+            return {"ok": True}
+        if isinstance(payload, TmpAbortRemote):
             yield from tmf.do_abort_remote(proc, payload.transid, payload.reason)
-            proc.reply(message, {"ok": True})
-        elif isinstance(payload, TmpQuery):
-            proc.reply(message, {"ok": True, **tmf.disposition_of(payload.transid)})
-        elif isinstance(payload, TmpForceDisposition):
+            return {"ok": True}
+        if isinstance(payload, TmpQuery):
+            return {"ok": True, **tmf.disposition_of(payload.transid)}
+        if isinstance(payload, TmpForceDisposition):
             yield from tmf.do_force_disposition(
                 proc, payload.transid, payload.disposition
             )
-            proc.reply(message, {"ok": True})
-        else:
-            proc.reply(message, {"ok": False, "error": "bad_request", "detail": repr(payload)})
+            return {"ok": True}
+        return bad_request(payload)

@@ -12,9 +12,10 @@ The manager is sim-integrated: ``acquire_record``/``acquire_file`` are
 generator helpers that suspend the caller until the lock is granted or
 the caller's timeout expires (:class:`LockTimeout` — the signal that
 drives RESTART-TRANSACTION at the application level).  A timed wait is
-one event, the waiter's own: a release succeeds it with the grant, and
-the deadline's timer fails it unless the grant came first, so a lock is
-never granted to a waiter that has already timed out.
+one event, the waiter's own: a release succeeds it with the grant and
+disarms the deadline's timer, which otherwise fails it, so a lock is
+never granted to a waiter that has already timed out, and a granted
+wait's deadline costs no engine event.
 
 A waits-for-graph deadlock detector is also provided, *not* used by the
 reproduction's normal path, as the ablation baseline for bench E4.
@@ -43,7 +44,7 @@ class LockTimeout(Exception):
 
 
 class _Waiter:
-    __slots__ = ("event", "transid", "target", "since")
+    __slots__ = ("event", "transid", "target", "since", "deadline")
 
     def __init__(self, event: Event, transid: Any, target: LockTarget,
                  since: float = 0.0):
@@ -51,11 +52,11 @@ class _Waiter:
         self.transid = transid
         self.target = target
         self.since = since  # enqueue time (the watchdog's wait horizon)
+        self.deadline: Optional[Event] = None
 
     def expire(self, _deadline: Event) -> None:
-        """Deadline timer callback: time the wait out unless granted."""
-        if not self.event.triggered:
-            self.event.fail(LockTimeout(self.transid, self.target))
+        """Deadline timer callback: time the wait out (a grant disarms it)."""
+        self.event.fail(LockTimeout(self.transid, self.target))
 
 
 class LockManager:
@@ -129,7 +130,8 @@ class LockManager:
         waiter = _Waiter(Event(self.env), transid, target, since=self.env.now)
         self._queues.setdefault(target, deque()).append(waiter)
         self._trace("lock_wait", transid=str(transid), target=target)
-        self.env.timeout(timeout).callbacks.append(waiter.expire)
+        waiter.deadline = self.env.timeout(timeout)
+        waiter.deadline.callbacks.append(waiter.expire)
         try:
             yield waiter.event
         except LockTimeout:
@@ -206,6 +208,9 @@ class LockManager:
                 break
             queue.popleft()
             self._grant(waiter.transid, waiter.target)
+            # Disarm the deadline: its timer stays queued as a tombstone
+            # the engine skips without counting an event.
+            waiter.deadline.callbacks = None
             waiter.event.succeed()
             self._trace("lock_granted_after_wait", transid=str(waiter.transid),
                         target=waiter.target)

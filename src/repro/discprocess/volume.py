@@ -19,9 +19,11 @@ Fidelity notes:
   so a takeover preserves all transaction locks (the paper's recovery is
   transparent to transactions not involved in the failed module).
 * **Duplicate suppression**: the File System retries a request whose
-  server died mid-operation, re-using the message id; completed replies
-  are checkpointed so a retried-but-already-applied mutation answers
-  from the record instead of re-executing.
+  server died mid-operation, re-using the message id; each mutation's
+  reply rides in its checkpoint (the pair's ``reply_part``), so a
+  retried-but-already-applied mutation is answered from the record by
+  :class:`ProcessPair` instead of re-executing — even by a volume
+  marked crashed since.
 * **Audit flow (BOXCAR)**: the paper's §Audit Trails has audit images
   *buffered* at the AUDITPROCESS and "write-forced to disc as part of
   the two-phase commit" — nothing reads them before phase one, so no
@@ -46,10 +48,17 @@ Fidelity notes:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Generator, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, NamedTuple, Optional, Tuple
 
-from ..guardian import FileSystem, FileSystemError, Message, NodeOs, OsProcess, ProcessPair
+from ..guardian import (
+    FileSystem,
+    FileSystemError,
+    Message,
+    NodeOs,
+    OsProcess,
+    ProcessPair,
+    bad_request,
+)
 from ..hardware import MirroredVolume, VolumeUnavailable
 from ..sim import Event, fast_deepcopy
 from .blocks import BlockKey
@@ -86,8 +95,6 @@ from .records import ENTRY_SEQUENCED, KEY_SEQUENCED, RELATIVE
 from .relative import SlotError
 
 __all__ = ["DiscProcess"]
-
-_COMPLETED_LIMIT = 2048  # retained duplicate-suppression entries
 
 #: images aboard at which a boxcar departs on its own (and so the
 #: largest ``AppendAudit`` a full boxcar sends).
@@ -133,7 +140,6 @@ class DiscProcess(ProcessPair):
         self.crashed = False
         self._flushed_keys: List[BlockKey] = []
         self._forwarded_seqs: List[int] = []
-        self._completed_order: Deque[int] = deque(maxlen=_COMPLETED_LIMIT)
         #: plain counters surfaced by the volume statistics: AppendAudit
         #: batches shipped and the images they carried (records/batches
         #: > 1 is the boxcar's round-trip saving).
@@ -151,11 +157,9 @@ class DiscProcess(ProcessPair):
         # actuator); concurrent operations queue FCFS.  Cache hits are
         # CPU-side and do not queue.
         self._disc_free_at = 0.0
-        #: accumulated physical-disc service time (ms) and in-flight
-        #: request count; the XRAY sampler derives utilization and
-        #: queue depth from these.
+        #: accumulated physical-disc service time (ms); the XRAY sampler
+        #: derives utilization from deltas of this.
         self.busy_ms = 0.0
-        self.pending_requests = 0
         # Built by _build_runtime, which a takeover runs again.
         self.cache: Optional[BlockCache] = None
         self.store: Optional[CachedVolumeStore] = None
@@ -171,7 +175,6 @@ class DiscProcess(ProcessPair):
             "files": {},
             "dirty": {},
             "locks": {},
-            "completed": {},
             "unforwarded": {},
             "audit_seq": 0,
         }
@@ -210,11 +213,6 @@ class DiscProcess(ProcessPair):
         self.locks = self._new_lock_manager()
         for target, owner in self.state.get("locks", {}).items():
             self.locks._grant(owner, target)
-        known = sorted(self.state.get("completed", {}))
-        self._completed_order = deque(known, maxlen=_COMPLETED_LIMIT)
-        for old in known[: max(0, len(known) - _COMPLETED_LIMIT)]:
-            self.state["completed"].pop(old, None)
-            self.backup_state.get("completed", {}).pop(old, None)
         # The unforwarded table is append-only by seq while a primary
         # lives — _forward_audit relies on that (it ships .values() in
         # insertion order).  Checkpoint mirroring preserves the order,
@@ -268,44 +266,34 @@ class DiscProcess(ProcessPair):
     # ------------------------------------------------------------------
     def serve_request(self, proc: OsProcess, message: Message) -> Generator:
         if self.crashed:
-            proc.reply(message, _err("volume_down"))
-            return
-        recorded = self.state["completed"].get(message.msg_id)
-        if recorded is not None:
-            proc.reply(message, recorded)
-            return
+            return _err("volume_down")
         payload = message.payload
         op = _OPS.get(payload.__class__) or _unknown_op(payload)
-        self.pending_requests += 1
+        snapshot = self._io_snapshot()
         try:
-            snapshot = self._io_snapshot()
-            try:
-                reply = yield from self._dispatch(proc, message, op)
-            except _Refused as refusal:
-                reply = refusal.reply
-            except LockTimeout:
-                reply = _err("lock_timeout")
-            except DuplicateKey:
-                reply = _err("duplicate_key")
-            except (KeyNotFound, SlotError):
-                reply = _err("not_found")
-            except VolumeUnavailable:
-                self.crashed = True
-                self._trace("volume_crashed")
-                proc.reply(message, _err("volume_down"))
-                return
-            io_start = self.env.now
-            yield from self._charge_io(snapshot)
-            probe = self.env.probe
-            probe.count(op.counter)
-            if probe.listening and self.env.now > io_start:
-                probe.note(
-                    "phase", transid=message.transid, name="disc-io",
-                    category="disc", start=io_start, histogram="disc.op_ms",
-                )
-            proc.reply(message, reply)
-        finally:
-            self.pending_requests -= 1
+            reply = yield from self._dispatch(proc, message, op)
+        except _Refused as refusal:
+            reply = refusal.reply
+        except LockTimeout:
+            reply = _err("lock_timeout")
+        except DuplicateKey:
+            reply = _err("duplicate_key")
+        except (KeyNotFound, SlotError):
+            reply = _err("not_found")
+        except VolumeUnavailable:
+            self.crashed = True
+            self._trace("volume_crashed")
+            return _err("volume_down")
+        io_start = self.env.now
+        yield from self._charge_io(snapshot)
+        probe = self.env.probe
+        probe.count(op.counter)
+        if probe.listening and self.env.now > io_start:
+            probe.note(
+                "phase", transid=message.transid, name="disc-io",
+                category="disc", start=io_start, histogram="disc.op_ms",
+            )
+        return reply
 
     def _dispatch(self, proc: OsProcess, message: Message, op: _Op) -> Generator:
         """Check a request against its op row, then run the row's handler.
@@ -634,7 +622,7 @@ class DiscProcess(ProcessPair):
         """Checkpoint, load the boxcar — the WAL-equivalent tail of an op.
 
         Returns ``reply``, which the checkpoint records for duplicate
-        suppression.
+        suppression (the pair's :meth:`reply_part`).
         """
         journal = self._take_journal()
         prune = [key for key in self._flushed_keys if key not in journal]
@@ -647,7 +635,7 @@ class DiscProcess(ProcessPair):
         # audit cursor.
         parts: List[Tuple[str, Optional[Dict[Any, Any]], Any]] = [
             ("dirty", journal, prune),
-            ("completed", {message.msg_id: reply}, ()),
+            self.reply_part(message, reply),
         ]
         if lock_delta:
             parts.append(("locks", lock_delta, ()))
@@ -657,7 +645,6 @@ class DiscProcess(ProcessPair):
         if audit_updates:
             scalars = {"audit_seq": self.state["audit_seq"]}
         yield from self.checkpoint_multi(parts, scalars=scalars)
-        self._remember_completed(message.msg_id)
         self.store.unpin(journal)
         if audit_updates:
             self._boxcar_note(proc)
@@ -667,14 +654,6 @@ class DiscProcess(ProcessPair):
         journal = dict(self.store.journal)
         self.store.journal.clear()
         return journal
-
-    def _remember_completed(self, msg_id: int) -> None:
-        order = self._completed_order
-        if len(order) == _COMPLETED_LIMIT:
-            old = order[0]  # evicted by the append below (maxlen ring)
-            self.state["completed"].pop(old, None)
-            self.backup_state.get("completed", {}).pop(old, None)
-        order.append(msg_id)
 
     # ------------------------------------------------------------------
     # BOXCAR: asynchronous batched audit forwarding
@@ -1040,8 +1019,8 @@ def _op_table(rows: Dict[type, Tuple[Any, Optional[str], Optional[str]]]) -> Dic
     }
 
 
-def _refuse_unknown(dp, proc, message, payload, file) -> None:
-    raise _Refused("bad_request", detail=repr(payload))
+def _refuse_unknown(dp, proc, message, payload, file) -> Dict[str, Any]:
+    return bad_request(payload)
 
 
 def _unknown_op(payload: Any) -> _Op:

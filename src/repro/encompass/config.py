@@ -112,9 +112,11 @@ class EncompassSystem:
         tcp_name: str,
         terminal_id: str,
         data: Any,
-        cpu: Optional[int] = None,
     ) -> Any:
-        """Run one terminal interaction to completion (blocking helper)."""
+        """Run one terminal interaction to completion (blocking helper).
+
+        The requesting process runs in the node's lowest-numbered live CPU.
+        """
         node_os = self.cluster.os(node)
         self._driver_seq += 1
 
@@ -124,9 +126,9 @@ class EncompassSystem:
             )
             return reply
 
-        chosen_cpu = cpu if cpu is not None else node_os.alive_cpu_numbers()[0]
         proc = node_os.spawn(
-            f"$drv{self._driver_seq}", chosen_cpu, body, register=False
+            f"$drv{self._driver_seq}", node_os.alive_cpu_numbers()[0], body,
+            register=False,
         )
         return self.cluster.run(proc.sim_process)
 

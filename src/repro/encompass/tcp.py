@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
-from ..core import TmfNode, TransactionAborted
+from ..core import TMP_NAME, TmfNode, TmpAbort, TransactionAborted
 from ..guardian import (
     FileSystem,
     FileSystemError,
@@ -37,6 +37,7 @@ from ..guardian import (
     NodeOs,
     OsProcess,
     ProcessPair,
+    bad_request,
 )
 from ..sim import fast_deepcopy, register_fastcopy
 from .server import ServerClass
@@ -132,11 +133,9 @@ class TerminalControlProcess(ProcessPair):
         self.units_committed = 0
         self.restarts_total = 0
         super().__init__(node_os, name, primary_cpu, backup_cpu)
-        self._apply_state_defaults()
-        self._completed_order: List[int] = []
 
     def state_defaults(self) -> Dict[str, Any]:
-        return {"completed": {}, "inputs": {}, "pending_commit": {}}
+        return {"inputs": {}, "pending_commit": {}}
 
     # ------------------------------------------------------------------
     # Configuration
@@ -178,17 +177,9 @@ class TerminalControlProcess(ProcessPair):
     def serve_request(self, proc: OsProcess, message: Message) -> Generator:
         payload = message.payload
         if not isinstance(payload, TerminalInput):
-            proc.reply(message, {"ok": False, "error": "bad_request"})
-            return
-        recorded = self.state["completed"].get(message.msg_id)
-        if recorded is not None:
-            # The unit already committed before the old primary died; do
-            # not run the transaction twice.
-            proc.reply(message, recorded)
-            return
+            return bad_request(payload)
         if payload.terminal_id not in self.terminals:
-            proc.reply(message, {"ok": False, "error": "unknown_terminal"})
-            return
+            return {"ok": False, "error": "unknown_terminal"}
         # Field validation happens at the TCP, before BEGIN-TRANSACTION.
         screen = self.screens.get(self.terminals[payload.terminal_id])
         if screen is not None:
@@ -199,11 +190,7 @@ class TerminalControlProcess(ProcessPair):
                 if error is not None
             ]
             if errors:
-                proc.reply(
-                    message,
-                    {"ok": False, "error": "field_errors", "fields": errors},
-                )
-                return
+                return {"ok": False, "error": "field_errors", "fields": errors}
         # A retried unit whose predecessor died between END-TRANSACTION
         # and the completed-reply checkpoint: resolve the in-doubt
         # transid with the TMP before deciding to re-run.
@@ -211,8 +198,7 @@ class TerminalControlProcess(ProcessPair):
         if pending is not None:
             resolved = yield from self._resolve_pending(proc, message, pending)
             if resolved is not None:
-                proc.reply(message, resolved)
-                return
+                return resolved
         # Checkpoint the input screen data: a takeover restart of this
         # unit will not require re-entering the screen.
         yield from self.checkpoint_update(
@@ -228,12 +214,11 @@ class TerminalControlProcess(ProcessPair):
         if probe.listening:
             probe.note("observe", name="unit.latency_ms", value=self.env.now - unit_start)
         yield from self.checkpoint_multi((
-            ("completed", {message.msg_id: result}, ()),
+            self.reply_part(message, result),
             ("inputs", None, (message.msg_id,)),
             ("pending_commit", None, (message.msg_id,)),
         ))
-        self._remember(message.msg_id)
-        proc.reply(message, result)
+        return result
 
     def _resolve_pending(self, proc: OsProcess, message: Message, pending: Any) -> Generator:
         """Settle an in-doubt unit left by a dead primary.
@@ -243,13 +228,11 @@ class TerminalControlProcess(ProcessPair):
         END-TRANSACTION had already completed its commit point, so the
         checkpointed reply is returned and the unit must NOT re-run.
         """
-        from repro.core import TmpAbort
-
         old_transid, ready_reply = pending
         try:
             reply = yield from self.filesystem.send(
                 proc,
-                self.tmf.tmp_name,
+                TMP_NAME,
                 TmpAbort(old_transid, "TCP takeover: resolving in-doubt unit"),
                 timeout=60_000.0,
             )
@@ -257,10 +240,9 @@ class TerminalControlProcess(ProcessPair):
             return None  # cannot resolve; re-run (transid will settle first)
         if reply.get("disposition") == "committed":
             yield from self.checkpoint_multi((
-                ("completed", {message.msg_id: ready_reply}, ()),
+                self.reply_part(message, ready_reply),
                 ("pending_commit", None, (message.msg_id,)),
             ))
-            self._remember(message.msg_id)
             return ready_reply
         yield from self.checkpoint_update(
             "pending_commit", removals=[message.msg_id]
@@ -340,10 +322,3 @@ class TerminalControlProcess(ProcessPair):
         """
         stagger = (zlib.crc32(terminal_id.encode()) % 97) / 97.0
         return RESTART_DELAY * (attempt + 1) * (0.5 + stagger)
-
-    def _remember(self, msg_id: int) -> None:
-        self._completed_order.append(msg_id)
-        while len(self._completed_order) > 1024:
-            old = self._completed_order.pop(0)
-            self.state["completed"].pop(old, None)
-            self.backup_state.get("completed", {}).pop(old, None)

@@ -18,7 +18,7 @@ from .message import (
     ProcessUnavailable,
     RequestTimeout,
 )
-from .pair import PairDown, ProcessPair
+from .pair import REPLY_RETENTION, PairDown, ProcessPair, bad_request
 from .process import NodeOs, OsProcess
 
 __all__ = [
@@ -35,6 +35,8 @@ __all__ = [
     "ProcessDied",
     "ProcessPair",
     "ProcessUnavailable",
+    "REPLY_RETENTION",
     "RequestTimeout",
+    "bad_request",
     "parse_destination",
 ]

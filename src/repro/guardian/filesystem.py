@@ -8,11 +8,14 @@ through the File System, which adds the behaviour the paper relies on:
   the *new* primary after a process-pair takeover;
 * **transparent retry** — a request that dies with its server
   (:class:`ProcessDied`) or finds the name momentarily unregistered
-  (mid-takeover) is retried with the *same message id*, letting servers
-  suppress duplicates; this is the mechanism behind "recovery from the
-  failure of a component such as a primary DISCPROCESS' processor ... is
-  handled automatically by the operating system transparently to
-  transaction processing";
+  (mid-takeover) is retried with the *same message id*.  The server
+  half is :class:`~repro.guardian.pair.ProcessPair`'s: it sends every
+  reply, keeps the checkpointed replies of completed operations (the
+  newest ``REPLY_RETENTION``) and answers a retried id from that record
+  instead of serving it again.  This is the mechanism behind "recovery
+  from the failure of a component such as a primary DISCPROCESS'
+  processor ... is handled automatically by the operating system
+  transparently to transaction processing";
 * **automatic transid propagation** — every request carries the caller's
   current transid, and the first transmission of a transid to a remote
   node first runs the TMP's remote-transaction-begin (a critical-response

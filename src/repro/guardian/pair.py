@@ -8,8 +8,9 @@ information that it would need in the event of failure to assume control
 primary."  (paper, §The Tandem Operating System)
 
 :class:`ProcessPair` is the generic mechanism: subclasses implement
-``serve_request`` (one request's handler) and call ``checkpoint`` to
-replicate whatever state the backup would need.  The pair:
+``serve_request`` (one request's handler, a generator that finishes
+with the reply) and call ``checkpoint`` to replicate whatever state the
+backup would need.  The pair:
 
 * runs the primary in one CPU and keeps a passive backup image in
   another;
@@ -24,6 +25,11 @@ replicate whatever state the backup would need.  The pair:
   the last checkpointed image — exactly the paper's semantics: anything
   not yet checkpointed is lost, so subclasses checkpoint *before*
   exposing effects, the discipline that substitutes for Write-Ahead-Log);
+* answers each request once, in one place: the reply ``serve_request``
+  finishes with is sent in the step it finishes, and a reply that rode
+  in a checkpoint (:meth:`ProcessPair.reply_part`) answers any retry of
+  the same message id — the File System's transparent retry after a
+  takeover — without serving it again;
 * recruits a replacement backup CPU after a takeover, or runs
   *unprotected* when no CPU is available, re-protecting when one returns;
 * is *down* only when both CPUs fail before a new backup was recruited —
@@ -32,13 +38,22 @@ replicate whatever state the backup would need.  The pair:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from ..sim import ATOMIC_TYPES, Process, Timeout, fast_deepcopy
 from .message import Message
 from .process import NodeOs, OsProcess
 
-__all__ = ["ProcessPair", "PairDown"]
+__all__ = ["ProcessPair", "PairDown", "REPLY_RETENTION", "bad_request"]
+
+#: replies a pair keeps for duplicate suppression: once full, recording
+#: one more drops the oldest, on the primary and the backup alike.
+REPLY_RETENTION = 1024
+
+
+def bad_request(payload: Any) -> Dict[str, Any]:
+    """The reply to a request a pair does not know how to serve."""
+    return {"ok": False, "error": "bad_request", "detail": repr(payload)}
 
 
 class PairDown(Exception):
@@ -70,6 +85,9 @@ class ProcessPair:
         self.backup_state: Dict[str, Any] = {}
         self.primary_cpu: Optional[int] = primary_cpu
         self.backup_cpu: Optional[int] = backup_cpu
+        #: where the pair was configured to run: a node's cold restart
+        #: puts it back there.
+        self.configured_cpus = (primary_cpu, backup_cpu)
         self.takeovers = 0
         self.checkpoints_sent = 0
         self._active_handlers: set = set()
@@ -116,24 +134,37 @@ class ProcessPair:
 
     def _start_handler(self, proc: OsProcess, message: Message) -> None:
         """Start the request's handler inside the delivering step."""
-        work = self.serve_request(proc, message)
-        if self.env.probe.listening:
-            work = self._noted(proc, message, work)
-        Process(self.env, work, self.name, inline=True, owners=self._active_handlers)
-
-    def _noted(self, proc: OsProcess, message: Message, work: Generator) -> Generator:
-        # The sub-handler serves between two notes (one serve span for
-        # TRACE).  The end is noted even when the handler is killed
-        # mid-request (takeover): GeneratorExit runs the finally.
-        probe = self.env.probe
-        probe.note(
-            "serve.begin", message=message, node=self.node_name,
-            proc=self.name, cpu=proc.cpu.number,
+        Process(
+            self.env, self._answer(proc, message), self.name, inline=True,
+            owners=self._active_handlers,
         )
+
+    def _answer(self, proc: OsProcess, message: Message) -> Generator:
+        """Serve one request and send its one reply.
+
+        A message id with a recorded reply is a retry of a request this
+        pair already completed: the record answers it, and
+        ``serve_request`` does not run.  Otherwise the reply is sent in
+        the step ``serve_request`` finishes.  While the probe listens,
+        the request is served between two notes (one serve span for
+        TRACE); the end is noted even when the handler is killed
+        mid-request (takeover): GeneratorExit runs the finally.
+        """
+        probe = self.env.probe
+        listening = probe.listening
+        if listening:
+            probe.note(
+                "serve.begin", message=message, node=self.node_name,
+                proc=self.name, cpu=proc.cpu.number,
+            )
         try:
-            yield from work
+            reply = self.state["completed"].get(message.msg_id)
+            if reply is None:
+                reply = yield from self.serve_request(proc, message)
+            proc.reply(message, reply)
         finally:
-            probe.note("serve.end", message=message)
+            if listening:
+                probe.note("serve.end", message=message)
 
     def spawn(self, work: Generator, suffix: str, inline: bool = False) -> Process:
         """Run ``work`` as a coroutine that dies with this primary.
@@ -151,7 +182,10 @@ class ProcessPair:
         )
 
     def serve_request(self, proc: OsProcess, message: Message) -> Generator:
-        """Process one request.  Subclasses must implement this."""
+        """Serve one request; finish with its reply.
+
+        Subclasses must implement this.  The pair sends the reply.
+        """
         raise NotImplementedError
         yield  # pragma: no cover - generator marker
 
@@ -163,13 +197,16 @@ class ProcessPair:
 
         Re-applied whenever the state is replaced (takeover, restart),
         so a takeover that precedes the first checkpoint still finds its
-        tables.
+        tables.  The pair's own ``completed`` table (message id ->
+        recorded reply) always exists.
         """
         return {}
 
     def _apply_state_defaults(self) -> None:
+        state = self.state
+        state.setdefault("completed", {})
         for key, value in self.state_defaults().items():
-            self.state.setdefault(key, value)
+            state.setdefault(key, value)
 
     def _kill_handlers(self, reason: str) -> None:
         handlers, self._active_handlers = self._active_handlers, set()
@@ -191,6 +228,22 @@ class ProcessPair:
     #: tables whose values are immutable images (a DISCPROCESS's stored
     #: blocks): the backup shares them instead of copying them.
     shared_tables: frozenset = frozenset()
+
+    def reply_part(self, message: Message,
+                   reply: Any) -> Tuple[str, Dict[int, Any], Tuple[int, ...]]:
+        """The checkpoint part that records ``reply`` as the answer to ``message``.
+
+        A pair puts it in the :meth:`checkpoint_multi` that carries the
+        operation's effect, so the backup learns both or neither, and
+        returns ``reply`` from ``serve_request``.  The table keeps the
+        newest :data:`REPLY_RETENTION` replies: once full, the part also
+        removes the oldest, the table's first key (a dict keeps
+        insertion order, and so does every copy of it a backup or a
+        takeover makes).
+        """
+        completed = self.state["completed"]
+        evicted = (next(iter(completed)),) if len(completed) >= REPLY_RETENTION else ()
+        return ("completed", {message.msg_id: reply}, evicted)
 
     def checkpoint(self, **entries: Any) -> Generator:
         """Replicate ``entries`` of ``self.state`` to the backup image."""

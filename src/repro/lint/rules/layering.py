@@ -47,13 +47,11 @@ TOOLING_PACKAGES = frozenset({"lint", "bench"})
 
 #: modules allowed to import measure/trace directly: the composition
 #: root that subscribes them to the probe (config), plus the documented
-#: convergence points — the workload drivers' Histogram and the shared
-#: table renderer (sweep).
+#: convergence point — the closed-loop load generator's Histogram.
 PROBE_IMPORT_ALLOWLIST = frozenset(
     {
         ("repro", "encompass", "config"),
         ("repro", "workloads", "drivers"),
-        ("repro", "workloads", "sweep"),
     }
 )
 

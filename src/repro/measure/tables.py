@@ -1,7 +1,7 @@
 """Fixed-width ASCII tables, shared by the XRAY screen and benchmarks.
 
 Lives in :mod:`repro.measure` (a leaf of the import DAG) so both the
-run report and the workload sweep harness can render through one
+run report and the benchmark harness can render through one
 implementation without an upward import.
 """
 

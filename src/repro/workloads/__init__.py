@@ -1,4 +1,4 @@
-"""Synthetic workload generation, failure injection, and sweeps.
+"""Synthetic workload generation and failure injection.
 
 No 1981 Tandem production traces exist; these seeded generators drive
 the identical code paths (locking, audit, commit, backout) with
@@ -9,7 +9,6 @@ substitution recorded in DESIGN.md.
 from .drivers import LoadResult, TransactionMetrics, run_closed_loop
 from .failures import FailureEvent, FailureSchedule, random_failure_schedule
 from .keys import KeyChooser
-from .sweep import format_table, sweep
 
 __all__ = [
     "FailureEvent",
@@ -17,8 +16,6 @@ __all__ = [
     "KeyChooser",
     "LoadResult",
     "TransactionMetrics",
-    "format_table",
     "random_failure_schedule",
     "run_closed_loop",
-    "sweep",
 ]

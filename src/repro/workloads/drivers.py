@@ -88,7 +88,6 @@ def run_closed_loop(
     duration: float,
     think_time: float = 20.0,
     rng: Optional[random.Random] = None,
-    start_cpu: int = 0,
 ) -> LoadResult:
     """Drive ``terminal_ids`` in a closed loop for ``duration`` ms.
 
@@ -135,7 +134,7 @@ def run_closed_loop(
     cpu_numbers = node_os.alive_cpu_numbers()
     users = []
     for index, terminal_id in enumerate(terminal_ids):
-        cpu = cpu_numbers[(start_cpu + index) % len(cpu_numbers)]
+        cpu = cpu_numbers[index % len(cpu_numbers)]
         users.append(
             node_os.spawn(
                 f"$user-{terminal_id}",

@@ -32,6 +32,7 @@ from repro.discprocess.ops import (
     ReadSlot,
     UpdateRecord,
 )
+from repro.encompass import TerminalControlProcess
 
 ON_DATA = (PartitionSpec("alpha", "$data"),)
 ACCOUNTS = FileSchema(
@@ -262,9 +263,16 @@ def test_one_error_vocabulary():
 @pytest.mark.parametrize("server, reply", [
     ("$aud", refused("bad_request", detail="'nonsense'")),
     ("$TMP", refused("bad_request", detail="'nonsense'")),
-    ("$BACKOUT", refused("bad_request")),
+    ("$BACKOUT", refused("bad_request", detail="'nonsense'")),
+    ("$data", refused("bad_request", detail="'nonsense'")),
+    ("$tcp", refused("bad_request", detail="'nonsense'")),
 ])
 def test_tmf_processes_refuse_an_unknown_payload_as_a_bad_request(volume, server, reply):
+    """Every process-pair refuses a payload it does not serve alike."""
+    TerminalControlProcess(
+        volume.rig.cluster.os("alpha"), "$tcp", 0, 1, volume.fs, volume.tmf
+    )
+
     def body(proc):
         return (yield from volume.fs.send(proc, server, "nonsense"))
 

@@ -49,11 +49,15 @@ from repro.bench import determinism_digests
 # lock wait became one event (the waiter's own, failed by its deadline)
 # instead of an ``AnyOf`` race that cost one more event per granted
 # wait: the report differs only in ``events_processed`` (6,711 ->
-# 6,588), and the TRACE timeline digest is unchanged.  Any *further*
-# digest change must again be justified.
+# 6,588), and the TRACE timeline digest is unchanged.  The XRAY digest
+# was re-recorded once more when a granted lock wait started disarming
+# its deadline timer (a tombstone the engine skips uncounted, instead of
+# a no-op expiry event): the report differs only in ``events_processed``
+# (6,588 -> 6,496), and the TRACE timeline digest is unchanged.  Any
+# *further* digest change must again be justified.
 GOLDEN = {
     "xray_sha256":
-        "023e077555885bf06bf3d3df5c9ffa2c275dc28d834ce437a8ce1f1d671c487f",
+        "7a6a17fe44a5d8b449cc652cc04da32f7fabf8e848b62a388844037cf41bdf8c",
     "timeline_sha256":
         "04a3a772cff2bf399ffb40bdb9d12efdc27ccc6d014e6d66ebc30a41658f2328",
 }

@@ -213,18 +213,14 @@ class CounterPair(ProcessPair):
 
     def on_start(self, proc):
         self.state.setdefault("count", 0)
-        self.state.setdefault("completed", {})
 
     def serve_request(self, proc, message):
-        completed = self.state["completed"]
-        if message.msg_id in completed:
-            proc.reply(message, completed[message.msg_id])
-            return
         self.state["count"] += 1
         result = self.state["count"]
-        completed[message.msg_id] = result
-        yield from self.checkpoint(count=result, completed=completed)
-        proc.reply(message, result)
+        yield from self.checkpoint_multi(
+            (self.reply_part(message, result),), scalars={"count": result}
+        )
+        return result
 
 
 class TestProcessPair:
@@ -364,7 +360,7 @@ class TestProcessPair:
                 self.state["seq"] += 1
                 yield from self.checkpoint(seq=self.state["seq"])
                 console.append(f"[{self.state['seq']:04d}] {message.payload}")
-                proc.reply(message, "logged")
+                return "logged"
 
         OperatorPair(cluster.os("alpha"), "$opr", 0, 1)
 

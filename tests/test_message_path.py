@@ -46,7 +46,7 @@ class EchoPair(ProcessPair):
         wait = message.payload.get("wait", 0.0)
         if wait:
             yield self.env.timeout(wait)
-        proc.reply(message, message.payload)
+        return message.payload
 
 
 def make_cluster(nodes=("alpha",), latencies=None):

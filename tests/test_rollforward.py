@@ -28,11 +28,7 @@ def total_failure_and_restart(rig, node_name):
     node = rig.cluster.node(node_name)
     node.total_failure()
     node.restore_all_cpus()
-    rig.audit_processes[node_name].cold_restart(2, 3)
-    rig.tmf[node_name].tmp.restart(2, 3)
-    rig.tmf[node_name].backout_process.restart(2, 3)
     rig.tmf[node_name].reset_after_total_failure()
-    rig.disc_processes[(node_name, "$data")].cold_restart(0, 1)
 
 
 class TestSingleNodeRollforward:

@@ -14,7 +14,7 @@
 """
 
 from repro.apps.banking import check_consistency, install_banking, populate_banking
-from repro.core import TmpAbort, TxState
+from repro.core import TMP_NAME, TmpAbort, TxState
 from repro.encompass import SystemBuilder
 
 ACCOUNTS = 20
@@ -146,7 +146,7 @@ def test_abort_after_the_commit_point_completes_the_commit():
         # this request, as a TCP resolving an in-doubt unit sends it,
         # arrives meanwhile.
         reply = yield from system.cluster.fs("alpha").send(
-            proc, tmf.tmp_name, TmpAbort(transid, "resolving an in-doubt unit")
+            proc, TMP_NAME, TmpAbort(transid, "resolving an in-doubt unit")
         )
         seen["disposition"] = reply["disposition"]
         yield env.timeout(2_000.0)

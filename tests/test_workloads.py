@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.guardian import Cluster
+from repro.measure import format_table
 from repro.sim import zipf_weights
 from repro.workloads import (
     FailureEvent,
     FailureSchedule,
     KeyChooser,
-    format_table,
     random_failure_schedule,
-    sweep,
 )
-from repro.guardian import Cluster
 
 
 class TestZipf:
@@ -67,14 +66,6 @@ class TestKeyChooser:
 
 
 class TestSweepAndTables:
-    def test_sweep_collects_rows(self):
-        rows = sweep([1, 2, 3], lambda v: {"square": v * v}, parameter_name="n")
-        assert rows == [
-            {"n": 1, "square": 1},
-            {"n": 2, "square": 4},
-            {"n": 3, "square": 9},
-        ]
-
     def test_format_table_alignment(self):
         text = format_table(
             [{"a": 1, "bb": 2.5}, {"a": 10, "bb": 0.125}], title="T"
