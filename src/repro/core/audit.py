@@ -275,7 +275,6 @@ class AuditProcess(ProcessPair):
     ):
         self.trail = trail
         super().__init__(node_os, name, primary_cpu, backup_cpu)
-        self._apply_state_defaults()
         self.forces = 0
         self.forced_block_writes = 0
         # The audit volume's disc also serves one request at a time.

@@ -132,7 +132,7 @@ class TmpProcess(ProcessPair):
         if isinstance(payload, TmpCommit):
             disposition = yield from tmf.do_commit(proc, payload.transid)
             return {"ok": True, "disposition": disposition}
-        if isinstance(payload, TmpAbort):
+        if isinstance(payload, (TmpAbort, TmpAbortRemote)):
             disposition = yield from tmf.do_abort(proc, payload.transid, payload.reason)
             return {"ok": True, "disposition": disposition}
         if isinstance(payload, TmpRemoteBegin):
@@ -143,9 +143,6 @@ class TmpProcess(ProcessPair):
             return {"ok": True, "vote": vote}
         if isinstance(payload, TmpPhase2):
             yield from tmf.do_phase2(proc, payload.transid)
-            return {"ok": True}
-        if isinstance(payload, TmpAbortRemote):
-            yield from tmf.do_abort_remote(proc, payload.transid, payload.reason)
             return {"ok": True}
         if isinstance(payload, TmpQuery):
             return {"ok": True, **tmf.disposition_of(payload.transid)}

@@ -167,7 +167,6 @@ class DiscProcess(ProcessPair):
         super().__init__(
             node_os, name, primary_cpu, backup_cpu, allowed_cpus=(primary_cpu, backup_cpu)
         )
-        self._apply_state_defaults()
         self._build_runtime()
 
     def state_defaults(self) -> Dict[str, Any]:
