@@ -7,7 +7,8 @@ transaction folds into a causal tree of serve/rpc spans — TCP → server
 (checkpoints, state broadcasts) the run already emits.
 
 This example runs the debit/credit workload with tracing enabled
-(``SystemBuilder(trace=True)``), prints one transaction's flight
+(``SystemBuilder(trace=True)``) under the invariant watchdog
+(``repro.simtest.Watchdog``), prints one transaction's flight
 recorder (the TMFCOM ``INFO TRANSACTION, TRACE`` screen), and writes
 the whole run as a Chrome ``trace_event`` timeline — open it in
 chrome://tracing or https://ui.perfetto.dev to scrub through the run.
@@ -29,6 +30,7 @@ from repro.apps.banking import (
     populate_banking,
 )
 from repro.encompass import SystemBuilder
+from repro.simtest import Watchdog
 from repro.workloads import run_closed_loop
 
 # Example output stays out of the working tree: out/ is gitignored.
@@ -38,7 +40,7 @@ TIMELINE_PATH = (
 
 
 def run_traced(seed=7):
-    builder = SystemBuilder(seed=seed, trace=True, watchdog=True)
+    builder = SystemBuilder(seed=seed, trace=True)
     builder.add_node("alpha", cpus=4)
     builder.add_volume("alpha", "$data", cpus=(0, 1))
     install_banking(builder, "alpha", "$data", server_instances=3)
@@ -48,6 +50,7 @@ def run_traced(seed=7):
     for terminal in terminals:
         builder.add_terminal("alpha", "$tcp1", terminal, "debit-credit")
     system = builder.build()
+    Watchdog(system)
     populate_banking(system, "alpha", branches=2, tellers_per_branch=2,
                      accounts=10)
 
@@ -85,8 +88,9 @@ def main():
     # The watchdog watched the whole run and saw nothing wrong.
     summary = system.watchdog.summary()
     print(f"watchdog: {summary['alarms']} alarms over "
-          f"{summary['checks_run']} checks")
-    assert summary["alarms"] == 0, summary
+          f"{summary['checks_run']} checks, "
+          f"{summary['images_examined']} committed audit images examined")
+    assert summary["alarms"] == 0 and summary["images_examined"] > 0, summary
 
     # Export the full run as a Chrome trace_event timeline.
     TIMELINE_PATH.parent.mkdir(parents=True, exist_ok=True)

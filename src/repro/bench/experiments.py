@@ -39,7 +39,6 @@ from repro.apps.manufacturing import MANUFACTURING_NODES, build_manufacturing_sy
 from repro.apps.order_entry import install_order_entry
 from repro.core import (
     LEGAL_TRANSITIONS,
-    AuditRecord,
     Rollforward,
     TmpForceDisposition,
     TransactionAborted,
@@ -60,6 +59,7 @@ from repro.encompass import SystemBuilder, compile_query
 from repro.guardian import Cluster, ProcessPair
 from repro.hardware import Latencies, Network, Node
 from repro.sim import Environment
+from repro.simtest import check_durability_at_commits, deadlock_cycle
 from repro.workloads import KeyChooser, run_closed_loop
 
 __all__ = [
@@ -243,6 +243,8 @@ def e2_checkpoint_vs_wal(scale: str) -> Dict[str, Any]:
     """checkpoint vs Write-Ahead-Log protection cost by disc speed"""
     duration, settle_ms = (2000.0, 1000.0) if scale == SMOKE else (5000.0, 3000.0)
     system, terminals = _build_banking(seed=47, accounts=64, terminals=8)
+    if scale == FULL:
+        durability = check_durability_at_commits(system)
     result = _drive(system, terminals, duration=duration, accounts=64)
     _settle(system, settle_ms)
     dp = system.disc_processes[("alpha", "$data")]
@@ -274,24 +276,8 @@ def e2_checkpoint_vs_wal(scale: str) -> Dict[str, Any]:
             "wal_over_tmf": wal_ms / tmf_ms,
         })
     if scale == FULL:
-        counters["audit_missing"] = _committed_images_not_durable(system)
+        counters["audit_missing"] = durability["missing"]
     return {"counters": counters, "info": {}, "rows": rows}
-
-
-def _committed_images_not_durable(system, node="alpha") -> int:
-    """Audit images of committed transactions absent from the trail."""
-    audit = system.audit_processes[node]
-    durable = {
-        (record.volume, record.seq) for record in audit.trail.scan_all()
-        if isinstance(record, AuditRecord)
-    }
-    return sum(
-        1
-        for transid, disposition in system.tmf[node].dispositions.items()
-        if disposition == "committed"
-        for record in audit.state["by_tx"].get(str(transid), [])
-        if (record.volume, record.seq) not in durable
-    )
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +415,7 @@ def _e4_deadlock_ablation() -> Counters:
         while proc.alive:
             yield system.env.timeout(25)
             samples["polls"] += 1
-            if dp.locks.find_deadlock_cycle() is not None:
+            if deadlock_cycle(dp.locks.waits_for_edges()) is not None:
                 samples["cycles"] += 1
 
     system.spawn("alpha", "$detect", detector, cpu=0)

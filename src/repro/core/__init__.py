@@ -29,7 +29,6 @@ from .states import (
     LEGAL_TRANSITIONS,
     StateBroadcaster,
     TxState,
-    legal_transitions_by_name,
 )
 from .tmf import TMP_NAME, TmfNode, TransactionAborted, TransactionRecord
 from .tmfcom import Tmfcom
@@ -80,6 +79,5 @@ __all__ = [
     "TxState",
     "VolumeArchive",
     "dump_volume",
-    "legal_transitions_by_name",
     "purge_audit_trails",
 ]

@@ -29,7 +29,6 @@ from .transid import Transid
 __all__ = [
     "TxState",
     "LEGAL_TRANSITIONS",
-    "legal_transitions_by_name",
     "IllegalTransition",
     "StateBroadcaster",
 ]
@@ -54,21 +53,6 @@ LEGAL_TRANSITIONS: Dict[Optional[TxState], Tuple[TxState, ...]] = {
     TxState.ABORTING: (TxState.ABORTED,),
     TxState.ABORTED: (),
 }
-
-
-def legal_transitions_by_name() -> Dict[Optional[str], Tuple[str, ...]]:
-    """Figure 3's edges keyed by state *names* (``"active"`` etc.).
-
-    The form consumed by layers that must not import this module — the
-    TRACE watchdog receives it by injection from the system builder, so
-    the one transition table stays here.
-    """
-    return {
-        (str(current) if current is not None else None): tuple(
-            str(state) for state in targets
-        )
-        for current, targets in LEGAL_TRANSITIONS.items()
-    }
 
 
 class IllegalTransition(RuntimeError):

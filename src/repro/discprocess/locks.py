@@ -17,8 +17,9 @@ disarms the deadline's timer, which otherwise fails it, so a lock is
 never granted to a waiter that has already timed out, and a granted
 wait's deadline costs no engine event.
 
-A waits-for-graph deadlock detector is also provided, *not* used by the
-reproduction's normal path, as the ablation baseline for bench E4.
+The waits-for edges are also exposed, *not* used by the reproduction's
+normal path: :func:`repro.simtest.invariants.deadlock_cycle` searches
+them, the ablation baseline of bench E4.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ class LockManager:
         return sum(len(targets) for targets in self._held.values())
 
     # ------------------------------------------------------------------
-    # Waits-for-graph deadlock detection (ablation baseline, bench E4)
+    # Waits-for graph (the ablation baseline of bench E4)
     # ------------------------------------------------------------------
     def waits_for_edges(self) -> List[Tuple[Any, Any]]:
         """(waiter_transid, owner_transid) edges of the waits-for graph."""
@@ -257,41 +258,6 @@ class LockManager:
                 if owner is not None:
                     edges.append((waiter.transid, owner))
         return edges
-
-    def find_deadlock_cycle(self) -> Optional[List[Any]]:
-        """A cycle in the waits-for graph, or None.
-
-        The paper's TMF does *not* do this (deadlock detection is by
-        timeout); it exists as the ablation comparator.
-        """
-        graph: Dict[Any, List[Any]] = {}
-        for waiter, owner in self.waits_for_edges():
-            graph.setdefault(waiter, []).append(owner)
-        visiting: Set[Any] = set()
-        done: Set[Any] = set()
-        stack: List[Any] = []
-
-        def visit(node: Any) -> Optional[List[Any]]:
-            visiting.add(node)
-            stack.append(node)
-            for neighbour in graph.get(node, []):
-                if neighbour in visiting:
-                    return stack[stack.index(neighbour):]
-                if neighbour not in done:
-                    found = visit(neighbour)
-                    if found is not None:
-                        return found
-            visiting.discard(node)
-            done.add(node)
-            stack.pop()
-            return None
-
-        for node in list(graph):
-            if node not in done:
-                found = visit(node)
-                if found is not None:
-                    return found
-        return None
 
     def _trace(self, kind: str, **fields: Any) -> None:
         self.env.probe.emit(kind, volume=self.name, **fields)

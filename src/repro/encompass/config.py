@@ -24,18 +24,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from ..core import (
-    AuditProcess,
-    AuditTrail,
-    Tmfcom,
-    TmfNode,
-    legal_transitions_by_name,
-)
+from ..core import AuditProcess, AuditTrail, Tmfcom, TmfNode
 from ..discprocess import DataDictionary, DiscProcess, FileClient, FileSchema
 from ..guardian import Cluster, NodeOs
 from ..measure import MetricsRegistry, Sampler
 from ..measure.report import build_report, render_report, to_json, write_report
-from ..trace import TraceCollector, Watchdog, WatchdogConfig
+from ..trace import TraceCollector
 from ..trace.export import timeline_json as _timeline_json
 from ..trace.export import write_timeline as _write_timeline
 from .server import PathwayMonitor, ServerClass, ServerHandler
@@ -62,7 +56,9 @@ class EncompassSystem:
         self.metrics: Optional[MetricsRegistry] = None
         self.sampler: Optional[Sampler] = None
         self.trace_collector: Optional[TraceCollector] = None
-        self.watchdog: Optional[Watchdog] = None
+        #: the invariant watchdog, once ``repro.simtest.Watchdog(system)``
+        #: is attached.
+        self.watchdog: Any = None
         self._driver_seq = 0
 
     # ------------------------------------------------------------------
@@ -207,7 +203,6 @@ class SystemBuilder:
         keep_trace: bool = True,
         measure: bool = False,
         trace: bool = False,
-        watchdog: Any = None,
     ):
         self.cluster = Cluster(seed=seed, keep_trace=keep_trace)
         self.dictionary = DataDictionary()
@@ -219,14 +214,6 @@ class SystemBuilder:
             self.cluster.env.probe.subscribe(self.system.metrics.on_record)
         if trace:
             self.system.trace_collector = TraceCollector(self.cluster.env)
-        # ``watchdog`` accepts True (default thresholds) or a
-        # :class:`WatchdogConfig`; installed in :meth:`build`.
-        self.watchdog_config: Optional[WatchdogConfig] = None
-        if watchdog:
-            self.watchdog_config = (
-                watchdog if isinstance(watchdog, WatchdogConfig)
-                else WatchdogConfig()
-            )
         self._built = False
 
     # ------------------------------------------------------------------
@@ -235,14 +222,13 @@ class SystemBuilder:
         name: str,
         cpus: int = 4,
         tmf_cpus: Optional[Tuple[int, int]] = None,
-        audit_volume_name: str = "$audvol",
         audit_process_name: str = "$aud",
     ) -> NodeOs:
         """A node with its audit volume, AUDITPROCESS and TMF instance."""
         node_os = self.cluster.add_node(name, cpu_count=cpus)
         if tmf_cpus is None:
             tmf_cpus = (cpus - 2, cpus - 1) if cpus >= 2 else (0, 1)
-        audit_volume = node_os.node.add_volume(audit_volume_name, *tmf_cpus)
+        audit_volume = node_os.node.add_volume("$audvol", *tmf_cpus)
         trail = AuditTrail(audit_volume)
         audit_process = AuditProcess(
             node_os, audit_process_name, tmf_cpus[0], tmf_cpus[1], trail
@@ -264,18 +250,18 @@ class SystemBuilder:
         node: str,
         name: str,
         cpus: Tuple[int, int],
-        volume_name: Optional[str] = None,
     ) -> AuditProcess:
         """An additional AUDITPROCESS pair with its own trail volume.
 
         "All audited discs on a given controller share an AUDITPROCESS
         and an audit trail.  Multiple controllers may be configured to
         use the same or different AUDITPROCESSes and audit trails."
-        Pass the returned process's name as ``audit_process_name`` to
+        Its trail lives on the volume ``f"{name}vol"``.  Pass the
+        returned process's name as ``audit_process_name`` to
         :meth:`add_volume` to attach data volumes to it.
         """
         node_os = self.cluster.os(node)
-        volume = node_os.node.add_volume(volume_name or f"{name}vol", *cpus)
+        volume = node_os.node.add_volume(f"{name}vol", *cpus)
         trail = AuditTrail(volume)
         audit_process = AuditProcess(node_os, name, cpus[0], cpus[1], trail)
         self.system.tmf[node].register_audit_process(name, audit_process)
@@ -414,13 +400,4 @@ class SystemBuilder:
             # keep a run-to-exhaustion env.run() alive longer.
             self.system.sampler = Sampler(self.system)
             self.system.sampler.install()
-        if self.watchdog_config is not None:
-            # The watchdog is read-only like the sampler: installed only
-            # when asked for, it replays the same event outcomes while
-            # adding its own periodic check events.
-            self.system.watchdog = Watchdog(
-                self.system, self.watchdog_config,
-                legal_transitions=legal_transitions_by_name(),
-            )
-            self.system.watchdog.install()
         return self.system

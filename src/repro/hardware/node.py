@@ -55,13 +55,11 @@ class Node:
         name: str,
         cpu_a: int,
         cpu_b: int,
-        mirrored: bool = True,
-        dual_controllers: bool = True,
     ) -> MirroredVolume:
         """Create a disc volume served by CPUs ``cpu_a`` and ``cpu_b``.
 
-        The volume gets one or two controllers, each dual-ported to the
-        I/O channels of both CPUs, and one or two drives — the Figure 1
+        The volume gets two controllers, each dual-ported to the I/O
+        channels of both CPUs, and two mirrored drives — the Figure 1
         wiring where every drive has at least two paths to processors.
         """
         if name in self.volumes:
@@ -69,17 +67,12 @@ class Node:
         if cpu_a == cpu_b:
             raise ValueError("a volume must be served by two distinct CPUs")
         channels = [self.cpus[cpu_a].channel, self.cpus[cpu_b].channel]
-        count = 2 if dual_controllers else 1
         controllers = [
             IoController(self.env, f"{self.name}.{name}.ctl{i}", channels)
-            for i in range(count)
+            for i in range(2)
         ]
         self.controllers.extend(controllers)
-        drive_count = 2 if mirrored else 1
-        drives = [
-            DiscDrive(self.env, f"{self.name}.{name}.drv{i}")
-            for i in range(drive_count)
-        ]
+        drives = [DiscDrive(self.env, f"{self.name}.{name}.drv{i}") for i in range(2)]
         volume = MirroredVolume(name, drives, controllers)
         self.volumes[name] = volume
         return volume

@@ -11,11 +11,11 @@ any code path that could violate them, before a seed ever executes.
 
 Usage::
 
-    python -m repro.lint [paths] [--format json] [--baseline FILE]
+    python -m repro.lint [paths] [--format json] [--select RULES] [--ignore RULES]
 
 Findings are suppressed per line with ``# repro: allow[rule]`` (same
-line or the line above).  See README "Static analysis" for the rule
-table.
+line or the line above); any other finding fails the run.  See README
+"Static analysis" for the rule table.
 """
 
 from .base import (
@@ -23,21 +23,17 @@ from .base import (
     ModuleInfo,
     REGISTRY,
     Rule,
-    Severity,
     all_rules,
     register,
 )
-from .baseline import Baseline
 from .engine import LintResult, findings_to_json, render_findings, run_lint
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintResult",
     "ModuleInfo",
     "REGISTRY",
     "Rule",
-    "Severity",
     "all_rules",
     "findings_to_json",
     "register",

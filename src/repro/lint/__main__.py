@@ -2,20 +2,18 @@
 
 Exit codes (CI-friendly):
 
-* ``0`` — no finding at/above the failure severity;
-* ``1`` — at least one finding at/above the failure severity;
-* ``2`` — usage or I/O error (bad rule name, missing baseline file).
+* ``0`` — no finding;
+* ``1`` — at least one finding (every finding is an error);
+* ``2`` — usage or I/O error (bad rule name, unreadable path).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
-from .base import Severity, all_rules
-from .baseline import Baseline
+from .base import all_rules
 from .engine import findings_to_json, render_findings, run_lint
 
 __all__ = ["main"]
@@ -53,26 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule names to skip",
     )
     parser.add_argument(
-        "--severity",
-        default="warning",
-        help="minimum severity to report (info|warning|error)",
-    )
-    parser.add_argument(
-        "--fail-on",
-        default="error",
-        help="exit non-zero when a finding reaches this severity",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline JSON file; matching findings are not reported",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to --baseline and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule table and exit",
@@ -92,33 +70,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.list_rules:
         for cls in all_rules():
-            print(f"{cls.name:20s} [{cls.default_severity}] {cls.description}")
+            print(f"{cls.name:20s} {cls.description}")
         return 0
-
-    try:
-        report_at = Severity.parse(args.severity)
-        fail_at = Severity.parse(args.fail_on)
-    except ValueError as exc:
-        print(f"repro.lint: {exc}", file=sys.stderr)
-        return 2
-
-    baseline = None
-    if args.baseline and not args.write_baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(
-                f"repro.lint: baseline file not found: {baseline_path}",
-                file=sys.stderr,
-            )
-            return 2
-        baseline = Baseline.load(baseline_path)
 
     try:
         result = run_lint(
             args.paths,
             select=_split(args.select),
             ignore=_split(args.ignore) or (),
-            baseline=baseline,
         )
     except ValueError as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)
@@ -127,22 +86,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        if not args.baseline:
-            print("repro.lint: --write-baseline requires --baseline", file=sys.stderr)
-            return 2
-        Baseline.from_findings(result.findings).save(Path(args.baseline))
-        print(
-            f"repro.lint: wrote {len(result.findings)} finding(s) "
-            f"to {args.baseline}"
-        )
-        return 0
-
     if args.format == "json":
-        print(findings_to_json(result, threshold=report_at))
+        print(findings_to_json(result))
     else:
-        print(render_findings(result, threshold=report_at))
-    return 1 if result.count_at_least(fail_at) else 0
+        print(render_findings(result))
+    return 1 if result.findings else 0
 
 
 if __name__ == "__main__":

@@ -10,14 +10,12 @@ state, e.g. the probe-coverage call-graph).
 from __future__ import annotations
 
 import ast
-import enum
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Type
 
 __all__ = [
-    "Severity",
     "Finding",
     "ModuleInfo",
     "Rule",
@@ -28,37 +26,17 @@ __all__ = [
 ]
 
 
-class Severity(enum.IntEnum):
-    """Ordered severities; the CLI threshold compares against these."""
-
-    INFO = 0
-    WARNING = 1
-    ERROR = 2
-
-    def __str__(self) -> str:
-        return self.name.lower()
-
-    @classmethod
-    def parse(cls, text: str) -> "Severity":
-        try:
-            return cls[text.upper()]
-        except KeyError:
-            raise ValueError(f"unknown severity {text!r}") from None
-
-
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at one source location."""
+    """One rule violation at one source location (every one is an error)."""
 
     rule: str
-    severity: Severity
     path: str
     line: int
     col: int
     message: str
-    #: the stripped source line, used for baseline matching (immune to
-    #: pure line-number drift from edits elsewhere in the file).
-    code: str = ""
+    #: the stripped source line.
+    code: str
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
@@ -66,7 +44,6 @@ class Finding:
     def to_dict(self) -> Dict[str, object]:
         return {
             "rule": self.rule,
-            "severity": str(self.severity),
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -189,7 +166,6 @@ class Rule:
 
     name: str = ""
     description: str = ""
-    default_severity: Severity = Severity.ERROR
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         raise NotImplementedError
@@ -202,18 +178,11 @@ class Rule:
         """
         return iter(())
 
-    def finding(
-        self,
-        module: ModuleInfo,
-        node: ast.AST,
-        message: str,
-        severity: Optional[Severity] = None,
-    ) -> Finding:
+    def finding(self, module: ModuleInfo, node: ast.AST, message: str) -> Finding:
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
         return Finding(
             rule=self.name,
-            severity=severity if severity is not None else self.default_severity,
             path=module.display_path,
             line=line,
             col=col,

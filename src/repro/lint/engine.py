@@ -14,15 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .base import (
-    Finding,
-    ModuleInfo,
-    Rule,
-    Severity,
-    all_rules,
-    suppressed_lines,
-)
-from .baseline import Baseline
+from .base import Finding, ModuleInfo, Rule, all_rules, suppressed_lines
 
 __all__ = ["LintResult", "run_lint", "render_findings", "findings_to_json"]
 
@@ -38,10 +30,6 @@ class LintResult:
     files_scanned: int = 0
     rules_run: Tuple[str, ...] = ()
     suppressed: int = 0
-    baselined: int = 0
-
-    def count_at_least(self, severity: Severity) -> int:
-        return sum(1 for f in self.findings if f.severity >= severity)
 
 
 def _iter_files(paths: Sequence[Path]) -> Iterable[Path]:
@@ -85,7 +73,6 @@ def run_lint(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
     ignore: Sequence[str] = (),
-    baseline: Optional[Baseline] = None,
 ) -> LintResult:
     """Lint ``paths`` with every registered rule (minus select/ignore)."""
     rule_classes = all_rules()
@@ -115,11 +102,11 @@ def run_lint(
             raw.append(
                 Finding(
                     rule="parse",
-                    severity=Severity.ERROR,
                     path=file_path.as_posix(),
                     line=exc.lineno or 1,
                     col=(exc.offset or 1) - 1,
                     message=f"syntax error: {exc.msg}",
+                    code="",
                 )
             )
             continue
@@ -139,10 +126,6 @@ def run_lint(
                 result.suppressed += 1
             else:
                 raw.append(finding)
-    if baseline is not None:
-        kept = baseline.filter(raw)
-        result.baselined = len(raw) - len(kept)
-        raw = kept
     result.findings = sorted(raw, key=Finding.sort_key)
     return result
 
@@ -150,32 +133,19 @@ def run_lint(
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
-def render_findings(result: LintResult, threshold: Severity = Severity.WARNING) -> str:
-    """Human-readable report of findings at/above ``threshold``."""
-    shown = [f for f in result.findings if f.severity >= threshold]
+def render_findings(result: LintResult) -> str:
+    """Human-readable report of the findings."""
     lines = [
-        f"{f.path}:{f.line}:{f.col}: [{f.rule}] {f.severity}: {f.message}"
-        for f in shown
+        f"{f.path}:{f.line}:{f.col}: [{f.rule}] {f.message}"
+        for f in result.findings
     ]
-    by_severity: Dict[str, int] = {}
-    for finding in shown:
-        key = str(finding.severity)
-        by_severity[key] = by_severity.get(key, 0) + 1
-    if shown:
-        breakdown = ", ".join(
-            f"{count} {name}" for name, count in sorted(by_severity.items())
-        )
+    if result.findings:
         lines.append(
-            f"repro.lint: {len(shown)} finding(s) ({breakdown}) "
+            f"repro.lint: {len(result.findings)} finding(s) "
             f"in {result.files_scanned} file(s)"
         )
     else:
-        extras = []
-        if result.suppressed:
-            extras.append(f"{result.suppressed} suppressed")
-        if result.baselined:
-            extras.append(f"{result.baselined} baselined")
-        suffix = f" ({', '.join(extras)})" if extras else ""
+        suffix = f" ({result.suppressed} suppressed)" if result.suppressed else ""
         lines.append(
             f"repro.lint: clean — {result.files_scanned} file(s), "
             f"{len(result.rules_run)} rule(s){suffix}"
@@ -183,15 +153,13 @@ def render_findings(result: LintResult, threshold: Severity = Severity.WARNING) 
     return "\n".join(lines)
 
 
-def findings_to_json(result: LintResult, threshold: Severity = Severity.WARNING) -> str:
+def findings_to_json(result: LintResult) -> str:
     """Deterministic JSON report (stable ordering, sorted keys)."""
-    shown = [f for f in result.findings if f.severity >= threshold]
     payload = {
         "version": 1,
         "files_scanned": result.files_scanned,
         "rules": list(result.rules_run),
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
-        "findings": [f.to_dict() for f in shown],
+        "findings": [f.to_dict() for f in result.findings],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

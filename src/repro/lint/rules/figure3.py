@@ -18,7 +18,7 @@ raises on any other edge.  This rule moves that check to rest:
   ``LEGAL_TRANSITIONS``.
 
 Sites with no statically known from-state are left to the runtime
-broadcaster and the PR 2 watchdog — the rule never guesses.
+broadcaster and the invariant watchdog — the rule never guesses.
 """
 
 from __future__ import annotations

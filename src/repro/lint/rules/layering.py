@@ -12,8 +12,9 @@ the stack: they are subscribers of the always-on ``env.probe`` of
 and noting on that one stream.  A direct import is legal only in the
 composition root that *subscribes* them (``encompass.config``) and the
 documented convergence points (the workload drivers' Histogram and the
-shared table renderer).  ``repro.lint`` and ``repro.bench`` are
-tooling: nothing imports them, and they import the stack freely.
+shared table renderer).  ``repro.lint``, ``repro.bench`` and
+``repro.simtest`` are tooling: nothing imports them, and they import the
+stack freely.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ RANKS = {
 PROBE_PACKAGES = frozenset({"measure", "trace"})
 
 #: tool packages: they import the stack freely, nothing imports them.
-TOOLING_PACKAGES = frozenset({"lint", "bench"})
+TOOLING_PACKAGES = frozenset({"lint", "bench", "simtest"})
 
 #: modules allowed to import measure/trace directly: the composition
 #: root that subscribes them to the probe (config), plus the documented

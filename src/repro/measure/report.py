@@ -75,8 +75,8 @@ def build_report(system: Any) -> Dict[str, Any]:
             for key, ap in sorted(system.audit_processes.items())
         },
     }
-    # Duck-typed: the TRACE watchdog (when installed) surfaces its alarm
-    # summary here — "XRAY aggregates, TRACE narrates".
+    # Duck-typed: the invariant watchdog (when attached) surfaces its
+    # alarm summary here.
     watchdog = getattr(system, "watchdog", None)
     if watchdog is not None:
         report["watchdog"] = watchdog.summary()

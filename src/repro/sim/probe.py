@@ -14,9 +14,9 @@ three verbs:
   ``probe.listening`` first, so a run with no subscriber pays one
   attribute read per site.
 
-The XRAY registry (:mod:`repro.measure`), the TRACE collector and
-watchdog (:mod:`repro.trace`) and test captures subscribe to the
-stream; the stack imports none of them.  The benchmark harness, the
+The XRAY registry (:mod:`repro.measure`), the TRACE collector
+(:mod:`repro.trace`), the invariant watchdog (:mod:`repro.simtest`) and
+test captures subscribe to the stream; the stack imports none of them.  The benchmark harness, the
 XRAY report and TMFCOM read the counts.
 """
 

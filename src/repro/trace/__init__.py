@@ -13,24 +13,19 @@ narrates.
   to the span they were emitted in (``system.trace_of(transid)``);
 * :mod:`repro.trace.export` — deterministic Chrome ``trace_event``
   timelines (``system.write_timeline(path)``) and the plain-text
-  flight-recorder screen;
-* :mod:`repro.trace.watchdog` — online invariant detectors firing
-  structured ``watchdog.alarm`` records during the run.
+  flight-recorder screen.
 
-Build with ``SystemBuilder(trace=True)`` (and ``watchdog=True`` for the
-detectors); see the README's "Tracing a transaction" section.
+Build with ``SystemBuilder(trace=True)``; see the README's "Tracing a
+transaction" section.
 """
 
 from .collect import Span, TraceCollector, TransactionTrace
 from .export import timeline, timeline_json, write_timeline
-from .watchdog import Watchdog, WatchdogConfig
 
 __all__ = [
     "Span",
     "TraceCollector",
     "TransactionTrace",
-    "Watchdog",
-    "WatchdogConfig",
     "timeline",
     "timeline_json",
     "write_timeline",

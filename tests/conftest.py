@@ -6,6 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.discprocess import DataDictionary, DiscProcess, FileClient
+from repro.encompass import SystemBuilder
 from repro.guardian import Cluster
 
 
@@ -49,51 +50,27 @@ def rig():
 
 
 class TmfRig:
-    """A multi-node cluster with full TMF on every node."""
+    """A multi-node cluster with full TMF on every node.
+
+    Wired by :class:`SystemBuilder` but never built: no file is created
+    and every node is connected to every other.
+    """
 
     def __init__(self, nodes=("alpha",), cpu_count=4, seed=1):
-        from repro.core import AuditProcess, AuditTrail, TmfNode
-
-        self.cluster = Cluster(seed=seed)
-        self.dictionary = DataDictionary()
-        self.tmf = {}
-        self.clients = {}
-        self.audit_processes = {}
-        self.disc_processes = {}
+        self.builder = SystemBuilder(seed=seed)
         for name in nodes:
-            node_os = self.cluster.add_node(name, cpu_count=cpu_count)
-            node = node_os.node
-            audit_volume = node.add_volume("$audvol", 2, 3)
-            trail = AuditTrail(audit_volume)
-            audit_process = AuditProcess(node_os, "$aud", 2, 3, trail)
-            tmf = TmfNode(
-                node_os,
-                self.cluster.fs(name),
-                monitor_volume=audit_volume,
-                tmp_cpus=(2, 3),
-            )
-            tmf.register_audit_process("$aud", audit_process)
-            self.tmf[name] = tmf
-            self.audit_processes[name] = audit_process
-            self.clients[name] = FileClient(self.cluster.fs(name), self.dictionary)
+            self.builder.add_node(name, cpus=cpu_count, tmf_cpus=(2, 3))
+        self.system = self.builder.system
+        self.cluster = self.system.cluster
         self.cluster.connect_all()
+        self.dictionary = self.system.dictionary
+        self.tmf = self.system.tmf
+        self.clients = self.system.clients
+        self.audit_processes = self.system.audit_processes
+        self.disc_processes = self.system.disc_processes
 
     def add_volume(self, node_name, volume_name, cpus=(0, 1), audited=True):
-        node_os = self.cluster.os(node_name)
-        volume = node_os.node.add_volume(volume_name, *cpus)
-        dp = DiscProcess(
-            node_os,
-            volume_name,
-            cpus[0],
-            cpus[1],
-            volume,
-            self.cluster.fs(node_name),
-            audit_process="$aud" if audited else None,
-            tmf_registry=self.tmf[node_name],
-        )
-        self.tmf[node_name].register_disc_process(volume_name, dp)
-        self.disc_processes[(node_name, volume_name)] = dp
-        return dp
+        return self.builder.add_volume(node_name, volume_name, cpus=cpus, audited=audited)
 
     def run(self, node_name, gen, cpu=0, name="$t"):
         node_os = self.cluster.os(node_name)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.discprocess.locks import LockManager, LockTimeout
 from repro.sim import Environment
+from repro.simtest import deadlock_cycle
 
 
 @pytest.fixture
@@ -217,7 +218,7 @@ class TestDeadlock:
     def test_waits_for_graph_sees_cycle(self, env, lm):
         self._start_deadlock(env, lm)
         env.run(until=10)  # both are now waiting on each other
-        cycle = lm.find_deadlock_cycle()
+        cycle = deadlock_cycle(lm.waits_for_edges())
         assert cycle is not None
         assert set(cycle) == {"t1", "t2"}
 
@@ -233,7 +234,7 @@ class TestDeadlock:
         env.process(holder())
         env.process(waiter())
         env.run(until=10)
-        assert lm.find_deadlock_cycle() is None
+        assert deadlock_cycle(lm.waits_for_edges()) is None
         assert lm.waits_for_edges() == [("t2", "t1")]
 
     def test_three_way_cycle_detected(self, env, lm):
@@ -249,7 +250,7 @@ class TestDeadlock:
         env.process(tx("t2", ("b",), ("c",)))
         env.process(tx("t3", ("c",), ("a",)))
         env.run(until=20)
-        cycle = lm.find_deadlock_cycle()
+        cycle = deadlock_cycle(lm.waits_for_edges())
         assert cycle is not None
         assert set(cycle) == {"t1", "t2", "t3"}
 

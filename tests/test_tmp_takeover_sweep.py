@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import TransactionAborted, TxState
 from repro.discprocess import FileSchema, KEY_SEQUENCED, PartitionSpec
+from repro.simtest import agreement, no_stranded_locks
 
 from conftest import TmfRig, kill_tmp_primary_at
 
@@ -97,6 +98,7 @@ def run_case(topology, commit, arm):
 def assert_settled(rig, seen, fate):
     """Every node agrees on ``fate``, counts it once, and holds no lock."""
     transid = seen["transid"]
+    assert agreement(rig) == {}
     fates = {node: tmf.dispositions.get(transid) for node, tmf in rig.tmf.items()}
     assert set(fates.values()) == {fate}, fates
     # Commits are counted at the home node, aborts on every participant.
@@ -106,8 +108,7 @@ def assert_settled(rig, seen, fate):
     }
     if "outcome" in seen:
         assert seen["outcome"] == fate
-    for dp in rig.disc_processes.values():
-        assert dp.locks.held_count() == 0
+    assert no_stranded_locks(rig) == {}
 
 
 @pytest.mark.parametrize(
@@ -211,6 +212,7 @@ def test_takeover_at_failed_phase1_abort_races_the_retry(victim):
     assert tmf.tmp.takeovers == 1
     assert seen["outcome"] == "aborted"
     t1, t2 = seen["t1"], seen["t2"]
+    assert agreement(rig) == {}
     assert tmf.dispositions[t1] == "aborted"
     assert {node: rig.tmf[node].dispositions.get(t2) for node in nodes} == {
         node: "aborted" for node in nodes
@@ -219,5 +221,4 @@ def test_takeover_at_failed_phase1_abort_races_the_retry(victim):
     assert {node: rig.tmf[node].aborts for node in nodes} == {
         node: 1 + (node == victim) for node in nodes
     }
-    for dp in rig.disc_processes.values():
-        assert dp.locks.held_count() == 0
+    assert no_stranded_locks(rig) == {}

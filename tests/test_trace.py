@@ -33,6 +33,7 @@ from repro.core import Tmfcom
 from repro.discprocess import FileSchema, KEY_SEQUENCED, PartitionSpec
 from repro.encompass import SystemBuilder
 from repro.sim import Environment, TraceRecord
+from repro.simtest import Watchdog
 from repro.workloads import run_closed_loop
 
 
@@ -78,8 +79,7 @@ def test_tracer_kind_index_matches_full_scan_through_clear():
 # ---------------------------------------------------------------------------
 
 def _run_banking(trace):
-    builder = SystemBuilder(seed=11, keep_trace=trace, trace=trace,
-                            watchdog=trace)
+    builder = SystemBuilder(seed=11, keep_trace=trace, trace=trace)
     builder.add_node("alpha", cpus=4)
     builder.add_volume("alpha", "$data", cpus=(0, 1))
     install_banking(builder, "alpha", "$data", server_instances=2)
@@ -89,6 +89,8 @@ def _run_banking(trace):
     for terminal in terminals:
         builder.add_terminal("alpha", "$tcp1", terminal, "post")
     system = builder.build()
+    if trace:
+        Watchdog(system)
     populate_banking(system, "alpha", branches=2, tellers_per_branch=2,
                      accounts=8)
 

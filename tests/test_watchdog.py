@@ -1,17 +1,15 @@
-"""The online invariant watchdog (repro.trace.watchdog).
+"""The online invariant watchdog (repro.simtest.watchdog).
 
 Each detector is exercised with a targeted injection — a stuck-ending
 transaction, an over-horizon lock wait, a waits-for cycle, an illegal
-Figure-3 edge, an audit growth burst — and must raise exactly the
-expected ``watchdog.alarm`` records, once per offending condition.
-A clean run alarms nothing (pinned in tests/test_trace.py too).
+Figure-3 edge, an audit growth burst, a committed image kept off the
+trail — and must raise exactly the expected ``watchdog.alarm`` records,
+once per offending condition.  A clean run alarms nothing (pinned in
+tests/test_trace.py too).  The tests that need another threshold than
+the watchdog's call its library function with that threshold.
 """
 
-import random
-
-import pytest
-
-from repro.core import TransactionAborted
+from repro.core import AuditTrail, TransactionAborted
 from repro.discprocess import (
     FileSchema,
     KEY_SEQUENCED,
@@ -19,11 +17,22 @@ from repro.discprocess import (
     PartitionSpec,
 )
 from repro.encompass import SystemBuilder
-from repro.trace import Watchdog, WatchdogConfig
+from repro.simtest import Watchdog
+from repro.simtest.watchdog import (
+    AUDIT_GROWTH_LIMIT,
+    INTERVAL,
+    LOCK_WAIT_HORIZON,
+    MAX_CHECKS,
+    STUCK_HORIZON,
+    audit_growth,
+    audit_totals,
+    lock_waits_over,
+)
 
 
 def build_system(watchdog=True, seed=5):
-    builder = SystemBuilder(seed=seed, trace=True, watchdog=watchdog)
+    """A one-volume system, with a :class:`Watchdog` attached if asked."""
+    builder = SystemBuilder(seed=seed, trace=True)
     builder.add_node("alpha", cpus=4)
     builder.add_volume("alpha", "$data", cpus=(0, 1))
     builder.define_file(
@@ -35,7 +44,10 @@ def build_system(watchdog=True, seed=5):
             partitions=(PartitionSpec("alpha", "$data"),),
         )
     )
-    return builder.build()
+    system = builder.build()
+    if watchdog:
+        Watchdog(system)
+    return system
 
 
 def seed_rows(system, keys=(1, 2)):
@@ -90,6 +102,8 @@ def test_real_run_emits_only_legal_edges():
     seed_rows(system)
     assert system.probe.counts["state_broadcast"] > 0
     assert alarm_reasons(system.watchdog) == []
+    # The durability detector examined the committed images.
+    assert system.watchdog.images_examined == 2
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +120,7 @@ def test_stuck_ending_transaction_alarms_exactly_once():
     probe.emit("state_broadcast", node="alpha",
                transid="\\alpha.9.3", state="ending", cpus=4)
 
-    horizon = watchdog.config.stuck_horizon
+    horizon = STUCK_HORIZON
     watchdog.check(t0 + horizon)            # at the horizon: not stuck yet
     assert alarm_reasons(watchdog) == []
     watchdog.check(t0 + 1.0 + horizon)      # past it: exactly one alarm
@@ -128,16 +142,17 @@ def test_stuck_ending_transaction_alarms_exactly_once():
 # ---------------------------------------------------------------------------
 
 def test_over_horizon_lock_wait_alarms():
-    config = WatchdogConfig(interval=50.0, lock_wait_horizon=300.0)
-    system = build_system(watchdog=config)
+    system = build_system()
     seed_rows(system)
     tmf = system.tmf["alpha"]
     client = system.clients["alpha"]
+    start = system.env.now
 
     def holder(proc):
         transid = yield from tmf.begin(proc)
         yield from client.read(proc, "pair", (1,), transid=transid, lock=True)
-        yield system.env.timeout(1_000.0)   # sit on the lock past the horizon
+        # Sit on the lock past the horizon.
+        yield system.env.timeout(LOCK_WAIT_HORIZON + 500.0)
         yield from tmf.end(proc, transid)
 
     def waiter(proc):
@@ -149,18 +164,23 @@ def test_over_horizon_lock_wait_alarms():
 
     system.spawn("alpha", "$hold", holder, cpu=0)
     proc = system.spawn("alpha", "$wait", waiter, cpu=1)
+    # A shorter horizon, through the library function.
+    system.cluster.run(start + 500.0)
+    assert lock_waits_over(system, system.env.now, 600.0) == []
+    ((node, volume, waiter_entry),) = lock_waits_over(system, system.env.now, 300.0)
+    assert (node, volume) == ("alpha", "$data")
+    assert waiter_entry.target[1] == "pair"
     system.cluster.run(proc.sim_process)
 
     reasons = alarm_reasons(system.watchdog)
     assert reasons == ["lock_wait_horizon"]     # once, despite many checks
     alarm = system.watchdog.alarms[0]
-    assert alarm["volume"] == "$data" and alarm["waited_ms"] > 300.0
+    assert alarm["volume"] == "$data" and alarm["waited_ms"] > LOCK_WAIT_HORIZON
     assert "'pair'" in alarm["target"]
 
 
 def test_waits_for_cycle_alarms_global_deadlock():
-    config = WatchdogConfig(interval=50.0, lock_wait_horizon=50_000.0)
-    system = build_system(watchdog=config)
+    system = build_system()
     seed_rows(system)
     tmf = system.tmf["alpha"]
     client = system.clients["alpha"]
@@ -208,8 +228,8 @@ def test_waits_for_cycle_alarms_global_deadlock():
 # ---------------------------------------------------------------------------
 
 def test_audit_growth_burst_alarms():
-    config = WatchdogConfig(interval=100.0, audit_growth_limit=2)
-    system = build_system(watchdog=config)
+    system = build_system()
+    before = audit_totals(system)
 
     def burst(proc):
         tmf = system.tmf["alpha"]
@@ -218,16 +238,40 @@ def test_audit_growth_burst_alarms():
         for k in range(10):                 # a burst of audit records
             yield from client.insert(proc, "pair", {"k": k}, transid=transid)
         yield from tmf.end(proc, transid)
-        yield system.env.timeout(250.0)     # let the periodic checks run
 
     proc = system.spawn("alpha", "$burst", burst, cpu=0)
     system.cluster.run(proc.sim_process)
+    # A limit of two records, through the library function.
+    ((trail, grew),) = audit_growth(before, audit_totals(system), 2).items()
+    assert trail == "alpha:$aud" and grew > 2
+    assert system.watchdog.alarms == []
+
+    # A burst past the watchdog's own limit within one interval.
+    system.audit_processes["alpha"].trail.total_records += AUDIT_GROWTH_LIMIT + 1
+    system.watchdog.check(system.env.now)
     summary = system.watchdog.summary()
-    assert summary["by_reason"].get("audit_growth", 0) >= 1
-    assert set(summary["by_reason"]) == {"audit_growth"}
-    alarm = next(a for a in system.watchdog.alarms
-                 if a["reason"] == "audit_growth")
-    assert alarm["grew"] > 2 and "alpha" in str(alarm["audit_process"])
+    assert summary["by_reason"] == {"audit_growth": 1}
+    alarm = system.watchdog.alarms[0]
+    assert alarm["grew"] > AUDIT_GROWTH_LIMIT and alarm["audit_process"] == "alpha:$aud"
+
+
+# ---------------------------------------------------------------------------
+# Detector 6: committed images on the trail
+# ---------------------------------------------------------------------------
+
+def test_committed_image_off_the_trail_alarms(monkeypatch):
+    system = build_system()
+    append_many = AuditTrail.append_many
+
+    def drop_first(trail, records):
+        # Force the batch but keep its first image off the trail.
+        return append_many(trail, list(records)[1:])
+
+    monkeypatch.setattr(AuditTrail, "append_many", drop_first)
+    seed_rows(system)
+    assert alarm_reasons(system.watchdog) == ["not_durable"]
+    alarm = system.watchdog.alarms[0]
+    assert (alarm["volume"], alarm["seq"]) == ("$data", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +288,13 @@ def test_watchdog_summary_lands_in_xray_report():
 
 
 def test_watchdog_checks_are_bounded():
-    config = WatchdogConfig(interval=10.0, max_checks=3)
-    system = build_system(watchdog=config)
-
-    def idle(proc):
-        yield system.env.timeout(1_000.0)
-
-    proc = system.spawn("alpha", "$idle", idle, cpu=0)
-    system.cluster.run(proc.sim_process)
-    assert system.watchdog.checks_run == 3
+    system = build_system()
+    system.cluster.run((MAX_CHECKS + 4) * INTERVAL)
+    assert system.watchdog.checks_run == MAX_CHECKS
+    assert system.watchdog.process.processed
 
 
 def test_watchdog_requires_opt_in():
-    system = build_system(watchdog=None)
+    system = build_system(watchdog=False)
     assert system.watchdog is None
     assert "watchdog" not in system.xray_report()
-
-
-def test_watchdog_config_passthrough():
-    config = WatchdogConfig(stuck_horizon=123.0)
-    system = build_system(watchdog=config)
-    assert system.watchdog.config is config
-    assert isinstance(system.watchdog, Watchdog)
