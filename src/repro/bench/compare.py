@@ -71,7 +71,7 @@ _COST_COUNTERS = frozenset({
     "lock_timeouts",
     "restarts",
 })
-_COST_PREFIXES = ("audit_batches_", "net_msgs_")
+_COST_PREFIXES = ("audit_batches_", "net_msgs_", "phase2_lag_us_")
 
 
 def _is_cost_counter(key: str) -> bool:

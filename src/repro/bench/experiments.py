@@ -290,15 +290,16 @@ def e3_commit_protocols(scale: str) -> Dict[str, Any]:
     system = _ledger_system(53, nodes, {f"ledger.{name}": name for name in nodes})
     tmf = system.tmf["n1"]
     client = system.clients["n1"]
-    net_msgs: Counters = {}
+    shape_counters: Counters = {}
     rows = []
     for shape, touch in enumerate(
         (["n1"], ["n1", "n2"], ["n1", "n2", "n3"]), start=1
     ):
         net_before = system.probe.counts.get("msg_network", 0)
         broadcasts_before = _broadcasts(system)
+        ended: Dict[str, float] = {}   # transid -> END-TRANSACTION return
 
-        def body(proc, touch=touch, shape=shape):
+        def body(proc, touch=touch, shape=shape, ended=ended):
             end_ms = 0.0
             for i in range(per_shape):
                 transid = yield from tmf.begin(proc)
@@ -311,20 +312,33 @@ def e3_commit_protocols(scale: str) -> Dict[str, Any]:
                 start = system.env.now
                 yield from tmf.end(proc, transid)
                 end_ms += system.env.now - start
+                ended[str(transid)] = system.env.now
             yield system.env.timeout(1500)  # drain safe-delivery phase 2
             return end_ms
 
         end_ms = _run(system, "n1", f"$run{shape}", body)
         net = system.probe.counts.get("msg_network", 0) - net_before
-        net_msgs[f"net_msgs_{shape}node"] = net
+        shape_counters[f"net_msgs_{shape}node"] = net
+        # Phase-two lag: END-TRANSACTION returning to the last child's
+        # ``ended`` broadcast (0 with no child).
+        lag_ms = 0.0
+        for transid, returned in ended.items():
+            children = [
+                record.time for record in system.probe.select(
+                    "state_broadcast", transid=transid, state="ended"
+                ) if record.node != "n1"
+            ]
+            lag_ms += (max(children, default=returned) - returned) / per_shape
+        shape_counters[f"phase2_lag_us_{shape}node"] = round(lag_ms * 1000)
         rows.append({
             "participating_nodes": shape,
             "end_latency_ms": end_ms / per_shape,
+            "phase2_lag_ms": lag_ms,
             "network_msgs_per_tx": net / per_shape,
             "state_broadcasts_per_tx":
                 (_broadcasts(system) - broadcasts_before) / per_shape,
         })
-    counters = dict(_base_counters(system), **net_msgs)
+    counters = dict(_base_counters(system), **shape_counters)
     return {"counters": counters, "info": {}, "rows": rows}
 
 

@@ -16,14 +16,23 @@ protocols —
   participant can unilaterally abort until it acks phase one; after
   acking it must hold the transaction's locks until the disposition
   arrives (possibly after a partition heals, or by manual override);
-  phase two and abort propagation are safe-delivery messages retried
-  until received.
+  phase two and abort propagation are safe-delivery messages, sent to
+  every child as soon as the outcome is decided and retried until
+  received.
 
 A :class:`TmfNode` exists per node; there is no network master — the
 home node of each transaction coordinates that transaction only.  Every
 request the coordinator makes of several participants at once (phase
 one, lock release, abort quiesce) goes out as one fan-out
 (:meth:`FileSystem.send_all`) and is joined once.
+
+Safe deliveries leave through the TMP's background :meth:`TmfNode.pump`,
+the one delivery path: deciding an outcome queues it for each child and
+wakes the pump, which sends the whole queue as one fan-out in its own
+step, so END-TRANSACTION does not wait for the children's acks.  An
+item leaves the queue only when its child acks it; the pump retries the
+rest every :data:`PUMP_INTERVAL`, and with nothing to retry or sweep it
+parks without a timer.
 """
 
 from __future__ import annotations
@@ -60,9 +69,10 @@ __all__ = ["TmfNode", "TransactionAborted", "TransactionRecord"]
 PHASE1_TIMEOUT = 2000.0
 #: deadline (ms) of a local boxcar drain or audit force.
 FORCE_TIMEOUT = 5000.0
-#: period (ms) of the TMP's pump: each pass retries safe deliveries,
-#: runs the queued automatic aborts and the unilateral-abort sweep once,
-#: so all three run every 200 ms.
+#: retry period (ms) of the TMP's pump.  New work wakes the pump at
+#: once; this timer only brings it back to retry unacked safe
+#: deliveries and to run the unilateral-abort sweep while a non-home
+#: transaction has not yet voted.
 PUMP_INTERVAL = 200.0
 #: completed-transaction records kept.
 DONE_RETENTION = 10000
@@ -122,9 +132,17 @@ class TmfNode:
         # Registries for node-local housekeeping.
         self.audit_objects: Dict[str, AuditProcess] = {}
         self.disc_objects: Dict[str, Any] = {}
-        # Safe-delivery queue and deferred automatic aborts.
+        # Safe-delivery queue (an item stays until its child acks it),
+        # deferred automatic aborts, and the non-home transactions the
+        # unilateral-abort sweep watches until they vote.
         self._safe_queue: List[Tuple[str, Any]] = []
         self._auto_aborts: List[Tuple[Transid, str]] = []
+        self._unvoted: Dict[Transid, TransactionRecord] = {}
+        # The pump's wait: the event it is parked on (None while it runs
+        # a pass), its retry timer, and a wake that came mid-pass.
+        self._pump_wake: Optional[Event] = None
+        self._pump_timer: Optional[Event] = None
+        self._pump_due = False
         self.tmp = TmpProcess(node_os, TMP_NAME, tmp_cpus[0], tmp_cpus[1], self)
         self.backout_process = BackoutProcess(
             node_os, BACKOUT_NAME, tmp_cpus[0], tmp_cpus[1], filesystem
@@ -178,6 +196,9 @@ class TmfNode:
             transid=transid, home=home, parent=parent, origin_cpu=origin_cpu
         )
         self.records[transid] = record
+        if parent is not None:
+            self._unvoted[transid] = record
+            self._arm_pump_timer()
         return record
 
     def _broadcast_timed(
@@ -229,7 +250,7 @@ class TmfNode:
             )
         except FileSystemError:
             # TMP pair down: the abort will be queued when it returns.
-            self._auto_aborts.append((transid, reason))
+            self._queue_abort(transid, reason)
 
     def status(self, transid: Transid) -> Optional[TransactionRecord]:
         return self.records.get(transid)
@@ -597,6 +618,7 @@ class TmfNode:
         self._done_order.clear()
         self._safe_queue.clear()
         self._auto_aborts.clear()
+        self._unvoted.clear()
         self.monitor_trail.attach_existing(
             AuditTrail.discover_file_names(
                 self.monitor_trail.volume, self.monitor_trail.prefix
@@ -621,12 +643,46 @@ class TmfNode:
                 and not record.settling
                 and record.origin_cpu == cpu.number
             ):
-                self._auto_aborts.append(
-                    (record.transid, f"cpu {cpu.number} failed")
-                )
+                self._queue_abort(record.transid, f"cpu {cpu.number} failed")
+
+    def _queue_abort(self, transid: Transid, reason: str) -> None:
+        self._auto_aborts.append((transid, reason))
+        self._wake_pump()
 
     def _queue_safe(self, dest_node: str, payload: Any) -> None:
+        """Queue a safe delivery; the pump sends it in its next step."""
         self._safe_queue.append((dest_node, payload))
+        self._wake_pump()
+
+    def _wake_pump(self) -> None:
+        """Run the pump's next pass now, or right after the current one."""
+        wake = self._pump_wake
+        if wake is None:
+            self._pump_due = True
+        elif not wake.triggered:
+            wake.succeed()
+
+    def _arm_pump_timer(self) -> None:
+        """Bring the pump back within PUMP_INTERVAL unless already due to."""
+        if self._pump_timer is None:
+            self._pump_timer = self.env.timeout(PUMP_INTERVAL)
+            self._pump_timer.callbacks.append(self._pump_timer_fired)
+
+    def _pump_timer_fired(self, _timer: Event) -> None:
+        # The pump resumes inside the timer's step: a retry tick is one
+        # engine event.
+        self._pump_timer = None
+        wake = self._pump_wake
+        if wake is None:
+            self._pump_due = True
+        elif not wake.triggered:
+            wake.succeed_inline()
+
+    def _disarm_pump_timer(self) -> None:
+        timer, self._pump_timer = self._pump_timer, None
+        if timer is not None:
+            # Left queued as a tombstone the engine skips uncounted.
+            timer.callbacks = None
 
     def on_tmp_takeover(self) -> None:
         """The TMP primary died: adopt its in-progress decisions.
@@ -649,49 +705,51 @@ class TmfNode:
         ]
 
     def pump(self, proc: OsProcess) -> Generator:
-        """Background loop: safe-delivery retries, auto-aborts, sweep.
+        """Background loop: auto-aborts, safe deliveries, sweep.
 
         Runs as a sim process owned by the current TMP primary; killed
         with it (takeover, pair-down) and restarted by the new primary.
+        Between passes it waits on one event: new work wakes it at once,
+        and while a delivery is unacked, an automatic abort is queued or
+        a non-home transaction has not voted, the retry timer wakes it
+        after :data:`PUMP_INTERVAL`.  Otherwise it parks with no timer.
         """
-        # Each pass takes the work queued before it started, item by item
-        # in place, so a pump that dies mid-pass leaves the rest to the
-        # next primary's (on_tmp_takeover re-queues a half-settled one).
+        # Each pass takes the work queued before it started, and a
+        # delivery leaves the queue only when acked, so a pump that dies
+        # mid-pass leaves the rest to the next primary's (on_tmp_takeover
+        # re-queues a half-settled transaction).
+        self._pump_wake = None
+        self._disarm_pump_timer()
         while proc.alive:
+            self._pump_due = False
             # 1. Queued automatic aborts, interrupted settles first.
             for _ in range(len(self._auto_aborts)):
                 transid, reason = self._auto_aborts.pop(0)
                 record = self.records.get(transid)
                 if record is not None and record.done is None:
                     yield from self.do_abort(proc, transid, reason)
-            # 2. Safe-delivery retries ("the sending of safe-delivery
-            #    messages — whenever transmission becomes possible — is
-            #    guaranteed").
-            queue = self._safe_queue
-            for _ in range(len(queue)):
-                dest_node, payload = queue[0]
-                try:
-                    yield from self.filesystem.send(
-                        proc,
-                        f"\\{dest_node}.{TMP_NAME}",
-                        payload,
-                        timeout=PHASE1_TIMEOUT,
-                    )
-                except FileSystemError:
-                    queue.append((dest_node, payload))
-                del queue[0]
+            # 2. Safe deliveries, all at once ("the sending of
+            #    safe-delivery messages — whenever transmission becomes
+            #    possible — is guaranteed").
+            batch = list(self._safe_queue)
+            replies = yield from self.filesystem.send_all(
+                proc,
+                [(f"\\{dest_node}.{TMP_NAME}", payload)
+                 for dest_node, payload in batch],
+                PHASE1_TIMEOUT,
+            )
+            for item, reply in zip(batch, replies):
+                if not isinstance(reply, FileSystemError):
+                    self._safe_queue.remove(item)
             # 3. Unilateral-abort sweep: a non-home node that has not yet
             #    acked phase 1 aborts transactions whose parent became
             #    unreachable ("complete loss of communication with a
             #    network node which participated in the transaction").
-            for record in list(self.records.values()):
-                if (
-                    not record.home
-                    and record.done is None
-                    and not record.settling
-                    and not record.phase1_acked
-                    and record.parent is not None
-                    and not self.node_os.message_system.reachable(
+            for record in list(self._unvoted.values()):
+                if record.done is not None or record.phase1_acked:
+                    del self._unvoted[record.transid]
+                elif not record.settling and not (
+                    self.node_os.message_system.reachable(
                         self.node_name, record.parent
                     )
                 ):
@@ -700,7 +758,14 @@ class TmfNode:
                         record.transid,
                         f"lost communication with {record.parent}",
                     )
-            yield self.env.timeout(PUMP_INTERVAL)
+            if self._pump_due:
+                continue
+            if self._safe_queue or self._auto_aborts or self._unvoted:
+                self._arm_pump_timer()
+            self._pump_wake = Event(self.env)
+            yield self._pump_wake
+            self._pump_wake = None
+            self._disarm_pump_timer()
 
     def _trace(self, kind: str, **fields: Any) -> None:
         self.env.probe.emit(kind, node=self.node_name, **fields)

@@ -117,9 +117,10 @@ class TmpProcess(ProcessPair):
         super().__init__(node_os, name, primary_cpu, backup_cpu)
 
     def on_start(self, proc: OsProcess) -> None:
-        # The background pump: safe-delivery retries, the unilateral-
-        # abort sweep, and queued automatic aborts.  Dies with this
-        # primary and is restarted by the next one.
+        # The background pump: safe deliveries (sent when queued,
+        # retried until acked), the unilateral-abort sweep, and queued
+        # automatic aborts.  Dies with this primary and is restarted by
+        # the next one.
         self.spawn(self.tmf.pump(proc), "pump")
 
     def on_takeover(self) -> None:

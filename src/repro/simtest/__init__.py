@@ -12,6 +12,7 @@ import it.
 """
 
 from .invariants import (
+    TrailIndex,
     agreement,
     check_durability_at_commits,
     deadlock_cycle,
@@ -22,6 +23,7 @@ from .invariants import (
 from .watchdog import Watchdog
 
 __all__ = [
+    "TrailIndex",
     "Watchdog",
     "agreement",
     "check_durability_at_commits",

@@ -26,8 +26,10 @@ from collections import Counter
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core import LEGAL_TRANSITIONS, AuditRecord, TxState
+from repro.discprocess.entryseq import EntrySequencedFile
 
 __all__ = [
+    "TrailIndex",
     "agreement",
     "check_durability_at_commits",
     "deadlock_cycle",
@@ -55,15 +57,51 @@ def agreement(system: Any) -> Dict[str, Dict[str, str]]:
     }
 
 
-def durability(system: Any, node: str, transid: Any) -> Tuple[int, List[AuditRecord]]:
+class TrailIndex:
+    """The ``(volume, seq)`` of every audit image on each trail, read so far.
+
+    A trail only grows at its end, so each one is read on from the last
+    record read: a check that consults the index at every commit costs
+    the new records, not the whole trail.  A trail whose files are no
+    longer the ones read (a purge dropped its oldest, a restart
+    re-attached it) is read afresh.
+    """
+
+    def __init__(self) -> None:
+        # trail -> (its images, the files read, next entry of the last)
+        self._read: Dict[Any, Tuple[Set[Tuple[str, int]], List[str], int]] = {}
+
+    def images_on(self, trail: Any) -> Set[Tuple[str, int]]:
+        keys, files, next_esn = self._read.get(trail, (set(), [], 0))
+        if trail.file_names[:len(files)] != files:
+            keys, files, next_esn = set(), [], 0
+        for name in trail.file_names[max(len(files) - 1, 0):]:
+            if not files or files[-1] != name:
+                files.append(name)
+                next_esn = 0
+            trail_file = EntrySequencedFile(
+                trail.store, name, entries_per_block=trail.entries_per_block
+            )
+            end = trail_file.record_count
+            for _esn, record in trail_file.scan(next_esn):
+                if isinstance(record, AuditRecord):
+                    keys.add((record.volume, record.seq))
+            next_esn = end
+        self._read[trail] = (keys, files, next_esn)
+        return keys
+
+
+def durability(system: Any, node: str, transid: Any,
+               index: TrailIndex) -> Tuple[int, List[AuditRecord]]:
     """Check ``transid``'s audit images on ``node`` against their trails.
 
     At ``transid``'s ``ended`` broadcast the audit has been forced, so
     every image of it that the node still knows — in an AUDITPROCESS's
     ``by_tx`` index or a DISCPROCESS's ``unforwarded`` table — must be
     on the trail of its AUDITPROCESS.  Call it while the images are
-    known: TMF forgets them once the transaction has settled.  Returns
-    the number of images examined and the ones missing from the trail.
+    known: TMF forgets them once the transaction has settled.  The
+    trails are read through the caller's ``index``.  Returns the number
+    of images examined and the ones missing from the trail.
     """
     tmf = system.tmf[node]
     key = str(transid)
@@ -82,18 +120,11 @@ def durability(system: Any, node: str, transid: Any) -> Tuple[int, List[AuditRec
         if not pending:
             continue
         examined += len(pending)
-        on_trail = _on_trail(tmf.audit_objects[name].trail)
+        on_trail = index.images_on(tmf.audit_objects[name].trail)
         missing.extend(
             image for image in pending if (image.volume, image.seq) not in on_trail
         )
     return examined, missing
-
-
-def _on_trail(trail: Any) -> Set[Tuple[str, int]]:
-    return {
-        (record.volume, record.seq) for record in trail.scan_all()
-        if isinstance(record, AuditRecord)
-    }
 
 
 def check_durability_at_commits(system: Any) -> Counter:
@@ -103,11 +134,12 @@ def check_durability_at_commits(system: Any) -> Counter:
     and ``missing`` from their trails.
     """
     totals: Counter = Counter()
+    index = TrailIndex()
 
     def on_record(record: Any) -> None:
         if record.kind == "state_broadcast" and record.fields["state"] == "ended":
             examined, missing = durability(
-                system, record.fields["node"], record.fields["transid"]
+                system, record.fields["node"], record.fields["transid"], index
             )
             totals["images"] += examined
             totals["missing"] += len(missing)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Iterator, List, Set, Tuple
 
-from .invariants import deadlock_cycle, durability, figure3_edge
+from .invariants import TrailIndex, deadlock_cycle, durability, figure3_edge
 
 __all__ = [
     "AUDIT_GROWTH_LIMIT",
@@ -106,6 +106,7 @@ class Watchdog:
         self.checks_run = 0
         #: audit images the durability detector has examined.
         self.images_examined = 0
+        self._trails = TrailIndex()
         # (node, transid) -> (state, since) for non-terminal states.
         self._tx_state: Dict[Tuple[str, str], Tuple[str, float]] = {}
         # Each alarm fires once per offending condition.
@@ -159,7 +160,9 @@ class Watchdog:
                 from_state=current_state, to_state=state,
             )
         if state == "ended":
-            examined, missing = durability(self.system, node, transid)
+            examined, missing = durability(
+                self.system, node, transid, self._trails
+            )
             self.images_examined += examined
             for image in missing:
                 self._alarm(

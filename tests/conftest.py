@@ -5,7 +5,14 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.discprocess import DataDictionary, DiscProcess, FileClient
+from repro.discprocess import (
+    KEY_SEQUENCED,
+    DataDictionary,
+    DiscProcess,
+    FileClient,
+    FileSchema,
+    PartitionSpec,
+)
 from repro.encompass import SystemBuilder
 from repro.guardian import Cluster
 
@@ -83,6 +90,26 @@ def tmf_rig():
     rig = TmfRig()
     rig.add_volume("alpha", "$data")
     return rig
+
+
+def build_two_child_ledgers(seed=5, trace=False):
+    """node1, node2 and node3, each with a ``$data`` volume; the audited
+    files ``ledger.node2`` and ``ledger.node3`` live on their nodes.
+
+    A transaction begun on node1 that inserts into both has node2 and
+    node3 as its children, polled in parallel at phase one.
+    """
+    builder = SystemBuilder(seed=seed, trace=trace)
+    for name in ("node1", "node2", "node3"):
+        builder.add_node(name, cpus=4)
+        builder.add_volume(name, "$data", cpus=(0, 1))
+    for name in ("node2", "node3"):
+        builder.define_file(FileSchema(
+            name=f"ledger.{name}", organization=KEY_SEQUENCED,
+            primary_key=("entry",), audited=True,
+            partitions=(PartitionSpec(name, "$data"),),
+        ))
+    return builder.build()
 
 
 def kill_tmp_primary_at(tmf, state):

@@ -71,13 +71,13 @@ class Volume:
 
         return self.rig.run("alpha", body, name=name)
 
-    def begin(self):
+    def begin(self, cpu=0):
         """An active transaction, begun by a finished client process."""
 
         def body(proc):
             return (yield from self.tmf.begin(proc))
 
-        return self.rig.run("alpha", body, name="$begin")
+        return self.rig.run("alpha", body, cpu=cpu, name="$begin")
 
 
 @pytest.fixture
@@ -240,8 +240,12 @@ def test_not_found(volume):
 
 def test_append_checkpoints_only_the_entry_lock_it_got(volume):
     """T1 holds an explicit lock on the entry T2 then appends: T2's append
-    succeeds without the lock, and the backup's table still says T1."""
-    first, second = volume.begin(), volume.begin()
+    succeeds without the lock, and the backup's table still says T1.
+
+    Both begin in CPU 1, the DISCPROCESS backup's, which survives the
+    takeover: a transaction begun in the failed CPU is aborted at once.
+    """
+    first, second = volume.begin(cpu=1), volume.begin(cpu=1)
     assert volume.send(LockRecord("log", 0), transid=first) == {"ok": True}
     assert volume.send(AppendEntry("log", {"n": 1}), transid=second) == {
         "ok": True, "esn": 0,

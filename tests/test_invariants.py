@@ -7,7 +7,9 @@ check examined something.
 
 from repro.bench.experiments import _build_banking, _drive, _settle
 from repro.core import AuditTrail
+from repro.sim import Environment
 from repro.simtest import (
+    TrailIndex,
     agreement,
     check_durability_at_commits,
     figure3_edge,
@@ -15,6 +17,7 @@ from repro.simtest import (
 )
 
 from conftest import TmfRig
+from test_audit import make_volume, record
 
 
 def test_agreement_flags_a_split_fate():
@@ -75,3 +78,22 @@ def test_e2_sized_run_examines_every_committed_image():
 def test_committed_image_kept_off_the_trail_is_a_violation(monkeypatch):
     _result, totals = _e2_episode(monkeypatch)
     assert totals["missing"] == 1
+
+
+def test_trail_index_reads_only_the_new_records():
+    """durability's view of a trail reads the records appended since it
+    last looked, and reads the trail afresh when a purge drops a file."""
+    trail = AuditTrail(make_volume(Environment()), records_per_file=4)
+    index = TrailIndex()
+    for seq in range(6):
+        trail.append(record(seq))
+    assert index.images_on(trail) == {("$data", seq) for seq in range(6)}
+    trail.append(record(6))
+    reads = trail.store.counters.reads
+    trail.scan_all()
+    full_scan = trail.store.counters.reads - reads
+    reads = trail.store.counters.reads
+    assert index.images_on(trail) == {("$data", seq) for seq in range(7)}
+    assert trail.store.counters.reads - reads < full_scan / 2
+    assert trail.purge({"$data": 4}) == 1
+    assert index.images_on(trail) == {("$data", seq) for seq in range(4, 7)}

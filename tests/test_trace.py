@@ -24,6 +24,7 @@ import random
 
 import pytest
 
+from conftest import build_two_child_ledgers
 from repro.apps.banking import (
     debit_credit_program,
     install_banking,
@@ -200,7 +201,20 @@ def distributed_trace():
     proc = system.spawn("node1", "$term", driver, cpu=2)
     reply = system.cluster.run(proc.sim_process)
     assert reply["ok"], reply
+    # Phase two leaves for the children as the reply does: settle, so
+    # every span of the transaction has ended.
+    system.cluster.run(until=system.env.now + 1000.0)
     return system, system.trace_of(reply["transid"])
+
+
+def _phase_two_roots(trace):
+    """The trace's roots that are a parent TMP's phase-two request.
+
+    The pump sends them outside the unit's serve span, so each is a root
+    of its own, named for the child TMP and sent by its parent's TMP.
+    """
+    return [root for root in trace.roots
+            if root.kind == "rpc" and root.requester == "$TMP"]
 
 
 def test_distributed_trace_spans_nodes_and_hop_kinds(distributed_trace):
@@ -214,11 +228,21 @@ def test_distributed_trace_spans_nodes_and_hop_kinds(distributed_trace):
     assert any(p.startswith("$ledger") for p in processes)
     assert "$data" in processes and "$aud" in processes
     assert "$TMP" in processes
-    # The root is the TCP's serve span (the unit adopted its transid).
-    assert len(trace.roots) == 1
-    root = trace.roots[0]
+    # The unit's root is the TCP's serve span (the unit adopted its
+    # transid); the other roots are the phase-two requests.
+    phase_two = _phase_two_roots(trace)
+    unit_roots = [root for root in trace.roots if root not in phase_two]
+    assert len(unit_roots) == 1
+    root = unit_roots[0]
     assert root.kind == "serve" and root.name == "$tcp"
     assert root.node == "node1"
+    # node2 is node1's child and node3 node2's (the $ledger server on
+    # node2 reads node3): each child's phase two comes from its
+    # parent's TMP, and ends.
+    assert sorted((span.node, span.name) for span in phase_two) == [
+        ("node1", "node2.$TMP"), ("node2", "node3.$TMP"),
+    ]
+    assert all(span.end is not None for span in phase_two)
 
 
 def test_distributed_trace_is_causally_ordered(distributed_trace):
@@ -287,17 +311,7 @@ def test_flight_recorder_screen_and_tmfcom_delegation(distributed_trace):
 
 def test_phase_one_polls_the_children_in_parallel():
     """A home node with two child nodes sends both ``TmpPhase1`` at once."""
-    builder = SystemBuilder(seed=5, trace=True)
-    for name in ("node1", "node2", "node3"):
-        builder.add_node(name, cpus=4)
-        builder.add_volume(name, "$data", cpus=(0, 1))
-    for name in ("node2", "node3"):
-        builder.define_file(FileSchema(
-            name=f"ledger.{name}", organization=KEY_SEQUENCED,
-            primary_key=("entry",), audited=True,
-            partitions=(PartitionSpec(name, "$data"),),
-        ))
-    system = builder.build()
+    system = build_two_child_ledgers(seed=5, trace=True)
     tmf, client = system.tmf["node1"], system.clients["node1"]
 
     def driver(proc):
