@@ -26,19 +26,22 @@ request the coordinator makes of several participants at once (phase
 one, lock release, abort quiesce) goes out as one fan-out
 (:meth:`FileSystem.send_all`) and is joined once.
 
-Safe deliveries leave through the TMP's background :meth:`TmfNode.pump`,
-the one delivery path: deciding an outcome queues it for each child and
-wakes the pump, which sends the whole queue as one fan-out in its own
-step, so END-TRANSACTION does not wait for the children's acks.  An
-item leaves the queue only when its child acks it; the pump retries the
-rest every :data:`PUMP_INTERVAL`, and with nothing to retry or sweep it
-parks without a timer.
+Each safe delivery, and each automatic abort queued for the TMP, runs as
+its own coroutine of the TMP primary: deciding an outcome queues it for
+each child and starts that child's worker, so END-TRANSACTION does not
+wait for the acks, and one child's lost ack holds up no other child.  An
+item leaves its queue only when done (a delivery when its child acks
+it, an abort when it is settled), so a new primary restarts whatever its
+predecessor left.  A worker whose child is unreachable retries every
+:data:`RETRY_INTERVAL`; nothing else keeps a timer but the
+unilateral-abort sweep, which runs while a non-home transaction has not
+voted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from ..discprocess.ops import ForceBoxcar, QuiesceTransaction, ReleaseLocks
 from ..guardian import (
@@ -69,11 +72,9 @@ __all__ = ["TmfNode", "TransactionAborted", "TransactionRecord"]
 PHASE1_TIMEOUT = 2000.0
 #: deadline (ms) of a local boxcar drain or audit force.
 FORCE_TIMEOUT = 5000.0
-#: retry period (ms) of the TMP's pump.  New work wakes the pump at
-#: once; this timer only brings it back to retry unacked safe
-#: deliveries and to run the unilateral-abort sweep while a non-home
-#: transaction has not yet voted.
-PUMP_INTERVAL = 200.0
+#: period (ms) of a safe delivery's retries and of the unilateral-abort
+#: sweep.
+RETRY_INTERVAL = 200.0
 #: completed-transaction records kept.
 DONE_RETENTION = 10000
 #: the registered names of every node's TMP and BACKOUTPROCESS pairs.
@@ -138,11 +139,8 @@ class TmfNode:
         self._safe_queue: List[Tuple[str, Any]] = []
         self._auto_aborts: List[Tuple[Transid, str]] = []
         self._unvoted: Dict[Transid, TransactionRecord] = {}
-        # The pump's wait: the event it is parked on (None while it runs
-        # a pass), its retry timer, and a wake that came mid-pass.
-        self._pump_wake: Optional[Event] = None
-        self._pump_timer: Optional[Event] = None
-        self._pump_due = False
+        # The TMP primary that runs their workers, once it serves.
+        self._tmp_proc: Optional[OsProcess] = None
         self.tmp = TmpProcess(node_os, TMP_NAME, tmp_cpus[0], tmp_cpus[1], self)
         self.backout_process = BackoutProcess(
             node_os, BACKOUT_NAME, tmp_cpus[0], tmp_cpus[1], filesystem
@@ -197,8 +195,9 @@ class TmfNode:
         )
         self.records[transid] = record
         if parent is not None:
+            if not self._unvoted:
+                self._start(self._sweep)
             self._unvoted[transid] = record
-            self._arm_pump_timer()
         return record
 
     def _broadcast_timed(
@@ -628,7 +627,7 @@ class TmfNode:
             disc_process.cold_restart(*disc_process.configured_cpus)
 
     # ------------------------------------------------------------------
-    # Automatic aborts and the background pump
+    # Automatic aborts, safe deliveries and the unilateral-abort sweep
     # ------------------------------------------------------------------
     def _on_cpu_failure(self, cpu) -> None:
         """Queue automatic aborts for transactions begun in a failed CPU.
@@ -646,52 +645,48 @@ class TmfNode:
                 self._queue_abort(record.transid, f"cpu {cpu.number} failed")
 
     def _queue_abort(self, transid: Transid, reason: str) -> None:
-        self._auto_aborts.append((transid, reason))
-        self._wake_pump()
+        item = (transid, reason)
+        self._auto_aborts.append(item)
+        self._start(self._run_abort, item)
 
     def _queue_safe(self, dest_node: str, payload: Any) -> None:
-        """Queue a safe delivery; the pump sends it in its next step."""
-        self._safe_queue.append((dest_node, payload))
-        self._wake_pump()
+        """Queue a safe delivery; its own worker sends it in the next step."""
+        item = (dest_node, payload)
+        self._safe_queue.append(item)
+        self._start(self._deliver, item)
 
-    def _wake_pump(self) -> None:
-        """Run the pump's next pass now, or right after the current one."""
-        wake = self._pump_wake
-        if wake is None:
-            self._pump_due = True
-        elif not wake.triggered:
-            wake.succeed()
+    def _start(self, work: Callable[..., Generator], *args: Any) -> None:
+        """Run ``work(proc, *args)`` as a coroutine of the serving TMP
+        primary; with none serving, the next one's :meth:`on_tmp_start`
+        starts it from the queues."""
+        proc = self._tmp_proc
+        if proc is not None and proc.alive:
+            self.tmp.spawn(work(proc, *args), work.__name__)
 
-    def _arm_pump_timer(self) -> None:
-        """Bring the pump back within PUMP_INTERVAL unless already due to."""
-        if self._pump_timer is None:
-            self._pump_timer = self.env.timeout(PUMP_INTERVAL)
-            self._pump_timer.callbacks.append(self._pump_timer_fired)
+    def on_tmp_start(self, proc: OsProcess) -> None:
+        """A TMP primary is about to serve: start its background work.
 
-    def _pump_timer_fired(self, _timer: Event) -> None:
-        # The pump resumes inside the timer's step: a retry tick is one
-        # engine event.
-        self._pump_timer = None
-        wake = self._pump_wake
-        if wake is None:
-            self._pump_due = True
-        elif not wake.triggered:
-            wake.succeed_inline()
-
-    def _disarm_pump_timer(self) -> None:
-        timer, self._pump_timer = self._pump_timer, None
-        if timer is not None:
-            # Left queued as a tombstone the engine skips uncounted.
-            timer.callbacks = None
+        An item leaves its queue only when done, so whatever a dead or
+        down primary left queued is started again here: interrupted
+        settles (put first by :meth:`on_tmp_takeover`) and other
+        automatic aborts, then unacked safe deliveries, then the sweep.
+        """
+        self._tmp_proc = proc
+        for item in self._auto_aborts:
+            self._start(self._run_abort, item)
+        for item in self._safe_queue:
+            self._start(self._deliver, item)
+        if self._unvoted:
+            self._start(self._sweep)
 
     def on_tmp_takeover(self) -> None:
         """The TMP primary died: adopt its in-progress decisions.
 
         Every transaction mid-commit/mid-abort at the moment of failure
         is released from ``settling`` and queued first for the new
-        primary's pump, whose :meth:`_resume` completes it from its
-        durable disposition — "the backup ... carr[ies] through to
-        completion any operation initiated by the primary".
+        primary, whose :meth:`_resume` completes it from its durable
+        disposition — "the backup ... carr[ies] through to completion
+        any operation initiated by the primary".
         """
         interrupted = [
             record for record in self.records.values()
@@ -704,47 +699,35 @@ class TmfNode:
             for record in interrupted
         ]
 
-    def pump(self, proc: OsProcess) -> Generator:
-        """Background loop: auto-aborts, safe deliveries, sweep.
+    def _run_abort(self, proc: OsProcess, item: Tuple[Transid, str]) -> Generator:
+        """One queued automatic abort; it leaves the queue once settled."""
+        yield from self.do_abort(proc, *item)
+        self._auto_aborts.remove(item)
 
-        Runs as a sim process owned by the current TMP primary; killed
-        with it (takeover, pair-down) and restarted by the new primary.
-        Between passes it waits on one event: new work wakes it at once,
-        and while a delivery is unacked, an automatic abort is queued or
-        a non-home transaction has not voted, the retry timer wakes it
-        after :data:`PUMP_INTERVAL`.  Otherwise it parks with no timer.
-        """
-        # Each pass takes the work queued before it started, and a
-        # delivery leaves the queue only when acked, so a pump that dies
-        # mid-pass leaves the rest to the next primary's (on_tmp_takeover
-        # re-queues a half-settled transaction).
-        self._pump_wake = None
-        self._disarm_pump_timer()
-        while proc.alive:
-            self._pump_due = False
-            # 1. Queued automatic aborts, interrupted settles first.
-            for _ in range(len(self._auto_aborts)):
-                transid, reason = self._auto_aborts.pop(0)
-                record = self.records.get(transid)
-                if record is not None and record.done is None:
-                    yield from self.do_abort(proc, transid, reason)
-            # 2. Safe deliveries, all at once ("the sending of
-            #    safe-delivery messages — whenever transmission becomes
-            #    possible — is guaranteed").
-            batch = list(self._safe_queue)
-            replies = yield from self.filesystem.send_all(
-                proc,
-                [(f"\\{dest_node}.{TMP_NAME}", payload)
-                 for dest_node, payload in batch],
-                PHASE1_TIMEOUT,
-            )
-            for item, reply in zip(batch, replies):
-                if not isinstance(reply, FileSystemError):
-                    self._safe_queue.remove(item)
-            # 3. Unilateral-abort sweep: a non-home node that has not yet
-            #    acked phase 1 aborts transactions whose parent became
-            #    unreachable ("complete loss of communication with a
-            #    network node which participated in the transaction").
+    def _deliver(self, proc: OsProcess, item: Tuple[str, Any]) -> Generator:
+        """One safe delivery: sent now and, "whenever transmission
+        becomes possible", again every :data:`RETRY_INTERVAL` until its
+        child acks it."""
+        dest_node, payload = item
+        while True:
+            try:
+                yield from self.filesystem.send(
+                    proc, f"\\{dest_node}.{TMP_NAME}", payload,
+                    timeout=PHASE1_TIMEOUT,
+                )
+            except FileSystemError:
+                yield self.env.timeout(RETRY_INTERVAL)
+            else:
+                self._safe_queue.remove(item)
+                return
+
+    def _sweep(self, proc: OsProcess) -> Generator:
+        """Unilateral-abort sweep, run while a non-home transaction has
+        not voted: every :data:`RETRY_INTERVAL` it aborts those whose
+        parent became unreachable ("complete loss of communication with
+        a network node which participated in the transaction")."""
+        while self._unvoted:
+            yield self.env.timeout(RETRY_INTERVAL)
             for record in list(self._unvoted.values()):
                 if record.done is not None or record.phase1_acked:
                     del self._unvoted[record.transid]
@@ -758,14 +741,6 @@ class TmfNode:
                         record.transid,
                         f"lost communication with {record.parent}",
                     )
-            if self._pump_due:
-                continue
-            if self._safe_queue or self._auto_aborts or self._unvoted:
-                self._arm_pump_timer()
-            self._pump_wake = Event(self.env)
-            yield self._pump_wake
-            self._pump_wake = None
-            self._disarm_pump_timer()
 
     def _trace(self, kind: str, **fields: Any) -> None:
         self.env.probe.emit(kind, node=self.node_name, **fields)

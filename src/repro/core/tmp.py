@@ -117,11 +117,11 @@ class TmpProcess(ProcessPair):
         super().__init__(node_os, name, primary_cpu, backup_cpu)
 
     def on_start(self, proc: OsProcess) -> None:
-        # The background pump: safe deliveries (sent when queued,
-        # retried until acked), the unilateral-abort sweep, and queued
-        # automatic aborts.  Dies with this primary and is restarted by
-        # the next one.
-        self.spawn(self.tmf.pump(proc), "pump")
+        # Safe deliveries, queued automatic aborts and the
+        # unilateral-abort sweep each run as a coroutine of this primary
+        # and die with it; the next primary starts whatever is still
+        # queued.
+        self.tmf.on_tmp_start(proc)
 
     def on_takeover(self) -> None:
         super().on_takeover()

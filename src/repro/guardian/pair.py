@@ -170,11 +170,11 @@ class ProcessPair:
         """Run ``work`` as a coroutine that dies with this primary.
 
         The one way to start one: request handlers, boxcar flushes and
-        the TMP pump all run this way, and ``_kill_handlers`` kills them
-        on takeover and on pair-down.  An ``inline`` start runs the
-        first segment in the caller's step.  Each is a member of
-        ``_active_handlers`` from before its first segment until it
-        finishes or is killed.
+        the TMP's delivery, abort and sweep workers all run this way,
+        and ``_kill_handlers`` kills them on takeover and on pair-down.
+        An ``inline`` start runs the first segment in the caller's
+        step.  Each is a member of ``_active_handlers`` from before its
+        first segment until it finishes or is killed.
         """
         return Process(
             self.env, work, f"{self.name}.{suffix}", inline=inline,

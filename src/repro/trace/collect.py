@@ -81,7 +81,7 @@ class TransactionTrace:
         self.roots = roots            # causally ordered forest
         self.spans = spans            # every span, topological+time order
         #: records mentioning the transid but emitted outside any span
-        #: (e.g. the TMP pump settling the transaction in background).
+        #: (e.g. a TMP worker settling the transaction in background).
         self.loose_annotations = loose_annotations
 
     @property

@@ -59,11 +59,15 @@ from repro.bench import determinism_digests
 # woken by new work, with a retry timer only while work is pending):
 # the one-node run loses its idle pump ticks, the report differs only
 # in ``events_processed`` (6,496 -> 6,488), and the TRACE timeline
-# digest is unchanged.  Any *further* digest change must again be
-# justified.
+# digest is unchanged.  The XRAY digest was re-recorded once more when
+# the pump went and each safe delivery, queued abort and sweep became
+# its own TMP coroutine: the TMP's start no longer spawns an idle
+# coroutine, the report differs only in ``events_processed`` (6,488 ->
+# 6,487), and the TRACE timeline digest is unchanged.  Any *further*
+# digest change must again be justified.
 GOLDEN = {
     "xray_sha256":
-        "b1e579dfa6b600288f1f7fcc4c219e12bc4073b97fa9388e1693043afdfee5dc",
+        "2e902d99a47ba7f30c9487dbdb103011a65da3c772ef01f8ba3d8236b63b394b",
     "timeline_sha256":
         "04a3a772cff2bf399ffb40bdb9d12efdc27ccc6d014e6d66ebc30a41658f2328",
 }

@@ -86,7 +86,7 @@ class TestDistributedCommit:
             transid = yield from tmf_a.begin(proc)
             yield from client.insert(proc, "b_file", {"k": 5, "v": 1}, transid=transid)
             yield from tmf_a.end(proc, transid)
-            # Safe-delivery phase 2 may lag; give the pump a moment.
+            # Safe-delivery phase 2 may lag; give its delivery a moment.
             yield net_rig.cluster.env.timeout(1000)
             return net_rig.disc_processes[("beta", "$data")].locks.held_count()
 
@@ -141,7 +141,7 @@ class TestDistributedCommit:
             )
             yield from tmf_a.end(proc, transid)
             record = yield from client_a.read(proc, "g_file", (9,))
-            # Phase 2 propagates by safe delivery; let the pumps drain.
+            # Phase 2 propagates by safe delivery; let the deliveries land.
             yield net_rig.cluster.env.timeout(2000)
             return record["v"], str(transid)
 

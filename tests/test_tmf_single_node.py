@@ -344,7 +344,7 @@ class TestOnlineRecovery:
             node_os.spawn("$victim", 1, victim, register=False)
             yield tmf_rig.cluster.env.timeout(200)
             tmf_rig.cluster.node("alpha").fail_cpu(1)
-            yield tmf_rig.cluster.env.timeout(2000)  # pump runs auto-abort
+            yield tmf_rig.cluster.env.timeout(2000)  # the TMP runs the auto-abort
             record = yield from client.read(proc, "accounts", (5,))
             return record
 

@@ -1,9 +1,9 @@
 """TMP takeovers in the middle of settling a transaction.
 
-* The TMP primary's background pump runs queued automatic aborts.  When
-  the primary's CPU fails while the pump is inside one of them, the new
+* The TMP primary runs each queued automatic abort as its own worker.
+  When the primary's CPU fails while a worker is inside one, the new
   primary adopts the half-settled transaction and aborts it itself.
-  The dead primary's pump must stop where its CPU died: if it carried
+  The dead primary's worker must stop where its CPU died: if it carried
   on, the transaction would be settled twice, and its second ABORTED
   broadcast would find the transid already gone (``None -> aborted``,
   an illegal Figure 3 edge that stopped the whole simulation).
@@ -59,7 +59,7 @@ def run_scenario():
         yield env.timeout(50.0)
         node.fail_cpu(HOME_CPU)
         transid = seen["transid"]
-        # Wait until the pump is inside the abort, then kill its CPU.
+        # Wait until the abort worker is inside the abort, then kill its CPU.
         while tmf.broadcaster.current_state(transid) != TxState.ABORTING:
             yield env.timeout(0.5)
         seen["tmp_failed_at"] = env.now
@@ -142,7 +142,7 @@ def test_abort_after_the_commit_point_completes_the_commit():
         ):
             yield env.timeout(0.05)
         node.fail_cpu(TMP_CPU)
-        # The new primary's pump resolves the aborting transaction first;
+        # The new primary's worker resolves the aborting transaction;
         # this request, as a TCP resolving an in-doubt unit sends it,
         # arrives meanwhile.
         reply = yield from system.cluster.fs("alpha").send(

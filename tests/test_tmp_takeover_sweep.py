@@ -10,8 +10,8 @@ that interrupts the home node's commit or abort before its commit
 record ends in ``aborted``, the outcome is counted once, and no volume
 holds a lock.  The same holds for a kill while the home node writes
 the commit or abort record itself, and for a kill at the aborting
-broadcast of a failed phase one whose retried request reaches the new
-primary before its pump does.
+broadcast of a failed phase one whose request the new primary gets
+again while it resumes the abort.
 """
 
 import pytest
@@ -88,7 +88,7 @@ def run_case(topology, commit, arm):
                 seen["outcome"] = "aborted"
         else:
             yield from home.abort(proc, transid)
-        # Safe deliveries and queued aborts drain at the pumps' pace.
+        # Let the safe deliveries and queued aborts land.
         yield rig.cluster.env.timeout(5_000.0)
 
     rig.run("alpha", body)
@@ -156,10 +156,10 @@ def test_takeover_at_failed_phase1_abort_races_the_retry(victim):
     and then at alpha, each of which starts to abort it.  The TMP
     primary of ``victim`` fails inside that aborting broadcast while the
     abort of an earlier local transaction T1 is also half done there.
-    The new primary's pump resumes T1 first, so the retried request —
-    alpha's TmpCommit, or the TmpPhase1 beta received — reaches T2
-    before the pump does: it must finish T2's abort, not run its
-    commit again."""
+    The new primary resumes T1 and T2 from a worker each, and the
+    retried request — alpha's TmpCommit, or the TmpPhase1 beta received
+    — reaches T2 while its abort is resumed: it must answer with that
+    abort, not run T2's commit again."""
     nodes = ("alpha", "beta", "gamma")
     rig = make_rig(nodes)
     env = rig.cluster.env

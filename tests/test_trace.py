@@ -210,7 +210,7 @@ def distributed_trace():
 def _phase_two_roots(trace):
     """The trace's roots that are a parent TMP's phase-two request.
 
-    The pump sends them outside the unit's serve span, so each is a root
+    A delivery worker sends them outside the unit's serve span, so each is a root
     of its own, named for the child TMP and sent by its parent's TMP.
     """
     return [root for root in trace.roots
