@@ -277,11 +277,6 @@ class AuditProcess(ProcessPair):
         super().__init__(node_os, name, primary_cpu, backup_cpu)
         self.forces = 0
         self.forced_block_writes = 0
-        # The audit volume's disc also serves one request at a time.
-        self._disc_free_at = 0.0
-        #: accumulated trail-disc service time (ms); the XRAY sampler
-        #: derives audit-volume utilization from deltas of this.
-        self.busy_ms = 0.0
 
     def state_defaults(self) -> Dict[str, Any]:
         return {
@@ -350,15 +345,14 @@ class AuditProcess(ProcessPair):
         batch_writes = self.trail.append_many(records)
         self.forced_block_writes += batch_writes
         # Physical write time: sequential trail writes (an empty force
-        # still costs one rotation to write the commit-fence block); the
-        # mirrored pair proceeds in parallel (one disc_write per two
-        # blocks), and concurrent forces queue behind each other.
+        # still costs one rotation to write the commit-fence block) at
+        # one disc_write per two blocks, booked as one write on the trail
+        # volume's arms, so concurrent forces queue behind each other.
         blocks = batch_writes if records else 1
         cost = blocks * self.node_os.node.latencies.disc_write / 2
-        self.busy_ms += cost
-        start = max(self.env.now, self._disc_free_at)
-        self._disc_free_at = start + cost
-        yield self.env.timeout(self._disc_free_at - self.env.now)
+        now = self.env.now
+        end = self.trail.volume.book(now, writes=1, write_ms=cost)
+        yield self.env.timeout(end - now)
         if records:
             # The primary's buffer already lost the indices above.
             yield from self.checkpoint_multi([("buffer", None, indices)])

@@ -236,15 +236,17 @@ class AppendAudit:
 
 @dataclass(frozen=True)
 class ForceBoxcar:
-    """Drain the volume's audit boxcar (phase-one / quiesce force).
+    """Drain the volume's audit boxcar (phase one's force).
 
-    The reply arrives only after every audit image the volume had
-    accumulated — for any transaction — has been accepted by its
-    AUDITPROCESS, which is what lets TMF's subsequent ``ForceAudit``
-    guarantee the trail holds the committing transaction's images.
-    ``transid`` identifies the requester for tracing only; the drain is
-    volume-wide (that is the group-commit effect: one transaction's
-    force pays the forward cost for everyone's cargo).
+    The reply arrives once no audit image of ``transid`` is aboard or on
+    the wire: each has been accepted by the AUDITPROCESS, which is what
+    lets TMF's subsequent ``ForceAudit`` guarantee the trail holds the
+    committing transaction's images.  Its images leave together with
+    everything else aboard (that is the group-commit effect: one
+    transaction's force pays the forward cost for everyone's cargo), but
+    the drain does not wait for cargo that boarded after they left.
+    With no ``transid`` the drain is volume-wide: it returns once
+    nothing is aboard or on the wire.
     """
 
     transid: Any = None

@@ -34,7 +34,8 @@ Fidelity notes:
 
   - a full boxcar — :data:`BOXCAR_RECORDS` images aboard — departs on
     its own, off the operation's critical path;
-  - phase one's boxcar force drains it before the trail force;
+  - phase one's boxcar force ships the transaction's images (with
+    whatever else is aboard) before the trail force;
   - the quiesce that precedes a backout drains it, because backout
     reads the images back from the AUDITPROCESS;
   - a takeover re-forwards whatever the new primary inherited.
@@ -60,7 +61,7 @@ from ..guardian import (
     bad_request,
 )
 from ..hardware import MirroredVolume, VolumeUnavailable
-from ..sim import Event, fast_deepcopy
+from ..sim import Event, Process, fast_deepcopy
 from .blocks import BlockKey
 from .cache import BlockCache, CachedVolumeStore
 from .index import StructuredFile
@@ -153,13 +154,11 @@ class DiscProcess(ProcessPair):
         # with the primary).  Lets an abort's quiesce order backout after
         # every straggling operation of an aborting transaction.
         self._inflight: Dict[str, int] = {}
-        # The physical disc serves one request at a time (single
-        # actuator); concurrent operations queue FCFS.  Cache hits are
-        # CPU-side and do not queue.
-        self._disc_free_at = 0.0
-        #: accumulated physical-disc service time (ms); the XRAY sampler
-        #: derives utilization from deltas of this.
-        self.busy_ms = 0.0
+        # Physical reads and writes made by each request being served,
+        # keyed by its handler process (volatile).  An access counts
+        # for the handler running when it is made, so a request that
+        # yields is not charged for what other requests do meanwhile.
+        self._io_made: Dict[Optional[Process], List[int]] = {}
         # Built by _build_runtime, which a takeover runs again.
         self.cache: Optional[BlockCache] = None
         self.store: Optional[CachedVolumeStore] = None
@@ -223,10 +222,17 @@ class DiscProcess(ProcessPair):
         self._forward_event = None
 
     def _physical_read(self, key: BlockKey) -> Any:
-        return self.volume.read_block(key)
+        block = self.volume.read_block(key)
+        io = self._io_made.get(self.env.active_process)
+        if io is not None:
+            io[0] += 1
+        return block
 
     def _physical_write(self, key: BlockKey, block: Any) -> None:
         self.volume.write_block(key, block)
+        io = self._io_made.get(self.env.active_process)
+        if io is not None:
+            io[1] += 1
         if self.state["dirty"].get(key) is block:
             del self.state["dirty"][key]
             self._flushed_keys.append(key)
@@ -268,7 +274,9 @@ class DiscProcess(ProcessPair):
             return _err("volume_down")
         payload = message.payload
         op = _OPS.get(payload.__class__) or _unknown_op(payload)
-        snapshot = self._io_snapshot()
+        hits = self.cache.stats.hits
+        handler = self.env.active_process
+        io = self._io_made[handler] = [0, 0]
         try:
             reply = yield from self._dispatch(proc, message, op)
         except _Refused as refusal:
@@ -283,8 +291,10 @@ class DiscProcess(ProcessPair):
             self.crashed = True
             self._trace("volume_crashed")
             return _err("volume_down")
+        finally:
+            del self._io_made[handler]
         io_start = self.env.now
-        yield from self._charge_io(snapshot)
+        yield from self._charge_io(io, hits)
         probe = self.env.probe
         probe.count(op.counter)
         if probe.listening and self.env.now > io_start:
@@ -688,17 +698,39 @@ class DiscProcess(ProcessPair):
         except VolumeUnavailable:
             pass  # self-crash recorded; pending requests see volume_down
 
-    def _drain_boxcar(self, proc: OsProcess, reason: str) -> Generator:
-        """Flush until nothing is aboard or on the wire; returns the count."""
+    def _drain_boxcar(
+        self, proc: OsProcess, reason: str, transid: Any = None
+    ) -> Generator:
+        """Flush until none of ``transid``'s images — of any
+        transaction's, if None — is aboard or on the wire; returns the
+        count this call shipped."""
         flushed = 0
-        while self._forward_event is not None or self.state["unforwarded"]:
-            flushed += yield from self._forward_audit(proc, reason)
+        while self._carries(transid):
+            if self._forward_event is not None:
+                yield self._forward_event
+            else:
+                flushed += yield from self._forward_audit(proc, reason)
         return flushed
 
+    def _carries(self, transid: Any) -> bool:
+        """True while images of ``transid`` (of any, if None) are aboard
+        or on the wire: a shipped image leaves ``unforwarded`` only once
+        its batch has landed."""
+        if transid is None:
+            return self.audit_drain_needed
+        return any(
+            record.transid == transid
+            for record in self.state["unforwarded"].values()
+        )
+
     def _force_boxcar(self, proc, message, payload, file) -> Generator:
-        """Phase one's explicit drain of the boxcar (group commit)."""
+        """Phase one's drain of the transaction's images (group commit).
+
+        Its images leave with whatever else is aboard, but a batch that
+        carries none of them is not waited for.
+        """
         start = self.env.now
-        flushed = yield from self._drain_boxcar(proc, FLUSH_FORCE)
+        flushed = yield from self._drain_boxcar(proc, FLUSH_FORCE, payload.transid)
         probe = self.env.probe
         probe.count("boxcar.forces")
         if probe.listening:
@@ -948,26 +980,23 @@ class DiscProcess(ProcessPair):
                 ratios[name] = plain / packed
         return ratios
 
-    def _io_snapshot(self) -> Tuple[int, int, int]:
-        return (
-            self.cache.stats.hits,
-            self.store.counters.reads,
-            self.store.counters.writes,
-        )
+    def _charge_io(self, io: List[int], hits: int) -> Generator:
+        """Wait out the request's own disc accesses, then its cache hits.
 
-    def _charge_io(self, snapshot: Tuple[int, int, int]) -> Generator:
-        hits, reads, writes = snapshot
+        ``io`` holds the physical reads and writes the request made.
+        They run on the volume's arms in the order the cache makes
+        them, the reads then the write-backs, each behind the accesses
+        already booked on its arm.
+        """
+        reads, writes = io
         latencies = self.node_os.node.latencies
-        physical = (
-            (self.store.counters.reads - reads) * latencies.disc_read
-            + (self.store.counters.writes - writes) * latencies.disc_write
-        )
-        if physical > 0:
-            self.busy_ms += physical
-            start = max(self.env.now, self._disc_free_at)
-            self._disc_free_at = start + physical
-            # Queueing delay + service time behind earlier requests.
-            yield self.env.timeout(self._disc_free_at - self.env.now)
+        now = self.env.now
+        if reads or writes:
+            end = self.volume.book(
+                now, reads, latencies.disc_read, writes, latencies.disc_write
+            )
+            if end > now:
+                yield self.env.timeout(end - now)
         hit_cost = (self.cache.stats.hits - hits) * latencies.cache_hit
         if hit_cost > 0:
             # Cache hits cost CPU in the DISCPROCESS's processor, not

@@ -10,6 +10,13 @@ that reach them, and answers the structural questions the upper layers
 ask: *is the volume accessible from CPU n*, and *what are the physical
 contents*.  Drive contents survive CPU failures (they are on disc) and
 are lost only when the drive itself fails.
+
+Each drive has its own arm, and the volume keeps the arms' schedule:
+a read occupies the serviceable drive whose arm is free first, a write
+occupies every serviceable drive.  So a mirrored pair serves two reads
+at once, and one drive left serves at single-arm speed.  The schedule
+belongs to the hardware, not to the process that books it, so it
+outlives a DISCPROCESS takeover.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ class DiscDrive(Component):
         super().__init__(env, name)
         self.blocks: Dict[Any, Any] = {}
         self.stale = False
+        #: simulated time the arm ends the last access booked on it.
+        self.free_at = 0.0
 
     def on_fail(self, reason: Any) -> None:
         # Media loss: a failed drive comes back empty and stale.
@@ -81,9 +90,11 @@ class IoController(Component):
 class MirroredVolume:
     """A logical disc volume: one or two drives behind shared controllers.
 
-    All writes go to every serviceable drive; reads are served by the
-    first serviceable drive.  The volume is *accessible* from a CPU when
-    at least one up controller reaches that CPU and at least one drive is
+    All writes go to every serviceable drive.  A read's contents come
+    from the first serviceable drive (the mirrors hold the same blocks),
+    and its arm time from whichever serviceable drive is free first
+    (:meth:`book`).  The volume is *accessible* from a CPU when at
+    least one up controller reaches that CPU and at least one drive is
     serviceable.
     """
 
@@ -100,6 +111,9 @@ class MirroredVolume:
             raise ValueError("a volume has one or two drives")
         if not self.controllers:
             raise ValueError("a volume needs at least one controller")
+        #: arm time booked, over the serviceable arms at each booking
+        #: (ms); the XRAY sampler derives utilization from deltas of this.
+        self.busy_ms = 0.0
 
     @property
     def mirrored(self) -> bool:
@@ -122,8 +136,8 @@ class MirroredVolume:
         return sum(1 for controller in self.controllers if controller.reaches_cpu(cpu))
 
     # ------------------------------------------------------------------
-    # Physical block I/O.  These are *instantaneous state changes*; the
-    # DISCPROCESS accounts for the time cost via its latency model.
+    # Physical block I/O.  These are *instantaneous state changes*; their
+    # time is booked on the arms separately (:meth:`book`).
     # ------------------------------------------------------------------
     def write_block(self, block_id: Any, image: Any) -> None:
         drives = self.serviceable_drives()
@@ -150,6 +164,37 @@ class MirroredVolume:
         if not drives:
             raise VolumeUnavailable(f"no serviceable drive on {self.name}")
         return list(drives[0].blocks.keys())
+
+    # ------------------------------------------------------------------
+    # Arm time
+    # ------------------------------------------------------------------
+    def book(self, ready: float, reads: int = 0, read_ms: float = 0.0,
+             writes: int = 0, write_ms: float = 0.0) -> float:
+        """Book one operation's physical accesses; return when the last ends.
+
+        The accesses run in order from ``ready``, each once the one
+        before it has ended: the reads, each on the serviceable drive
+        whose arm is free first (ties go to the first drive), then the
+        writes, each on every serviceable drive as soon as that drive's
+        arm is free.  A volume with no serviceable drive books nothing.
+        """
+        drives = self.serviceable_drives()
+        if not drives:
+            return ready
+        end = ready
+        for _ in range(reads):
+            drive = drives[0]
+            for other in drives[1:]:
+                if other.free_at < drive.free_at:
+                    drive = other
+            end = drive.free_at = max(end, drive.free_at) + read_ms
+        for _ in range(writes):
+            start = end
+            for drive in drives:
+                drive.free_at = max(start, drive.free_at) + write_ms
+                end = max(end, drive.free_at)
+        self.busy_ms += reads * read_ms / len(drives) + writes * write_ms
+        return end
 
     def revive(self) -> int:
         """Copy contents onto restored-but-stale drives from a good mirror.

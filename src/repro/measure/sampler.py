@@ -2,10 +2,11 @@
 
 A :class:`Sampler` is a simulation process that wakes every
 :data:`SAMPLE_INTERVAL` simulated milliseconds and reads the cheap
-always-on busy-time accumulators the hardware and server layers
-maintain (CPUs, buses, DISCPROCESSes, AUDITPROCESSes).  Each wake-up
-appends one utilization row to the registry's ``samples`` list; the
-report's ``util.*`` gauges are the latest row.
+always-on busy-time accumulators the hardware layer maintains (CPUs,
+buses, and the data and trail volumes behind the DISCPROCESSes and
+AUDITPROCESSes; a volume's counts arm time over its serving arms).
+Each wake-up appends one utilization row to the registry's ``samples``
+list; the report's ``util.*`` gauges are the latest row.
 
 Sampling is read-only: it observes accumulators but changes no simulated
 state, so a measured run replays the exact event history of an
@@ -64,9 +65,9 @@ class Sampler:
                 values[f"{node_name}.cpu{cpu.number}"] = cpu.busy_ms
             values[f"{node_name}.bus"] = node.buses.busy_ms
         for (node_name, volume), dp in sorted(self.system.disc_processes.items()):
-            values[f"{node_name}.{volume}"] = dp.busy_ms
+            values[f"{node_name}.{volume}"] = dp.volume.busy_ms
         for key, ap in sorted(self.system.audit_processes.items()):
-            values[f"audit.{key}"] = ap.busy_ms
+            values[f"audit.{key}"] = ap.trail.volume.busy_ms
         return values
 
     # ------------------------------------------------------------------

@@ -163,7 +163,7 @@ class TestAuditProcess:
         def second(proc):
             while rig.trail.total_records == 0:
                 yield env.timeout(0.01)
-            seen["write_end"] = rig.audit._disc_free_at
+            seen["write_end"] = max(d.free_at for d in rig.trail.volume.drives)
             seen["sent"] = env.now
             yield from fs.send(proc, "$aud", ForceAudit(T2))
             seen["replied"] = env.now
@@ -175,6 +175,27 @@ class TestAuditProcess:
         assert seen["replied"] >= seen["write_end"]
         on_trail = [(r.volume, r.seq) for r in rig.trail.scan_all()]
         assert sorted(on_trail) == [("$data", i) for i in range(100)]
+
+    def test_force_time_is_half_a_disc_write_per_block(self):
+        # A force books one write of blocks x disc_write / 2 on both arms
+        # of the trail volume.  The figures are those of the single-queue
+        # trail disc this model had before: 100 images fill 5 blocks
+        # (62.5 ms), an empty force writes the commit-fence block
+        # (12.5 ms), and the request's messages and checkpoint add 0.4
+        # and 0.2 ms.  One drive left writes at the same speed.
+        rig = AuditRig()
+        env = rig.cluster.env
+        rig.request(AppendAudit("$data", tuple(record(i) for i in range(100))))
+        start = env.now
+        rig.request(ForceAudit(T1))
+        assert rig.audit.forced_block_writes == 5
+        assert env.now - start == pytest.approx(62.9)
+        for failed in (False, True):
+            if failed:
+                rig.trail.volume.drives[1].fail()
+            start = env.now
+            rig.request(ForceAudit(T2))
+            assert env.now - start == pytest.approx(12.7)
 
     def test_takeover_preserves_buffer(self):
         rig = AuditRig()

@@ -130,6 +130,57 @@ class TestFlushPolicies:
         trail = rig.audit_processes["alpha"].trail
         assert trail.total_records >= 2, "commit made the images durable"
 
+    def test_drain_waits_only_for_its_own_images(self):
+        # T1's drain ships T1's and T2's images together.  While that
+        # batch is on the wire (the AUDITPROCESS is slow) T3's image
+        # boards.  T2's drain then waits for the batch to land, and
+        # leaves T3's image aboard: no second AppendAudit.
+        rig = make_rig()
+        env = rig.cluster.env
+        dp = rig.disc_processes[("alpha", "$data")]
+        audit = rig.audit_processes["alpha"]
+        append = audit._append
+
+        def slow_append(payload):
+            yield env.timeout(50.0)
+            return (yield from append(payload))
+
+        audit._append = slow_append
+        fs = rig.cluster.fs("alpha")
+        seen = {}
+
+        def body(proc):
+            tmf, client, t1 = yield from create_and_begin(rig, proc)
+            t2 = yield from tmf.begin(proc)
+            t3 = yield from tmf.begin(proc)
+            for aid, transid in enumerate((t1, t2)):
+                yield from client.insert(
+                    proc, "alpha_accts", {"aid": aid, "balance": 0}, transid=transid
+                )
+
+            def drain_t1(p):
+                yield from fs.send(p, "$data", ForceBoxcar(t1))
+
+            rig.cluster.os("alpha").spawn("$d1", 1, drain_t1, register=False)
+            while dp._forward_event is None:
+                yield env.timeout(0.1)
+            yield from client.insert(
+                proc, "alpha_accts", {"aid": 3, "balance": 0}, transid=t3
+            )
+            seen["t3_aboard"] = t3 in (
+                r.transid for r in dp.state["unforwarded"].values()
+            )
+            seen["reply"] = yield from fs.send(proc, "$data", ForceBoxcar(t2))
+            seen["t2_landed"] = str(t2) in audit.state["by_tx"]
+            seen["t3"] = t3
+
+        rig.run("alpha", body)
+        assert seen["t3_aboard"], "T3 boarded while the batch flew"
+        assert seen["reply"] == {"ok": True, "flushed": 0}
+        assert seen["t2_landed"], "T2's drain replied after its images landed"
+        assert dp.audit_batches_sent == 1
+        assert [r.transid for r in dp.state["unforwarded"].values()] == [seen["t3"]]
+
     def test_late_backout_images_do_not_revive_an_aborted_transaction(self):
         # Backout's compensation images stay aboard past the abort (no
         # one needs them) and reach the AUDITPROCESS with a later drain,

@@ -11,13 +11,16 @@ record ends in ``aborted``, the outcome is counted once, and no volume
 holds a lock.  The same holds for a kill while the home node writes
 the commit or abort record itself, and for a kill at the aborting
 broadcast of a failed phase one whose request the new primary gets
-again while it resumes the abort.
+again while it resumes the abort, and for a retried request that
+already waits in the new primary's inbox when it starts serving.
 """
 
 import pytest
 
-from repro.core import TransactionAborted, TxState
+from repro.core import TMP_NAME, TmpCommit, TmpPhase1, TransactionAborted, TxState
 from repro.discprocess import FileSchema, KEY_SEQUENCED, PartitionSpec
+from repro.guardian import Message
+from repro.sim import Event
 from repro.simtest import agreement, no_stranded_locks
 
 from conftest import TmfRig, kill_tmp_primary_at
@@ -222,3 +225,76 @@ def test_takeover_at_failed_phase1_abort_races_the_retry(victim):
         node: 1 + (node == victim) for node in nodes
     }
     assert no_stranded_locks(rig) == {}
+
+
+def post_at_promotion(tmf, payload):
+    """Fail the CPU of ``tmf``'s TMP primary inside its next aborting
+    broadcast and, in that step, hand ``payload`` to the new primary: a
+    retried request that waits in its inbox until the primary starts
+    serving, so it is served ahead of the primary's resume workers.
+    Returns a dict that gets the request's ``reply``."""
+    env = tmf.env
+    delivery = {}
+
+    def on_record(record):
+        if (record.kind == "state_broadcast" and not delivery
+                and record.node == tmf.node_name and record.state == "aborting"):
+            delivery["posted"] = True
+            tmf.node_os.node.fail_cpu(tmf.tmp.primary_cpu)
+            message = Message(tmf.node_name, "$t", tmf.node_name, TMP_NAME, payload)
+            message.reply_event = Event(env)
+            message.reply_event.callbacks.append(
+                lambda event: delivery.update(reply=event.value)
+            )
+            tmf.tmp.primary_process.accept(message)
+
+    env.probe.subscribe(on_record)
+    return delivery
+
+
+@pytest.mark.parametrize("request_kind", ["commit", "phase1"])
+def test_request_waiting_at_promotion_finishes_the_abort(request_kind):
+    """A transaction's abort is broadcast when the TMP primary of the
+    node aborting it fails.  A retried TmpCommit (at the home node) or
+    TmpPhase1 (at a child) already waits in the new primary's inbox, so
+    it reaches the transaction before the worker that resumes the
+    abort: it must finish that abort, not start the commit again."""
+    nodes = ("alpha",) if request_kind == "commit" else ("alpha", "beta")
+    victim = nodes[-1]
+    rig = make_rig(nodes)
+    env = rig.cluster.env
+    home = rig.tmf["alpha"]
+    tmf = rig.tmf[victim]
+    seen = {}
+
+    def body(proc):
+        for node in nodes:
+            yield from rig.clients["alpha"].create_file(
+                proc, rig.dictionary.schema(f"{node}_file")
+            )
+        transid = seen["transid"] = yield from home.begin(proc)
+        yield from rig.clients["alpha"].insert(
+            proc, f"{victim}_file", {"k": 1}, transid=transid
+        )
+        request = TmpCommit(transid) if request_kind == "commit" else TmpPhase1(transid)
+        seen["delivery"] = post_at_promotion(tmf, request)
+
+        def abort(p):
+            yield from tmf.abort(p, transid, "unilateral")
+
+        yield spawn(rig, victim, abort)
+        try:
+            yield from home.end(proc, transid)
+            seen["outcome"] = "committed"
+        except TransactionAborted:
+            seen["outcome"] = "aborted"
+        yield env.timeout(5_000.0)
+
+    rig.run("alpha", body)
+    assert tmf.tmp.takeovers == 1
+    reply = seen["delivery"]["reply"]
+    if request_kind == "commit":
+        assert reply == {"ok": True, "disposition": "aborted"}
+    else:
+        assert reply == {"ok": True, "vote": "no"}
+    assert_settled(rig, seen, "aborted")
