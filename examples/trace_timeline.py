@@ -3,7 +3,9 @@
 Where XRAY aggregates (histograms, utilization), TRACE narrates: every
 message the banking workload sends carries a trace context, so each
 transaction folds into a causal tree of serve/rpc spans — TCP → server
-→ DISCPROCESS → audit → TMP — interleaved with the domain trace records
+→ DISCPROCESS → audit → TMP — with the timed phases inside them (lock
+waits, disc accesses, checkpoint messages, the commit's completion
+write) as leaves, interleaved with the domain trace records
 (checkpoints, state broadcasts) the run already emits.
 
 This example runs the debit/credit workload with tracing enabled
@@ -82,8 +84,11 @@ def main():
     # loader's populate transactions come first).
     tmfcom = system.tmfcom("alpha")
     unit_ids = [t for t in system.trace_collector.trace_ids() if ".2." in t]
-    print(tmfcom.trace(unit_ids[0]))
+    screen = tmfcom.trace(unit_ids[0])
+    print(screen)
     print()
+    # The commit's Monitor Audit Trail write is a timed phase of the tree.
+    assert "[phase] completion-write (audit)" in screen, screen
 
     # The watchdog watched the whole run and saw nothing wrong.
     summary = system.watchdog.summary()

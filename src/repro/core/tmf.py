@@ -221,8 +221,9 @@ class TmfNode:
         self._new_record(transid, home=True, origin_cpu=proc.cpu.number)
         probe = self.env.probe
         if probe.listening:
-            # XRAY opens the transaction's span tree; TRACE roots (or
-            # re-roots, on restart) the caller's trace at this transid.
+            # The collector opens the transaction's window and roots
+            # (or re-roots, on restart) the caller's trace at this
+            # transid; XRAY folds that tree when the window closes.
             probe.note("tx.begin", transid=transid)
         yield from self._broadcast_timed(transid, TxState.ACTIVE, "begin")
         self._trace("begin_transaction", transid=str(transid))
@@ -542,7 +543,14 @@ class TmfNode:
         """Force a completion record to the Monitor Audit Trail."""
         self.monitor_trail.append(CompletionRecord(transid, disposition))
         self.dispositions[transid] = disposition
+        start = self.env.now
         yield self.env.timeout(self.node_os.node.latencies.disc_write / 2)
+        probe = self.env.probe
+        if probe.listening:
+            probe.note(
+                "phase", transid=transid, name="completion-write",
+                category="audit", start=start,
+            )
 
     def _release_local(self, proc: OsProcess, record: TransactionRecord, committed: bool) -> Generator:
         # A volume pair that is down fails its slot: its locks died with

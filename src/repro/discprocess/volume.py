@@ -1003,7 +1003,14 @@ class DiscProcess(ProcessPair):
             # disc-arm time.
             if self.primary_cpu is not None:
                 self.node_os.node.cpus[self.primary_cpu].charge(hit_cost)
+            start = self.env.now
             yield self.env.timeout(hit_cost)
+            probe = self.env.probe
+            if probe.listening:
+                probe.note(
+                    "phase", transid=None, name="cache-hits", category="cpu",
+                    start=start,
+                )
 
 
 class _Refused(Exception):

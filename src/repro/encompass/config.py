@@ -52,7 +52,8 @@ class EncompassSystem:
         self.server_classes: Dict[Tuple[str, str], ServerClass] = {}
         self.tcps: Dict[Tuple[str, str], TerminalControlProcess] = {}
         self.pathway_monitors: Dict[str, PathwayMonitor] = {}
-        #: the XRAY registry, subscribed to the probe when measured.
+        #: the XRAY registry, when measured; the one span-tree builder,
+        #: the probe's subscriber, when measured or traced.
         self.metrics: Optional[MetricsRegistry] = None
         self.sampler: Optional[Sampler] = None
         self.trace_collector: Optional[TraceCollector] = None
@@ -167,7 +168,8 @@ class EncompassSystem:
     def _require_collector(self) -> TraceCollector:
         if self.trace_collector is None:
             raise RuntimeError(
-                "tracing is disabled; build with SystemBuilder(trace=True)"
+                "tracing is disabled; build with SystemBuilder(trace=True) "
+                "or measure=True"
             )
         return self.trace_collector
 
@@ -207,13 +209,13 @@ class SystemBuilder:
         self.cluster = Cluster(seed=seed, keep_trace=keep_trace)
         self.dictionary = DataDictionary()
         self.system = EncompassSystem(self.cluster, self.dictionary)
-        # XRAY and TRACE are the probe's subscribers, subscribed before
-        # any construction emits so they see the stream from time zero.
-        if measure:
-            self.system.metrics = MetricsRegistry()
-            self.cluster.env.probe.subscribe(self.system.metrics.on_record)
-        if trace:
+        # TRACE's collector subscribes to the probe before any
+        # construction emits, so it sees the stream from time zero; the
+        # XRAY registry reads the stream through it.
+        if measure or trace:
             self.system.trace_collector = TraceCollector(self.cluster.env)
+        if measure:
+            self.system.metrics = MetricsRegistry(self.system.trace_collector)
         self._built = False
 
     # ------------------------------------------------------------------

@@ -335,12 +335,9 @@ class MessageSystem:
         if not probe.listening:
             reply = yield self._post(message)
             return reply
-        # A subscriber may stamp the request's span onto the message
-        # here (TRACE does), so the serving side, possibly on another
-        # node, can link up.
-        probe.note("rpc.send", message=message)
+        reply_event = self._post(message)
         try:
-            reply = yield self._post(message)
+            reply = yield reply_event
             return reply
         finally:
             # The requester-observed end: reply, error, or the caller's
@@ -353,20 +350,28 @@ class MessageSystem:
         Returns the reply event; raises :class:`PathDown` when no path
         exists.  The destination is resolved twice: here for the
         transit accounting, and again on arrival, since it may die or
-        take over while the request is in flight.
+        take over while the request is in flight.  While the probe
+        listens, the request's ``rpc.send`` note carries its transit and
+        the medium it crosses; a subscriber may stamp the request's span
+        onto the message (TRACE does), so the serving side, possibly on
+        another node, can link up.
         """
+        source_node = message.source_node
         dest_node = message.dest_node
         pre_target = self._node_os[dest_node].lookup(message.dest_name)
+        dest_cpu = pre_target.cpu.number if pre_target is not None else 0
         transit = self._transit_latency(
-            message.source_node,
-            message.source_cpu,
-            dest_node,
-            pre_target.cpu.number if pre_target is not None else 0,
+            source_node, message.source_cpu, dest_node, dest_cpu
         )
-        self._count(message.source_node, dest_node)
+        self._count(source_node, dest_node)
         env = self.env
         reply_event = message.reply_event = Event(env)
         Timeout(env, transit, message).callbacks.append(self._deliver)
+        probe = env.probe
+        if probe.listening:
+            medium = ("network" if source_node != dest_node else
+                      "cpu" if message.source_cpu == dest_cpu else "bus")
+            probe.note("rpc.send", message=message, transit=transit, medium=medium)
         return reply_event
 
     def _deliver(self, transit: Event) -> None:

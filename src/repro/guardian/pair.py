@@ -301,6 +301,7 @@ class ProcessPair:
         node = self.node_os.node
         latency = node.latencies.checkpoint
         node.buses.record_transfer(latency)
+        start = self.env.now
         yield Timeout(self.env, latency)
         self.checkpoints_sent += 1
         probe = self.env.probe
@@ -312,6 +313,11 @@ class ProcessPair:
             else:
                 sent = [table for table, _u, _r in parts]
             probe.emit("checkpoint", pair=self._label, **{trace_key: sent})
+            if probe.listening:
+                probe.note(
+                    "phase", transid=None, name="checkpoint", category="bus",
+                    start=start,
+                )
         else:
             probe.count("checkpoint")
         atomic = ATOMIC_TYPES

@@ -7,9 +7,9 @@ The stack must keep Figure 1/2's shape::
 
 A module may import repro packages at its own tier or below, never
 above.  The measurement subsystems (``measure``, ``trace``) sit outside
-the stack: they are subscribers of the always-on ``env.probe`` of
-``repro.sim``, and the stack reaches them only by counting, emitting
-and noting on that one stream.  A direct import is legal only in the
+the stack: they read the always-on ``env.probe`` of ``repro.sim`` (the
+TRACE collector subscribes, XRAY reads through it), and the stack
+reaches them only by counting, emitting and noting on that one stream.  A direct import is legal only in the
 composition root that *subscribes* them (``encompass.config``) and the
 documented convergence points (the workload drivers' Histogram and the
 shared table renderer).  ``repro.lint``, ``repro.bench`` and

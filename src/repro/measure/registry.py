@@ -1,11 +1,14 @@
-"""Measured-only metrics: log-scale histograms and spans.
+"""Measured-only metrics: log-scale histograms and critical-path totals.
 
 The XRAY measurement subsystem's data model.  A :class:`MetricsRegistry`
-holds what only a measured run keeps.  ``SystemBuilder(measure=True)``
-subscribes :meth:`MetricsRegistry.on_record` to the run's
-``env.probe``, where it folds the ``tx.begin``/``tx.end``, ``phase``
-and ``observe`` notes into the span log and the histograms.  Counts are
-not kept here: every run counts through the always-on probe.
+holds what only a measured run keeps.  It reads the run's ``env.probe``
+stream through the TRACE collector (:class:`repro.trace.TraceCollector`),
+the one probe subscriber that builds span trees: the collector hands it
+each histogram sample the ``phase`` and ``observe`` notes carry, and
+each transaction's window as it closes, when the registry folds the
+transaction's tree along the critical path (:func:`fold`) into the
+run's per-category totals.  Counts are not kept here: every run counts
+through the always-on probe.
 
 The :class:`Histogram` uses fixed log-scale buckets (a configurable
 number per decade), so p50/p90/p99 are computed without storing samples:
@@ -16,11 +19,19 @@ sample quantile, and count/mean/min/max are exact.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict
+from typing import Any, Dict, List, Sequence, Tuple
 
-from .spans import SpanLog
+__all__ = ["CATEGORIES", "Histogram", "MetricsRegistry", "fold"]
 
-__all__ = ["Histogram", "MetricsRegistry"]
+#: the cost categories of a transaction's time, in report order:
+#: ``cpu``/``bus``/``network`` are the media a request crosses (and CPU
+#: work such as cache hits), ``queue`` a request waiting for its server,
+#: ``unattributed`` time that no span explains.
+CATEGORIES = (
+    "cpu", "bus", "network", "disc", "lock", "audit", "queue", "unattributed",
+)
+
+_INF = float("inf")
 
 
 class Histogram:
@@ -153,13 +164,92 @@ class Histogram:
         )
 
 
-class MetricsRegistry:
-    """The measured-only state of one run: histograms, spans, samples."""
+def _end(span: Any) -> float:
+    return span.end if span.end is not None else _INF    # None: in flight
 
-    def __init__(self):
+
+def _last_first(span: Any) -> Tuple[float, float]:
+    return (-_end(span), -span.start)
+
+
+def fold(roots: Sequence[Any], begin: float, end: float) -> Dict[str, float]:
+    """Charge each instant of [begin, end) once, to one category.
+
+    The window is handed to the ``roots`` of a transaction's span tree,
+    and each span's owned time to its children, the latest-ending first
+    (of those ending together, the one nested in the others): each takes
+    what it covers of what is left, so the sibling that ends last (the
+    one its parent waited for) owns the shared time.  The siblings taken
+    before a span end no earlier, so they cover it from the earliest of
+    their starts on, and what a span owns is one interval.  A span
+    charges the time it keeps to its category, except a request's (rpc)
+    span: its transit each way (until ``start + transit``, and after its
+    serve span ended) goes to the medium it crossed, the rest of its
+    wait to ``queue``.  Window time that no root covers is
+    ``unattributed``.
+    """
+    breakdown = {category: 0.0 for category in CATEGORIES}
+    stack: List[Tuple[Any, Sequence[Any], float, float]] = [
+        (None, roots, begin, end)
+    ]
+    while stack:
+        span, children, lo, hi = stack.pop()
+        own = hi - lo
+        covered_from = _INF
+        for child in sorted(children, key=_last_first):
+            start = child.start
+            stop = child.end if child.end is not None else _INF
+            if stop > covered_from:
+                stop = covered_from
+            if start < covered_from:
+                covered_from = start
+            if start < lo:
+                start = lo
+            if stop > hi:
+                stop = hi
+            if stop <= start:
+                continue
+            own -= stop - start
+            if child.children or child.kind == "rpc":
+                stack.append((child, child.children, start, stop))
+            else:
+                breakdown[child.category] += stop - start
+        own = max(own, 0.0)                  # less float residue
+        if span is None:
+            breakdown["unattributed"] += own
+        elif span.kind == "rpc":
+            # Its one child is the serve span.
+            first, served = (
+                (children[0].start, _end(children[0])) if children else (hi, _INF)
+            )
+            there = min(hi, first, span.start + span.transit) - lo
+            transit = max(there, 0.0) + max(hi - max(lo, served), 0.0)
+            breakdown[span.category] += transit
+            breakdown["queue"] += max(own - transit, 0.0)
+        else:
+            breakdown[span.category] += own
+    return breakdown
+
+
+class MetricsRegistry:
+    """The measured-only state of one run: histograms, samples and the
+    critical-path totals of the transactions ``collector`` saw end.
+
+    It reads the stream through the collector, the run's one span-tree
+    builder, as its ``metrics``: each histogram sample the notes carry
+    (:meth:`sample`) and each transaction window as it closes
+    (:meth:`fold_window`).
+    """
+
+    def __init__(self, collector: Any):
         self.histograms: Dict[str, Histogram] = {}
         self.samples: list = []          # appended by measure.sampler
-        self.spans = SpanLog()
+        self.collector = collector
+        self.transactions = 0
+        self.outcomes: Dict[str, int] = {}
+        self.total_latency = 0.0
+        self.category_ms: Dict[str, float] = {c: 0.0 for c in CATEGORIES}
+        collector.metrics = self
 
     def histogram(self, name: str) -> Histogram:
         """The named histogram, created on first use."""
@@ -168,36 +258,37 @@ class MetricsRegistry:
             hist = self.histograms[name] = Histogram(name)
         return hist
 
-    def on_record(self, record: Any) -> None:
-        """Fold one note of the probe stream; other records pass by.
+    def sample(self, name: str, value: float) -> None:
+        """One sample of the named histogram."""
+        self.histogram(name).record(value)
 
-        A ``phase`` ending now is one sample of its ``histogram`` (when
-        named) and, for a transaction and a nonzero duration, one span
-        of the transaction's tree.
-        """
-        kind = record.kind
-        if kind == "phase":
-            fields = record.fields
-            start = fields["start"]
-            histogram = fields.get("histogram")
-            if histogram is not None:
-                self.histogram(histogram).record(record.time - start)
-            transid = fields["transid"]
-            if transid is not None and record.time > start:
-                self.spans.record(
-                    str(transid), fields["name"], fields["category"],
-                    start, record.time,
-                )
-        elif kind == "observe":
-            self.histogram(record.fields["name"]).record(record.fields["value"])
-        elif kind == "tx.begin":
-            self.spans.begin_tx(str(record.fields["transid"]), record.time)
-        elif kind == "tx.end":
-            fields = record.fields
-            # The first settler closes the tree; later settlers of a
-            # distributed transaction no-op.
-            finished = self.spans.end_tx(
-                str(fields["transid"]), record.time, fields["outcome"]
-            )
-            if finished is not None:
-                self.histogram("tx.latency_ms").record(finished.latency)
+    def fold_window(self, trace_id: str, window: Any) -> None:
+        """Fold a transaction's tree inside its window, as it closes."""
+        latency = window.end - window.begin
+        self.transactions += 1
+        self.total_latency += latency
+        self.outcomes[window.outcome] = self.outcomes.get(window.outcome, 0) + 1
+        self.histogram("tx.latency_ms").record(latency)
+        roots = self.collector.forest(trace_id)
+        for category, ms in fold(roots, window.begin, window.end).items():
+            self.category_ms[category] += ms
+
+    def aggregate(self) -> Dict[str, Any]:
+        """JSON-friendly totals: per-category time and latency shares."""
+        total = self.total_latency
+        background = self.collector.background
+        return {
+            "transactions": self.transactions,
+            "outcomes": {k: self.outcomes[k] for k in sorted(self.outcomes)},
+            "total_latency_ms": total,
+            "category_ms": dict(self.category_ms),
+            "category_share": {
+                category: (ms / total if total > 0 else 0.0)
+                for category, ms in self.category_ms.items()
+            },
+            "background_ms": {k: background[k] for k in sorted(background)},
+            "open": sum(
+                1 for window in self.collector.windows.values()
+                if window.end is None
+            ),
+        }

@@ -9,8 +9,8 @@ floats rounded), so two runs with the same seed produce byte-identical
 reports.  :func:`render_report` draws the "XRAY screen" tables.
 
 Works on unmeasured systems too: the counters and the volume, TMF, and
-audit statistics are always on; only the gauge/histogram/span/sample
-sections come back empty.
+audit statistics are always on; only the gauge/histogram/transaction/
+sample sections come back empty.
 
 Imports nothing outside :mod:`repro.measure`, so it stays cycle-free.
 """
@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
-from .registry import MetricsRegistry
 from .tables import format_table
 
 __all__ = ["build_report", "to_json", "render_report", "write_report"]
@@ -29,27 +28,28 @@ __all__ = ["build_report", "to_json", "render_report", "write_report"]
 def build_report(system: Any) -> Dict[str, Any]:
     """A JSON-friendly report of everything ``system`` measured."""
     env = system.env
-    measured = system.metrics is not None
-    registry = system.metrics if measured else MetricsRegistry()
+    registry = system.metrics
+    measured = registry is not None
+    samples = registry.samples if measured else []
     counts = env.probe.counts
     # The gauges are the latest sample's utilizations.
-    latest = registry.samples[-1]["utilization"] if registry.samples else {}
+    latest = samples[-1]["utilization"] if samples else {}
     report: Dict[str, Any] = {
         "meta": {
             "nodes": list(system.cluster.node_names),
             "sim_time_ms": env.now,
             "events_processed": env.events_processed,
             "measured": measured,
-            "samples": len(registry.samples),
+            "samples": len(samples),
         },
         "counters": {k: counts[k] for k in sorted(counts)},
         "gauges": {f"util.{k}": latest[k] for k in sorted(latest)},
         "histograms": {
             k: registry.histograms[k].summary()
             for k in sorted(registry.histograms)
-        },
-        "transactions": registry.spans.aggregate(),
-        "utilization": _utilization_summary(registry.samples),
+        } if measured else {},
+        "transactions": registry.aggregate() if measured else {"transactions": 0},
+        "utilization": _utilization_summary(samples),
         "volumes": {
             f"{node}.{name}": _volume_stats(dp)
             for (node, name), dp in sorted(system.disc_processes.items())

@@ -14,10 +14,11 @@ three verbs:
   ``probe.listening`` first, so a run with no subscriber pays one
   attribute read per site.
 
-The XRAY registry (:mod:`repro.measure`), the TRACE collector
-(:mod:`repro.trace`), the invariant watchdog (:mod:`repro.simtest`) and
-test captures subscribe to the stream; the stack imports none of them.  The benchmark harness, the
-XRAY report and TMFCOM read the counts.
+The TRACE collector (:mod:`repro.trace`), which builds each
+transaction's span tree for the XRAY registry (:mod:`repro.measure`) to
+fold, the invariant watchdog (:mod:`repro.simtest`) and test captures
+subscribe to the stream; the stack imports none of them.  The benchmark
+harness, the XRAY report and TMFCOM read the counts.
 """
 
 from __future__ import annotations
@@ -32,9 +33,15 @@ NOTE_KINDS = frozenset({
     "tx.begin",      # transid: a transaction began on its home node
     "tx.end",        # transid, outcome: a participant settled it
     "phase",         # transid, name, category, start, histogram: a timed
-                     # phase that ends now
+                     # phase that ends now: a state broadcast (bus), a
+                     # lock wait (lock), a request's disc accesses and
+                     # boxcar drain (disc) and cache hits (cpu), an audit
+                     # force and a completion write (audit), a checkpoint
+                     # message (bus)
     "observe",       # name, value: one histogram sample
-    "rpc.send",      # message: a request leaves its requester
+    "rpc.send",      # message, transit, medium: a request leaves its
+                     # requester for ``transit`` ms on ``medium`` (cpu,
+                     # bus or network)
     "rpc.done",      # message: the requester stops waiting for it
     "serve.begin",   # message, node, proc, cpu: a server takes a request
     "serve.end",     # message: it has finished with it
@@ -110,7 +117,7 @@ class Probe:
         counts[kind] = counts.get(kind, 0) + 1
         if not self.keep_records and not self.listening:
             return
-        record = TraceRecord(time=self.env._now, kind=kind, fields=fields)
+        record = TraceRecord(self.env._now, kind, fields)
         if self.keep_records:
             self.records.append(record)
             self._by_kind.setdefault(kind, []).append(record)
@@ -123,7 +130,7 @@ class Probe:
         ``kind`` is one of :data:`NOTE_KINDS`.  Callers test
         ``listening`` first, so an unobserved run builds nothing.
         """
-        record = TraceRecord(time=self.env._now, kind=kind, fields=fields)
+        record = TraceRecord(self.env._now, kind, fields)
         for subscriber in self._subscribers:
             subscriber(record)
 

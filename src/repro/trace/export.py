@@ -3,9 +3,10 @@
 :func:`timeline` converts assembled traces into the Trace Event Format
 understood by ``chrome://tracing`` and Perfetto: one *process* row per
 simulated node, one *thread* row per simulated process, ``"X"``
-(complete) events for spans and ``"i"`` (instant) events for span-bound
-annotations and watchdog alarms.  Simulated milliseconds map to the
-format's microseconds (``ts = ms * 1000``).
+(complete) events for spans (requests, serves and the timed phases
+within them, each with its cost category) and ``"i"`` (instant) events
+for span-bound annotations and watchdog alarms.  Simulated milliseconds
+map to the format's microseconds (``ts = ms * 1000``).
 
 Serialization is canonical — sorted keys, floats rounded, events in a
 deterministic order — so two same-seed traced runs write byte-identical
@@ -74,6 +75,7 @@ def timeline(collector: Any, transids: Optional[List[Any]] = None) -> Dict[str, 
                 "args": {
                     "trace_id": trace.transid, "span": span.span_id,
                     "hop": span.hop, "cpu": span.cpu,
+                    "category": span.category,
                 },
             })
             for record in span.annotations:
@@ -104,8 +106,9 @@ def timeline(collector: Any, transids: Optional[List[Any]] = None) -> Dict[str, 
 
 def _track_name(span: Any) -> str:
     # A serve span sits on the serving process's own track; an rpc span
-    # sits on the *requesting* process's track (where the caller waits).
-    if span.kind == "rpc":
+    # sits on the *requesting* process's track (where the caller waits),
+    # and a phase span on the track of the process it ran in.
+    if span.kind in ("rpc", "phase"):
         return span.requester or "requests"
     return span.name or "tx"
 

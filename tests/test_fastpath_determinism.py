@@ -68,13 +68,23 @@ from repro.bench import determinism_digests
 # (a cache miss reads from whichever drive is free) and phase one's
 # boxcar drain stopped waiting for other transactions' cargo: the run's
 # history changes, 110 -> 126 units commit in its 1.5 s (125 with the
-# arms alone) and it processes 6,487 -> 7,345 events.  Any *further*
-# digest change must again be justified.
+# arms alone) and it processes 6,487 -> 7,345 events.  Both digests
+# were re-recorded once more when XRAY began to fold TRACE's span tree
+# (ONE-SPAN) instead of a span log of its own, with three new phase
+# notes (checkpoint message, cache hits, completion write).  The
+# simulated history did not change: the XRAY report differs only in
+# ``transactions`` (the categories gain ``network``, ``queue`` and
+# ``unattributed`` and lose ``other``; ``unattributed_ms`` becomes
+# ``background_ms``; ``dropped`` goes; the 130 transactions, their
+# outcomes and their 8,154.05 ms total latency are unchanged), and the
+# timeline gains 4,547 phase spans beside its 1,668 request and 1,794
+# serve spans, each span's args naming its cost category.  Any
+# *further* digest change must again be justified.
 GOLDEN = {
     "xray_sha256":
-        "fdf4c5b56babca9b9bccee626c1f0d8d0522efbdb82e21f924ed2d4e7e729a50",
+        "cdc06c94607d208dffc777f036265ba201ed5f7460051b41bd11ec04eb36c792",
     "timeline_sha256":
-        "bc538cce9786b41005d5fb8fe2e59a24a54d38616e967608e5197081574b4308",
+        "f1348eec0f47b5bdd5e7fd978e5cc6532a778110c88d76ba2f7d657bae6d550d",
 }
 
 
