@@ -72,6 +72,11 @@ class BlockCache:
         self.stats.misses += 1
         return False, None
 
+    def peek(self, key: BlockKey) -> Any:
+        """The cached block, without moving it in the LRU order or
+        counting a hit; ``key`` must be cached."""
+        return self._entries[key]
+
     def install(
         self, key: BlockKey, block: Any, dirty: bool, pin: bool = False
     ) -> List[Tuple[BlockKey, Any]]:

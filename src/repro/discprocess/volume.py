@@ -62,7 +62,7 @@ from ..guardian import (
 )
 from ..hardware import MirroredVolume, VolumeUnavailable
 from ..sim import Event, Process, fast_deepcopy
-from .blocks import BlockKey
+from .blocks import BlockKey, BlockStore
 from .cache import BlockCache, CachedVolumeStore
 from .index import StructuredFile
 from .keyseq import DuplicateKey, KeyNotFound
@@ -930,6 +930,10 @@ class DiscProcess(ProcessPair):
     # Statistics and I/O time
     # ------------------------------------------------------------------
     def _stats(self) -> Dict[str, Any]:
+        store = _StatsStore(self.cache, self.volume)
+        files = {
+            name: StructuredFile(store, file.schema) for name, file in self.files.items()
+        }
         return {
             "ok": True,
             "volume": self.name,
@@ -945,10 +949,8 @@ class DiscProcess(ProcessPair):
             "locks_held": self.locks.held_count(),
             "lock_waits": self.locks.waits,
             "lock_timeouts": self.locks.timeouts,
-            "files": {
-                name: file.record_count for name, file in self.files.items()
-            },
-            "compression": self._compression_stats(),
+            "files": {name: file.record_count for name, file in files.items()},
+            "compression": self._compression_stats(files),
             "dirty_blocks": len(self.state["dirty"]),
             "takeovers": self.takeovers,
             "audit": {
@@ -958,7 +960,7 @@ class DiscProcess(ProcessPair):
             },
         }
 
-    def _compression_stats(self) -> Dict[str, float]:
+    def _compression_stats(self, files: Dict[str, StructuredFile]) -> Dict[str, float]:
         """Prefix-compression ratio of each key-sequenced file's keys.
 
         (Sampled over the first 1000 keys; §Data Base Management's
@@ -967,7 +969,7 @@ class DiscProcess(ProcessPair):
         from .compress import compress_keys, encoded_key_size, plain_key_size
 
         ratios: Dict[str, float] = {}
-        for name, file in self.files.items():
+        for name, file in files.items():
             if file.schema.organization != KEY_SEQUENCED:
                 continue
             rows = file.scan(limit=1000)
@@ -1011,6 +1013,23 @@ class DiscProcess(ProcessPair):
                     "phase", transid=None, name="cache-hits", category="cpu",
                     start=start,
                 )
+
+
+class _StatsStore(BlockStore):
+    """A DISCPROCESS's blocks as its statistics read them: from the cache
+    when it holds the block, else from the disc, without moving the
+    cache's LRU order or counting a hit, a miss or a physical access,
+    so reading the statistics leaves the run unchanged."""
+
+    def __init__(self, cache: BlockCache, volume: MirroredVolume):
+        self.cache = cache
+        self.volume = volume
+
+    def get(self, file_name: str, block_number: int) -> Any:
+        key = (file_name, block_number)
+        if key in self.cache:
+            return self.cache.peek(key)
+        return self.volume.read_block(key)
 
 
 class _Refused(Exception):

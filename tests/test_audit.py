@@ -15,6 +15,7 @@ from repro.guardian import Cluster
 from repro.hardware import DiscDrive, IoController, MirroredVolume
 from repro.sim import Environment
 
+from conftest import Trigger
 
 T1 = Transid("alpha", 0, 1)
 T2 = Transid("alpha", 0, 2)
@@ -161,8 +162,9 @@ class TestAuditProcess:
             yield from fs.send(proc, "$aud", ForceAudit(T1))
 
         def second(proc):
-            while rig.trail.total_records == 0:
-                yield env.timeout(0.01)
+            # $aud claims the images and books their write in the step
+            # it takes the first force.
+            yield Trigger(env, "serve.begin", proc="$aud")
             seen["write_end"] = max(d.free_at for d in rig.trail.volume.drives)
             seen["sent"] = env.now
             yield from fs.send(proc, "$aud", ForceAudit(T2))
@@ -220,8 +222,9 @@ class TestAuditProcess:
         env = rig.cluster.env
 
         def forget_mid_checkpoint(proc):
-            while str(T1) not in rig.audit.state["by_tx"]:
-                yield env.timeout(0.01)
+            # $aud indexes the images and sends their checkpoint in the
+            # step it takes the append.
+            yield Trigger(env, "serve.begin", proc="$aud")
             assert str(T1) not in rig.audit.backup_state.get("by_tx", {})
             rig.audit.forget_transaction(T1)
 

@@ -14,6 +14,8 @@ from repro.apps.banking import (
 )
 from repro.encompass import ServerClass, SystemBuilder, TerminalInput
 
+from conftest import Trigger
+
 
 def build_bank(seed=3, cpus=4, server_instances=2, restart_limit=5,
                accounts=40, branches=2, tellers=4):
@@ -289,7 +291,6 @@ class TestTcpFaultTolerance:
         """If the unit committed and the TCP died before replying, the
         retried request answers from the checkpointed reply."""
         system = build_bank()
-        tcp = system.tcps[("alpha", "$tcp1")]
         outcome = {}
 
         def user(proc):
@@ -299,14 +300,11 @@ class TestTcpFaultTolerance:
             )
             outcome["reply"] = reply
 
-        observed = {}
-
         def watcher(proc):
-            # Fail the TCP primary the moment the unit's commit lands.
-            while tcp.units_committed == 0:
-                yield system.env.timeout(0.5)
+            # Fail the TCP primary the moment the unit's commit lands:
+            # the TCP notes the unit's latency in that step.
+            yield Trigger(system.env, "observe", name="unit.latency_ms")
             system.cluster.node("alpha").fail_cpu(2)
-            observed["failed_at"] = system.env.now
 
         p = system.spawn("alpha", "$u", user, cpu=0)
         system.spawn("alpha", "$w", watcher, cpu=1)

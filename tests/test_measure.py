@@ -425,3 +425,21 @@ def test_measurement_does_not_perturb_the_simulation():
     assert report["transactions"]["transactions"] == 0
     assert report["histograms"] == {}
     assert "XRAY RUN REPORT" in unmeasured.xray_screen()
+
+
+def test_reading_the_report_mid_run_leaves_the_run_unchanged():
+    """The report reads each volume's files past its cache: no LRU move,
+    no hit, miss or physical access.  A four-block cache makes any such
+    read evict blocks the drive then misses."""
+    runs = []
+    for read in (False, True):
+        system, terminals = _build_banking(
+            seed=11, accounts=64, tellers=6, terminals=6, cache_capacity=4,
+            measure=True, trace=True,
+        )
+        if read:
+            system.xray_report()
+        result = _drive(system, terminals, duration=500.0, accounts=64,
+                        seed=99, think_time=10.0, tellers=6)
+        runs.append((system.env.events_processed, [m.end for m in result.metrics]))
+    assert runs[0] == runs[1]

@@ -7,10 +7,10 @@ resolved by negotiating with their home node.
 
 import pytest
 
-from repro.core import Rollforward, TransactionAborted, dump_volume
+from repro.core import Rollforward, dump_volume
 from repro.discprocess import FileSchema, KEY_SEQUENCED, PartitionSpec
 
-from conftest import TmfRig
+from conftest import TmfRig, end_cut_off_at_ack
 
 
 def schema_for(node):
@@ -165,13 +165,6 @@ class TestEndingNegotiation:
         rig.dictionary.define(schema_for("alpha"))
         holder = {}
 
-        def committer(proc, transid, tmf_b):
-            try:
-                yield from tmf_b.end(proc, transid)
-                holder["home"] = "committed"
-            except TransactionAborted:
-                holder["home"] = "aborted"
-
         def phase_one(proc):
             # beta is home; the data lives on alpha.
             tmf_b = rig.tmf["beta"]
@@ -183,15 +176,11 @@ class TestEndingNegotiation:
             yield from client_b.insert(
                 proc, "alpha_accts", {"aid": 1, "balance": 11}, transid=transid
             )
-            c = rig.cluster.os("beta").spawn(
-                "$c", 1, lambda p: committer(p, transid, tmf_b), register=False
-            )
             # Cut alpha off the moment it acks phase 1, so phase 2 never
             # arrives before the crash.
-            while not rig.tmf["alpha"].records[transid].phase1_acked:
-                yield rig.cluster.env.timeout(1)
-            rig.cluster.network.partition(["beta"], ["alpha"])
-            yield c.sim_process
+            holder["home"] = yield from end_cut_off_at_ack(
+                rig, "beta", transid, "alpha", (["beta"], ["alpha"])
+            )
 
         rig.run("beta", phase_one)
         assert holder["home"] == "committed"

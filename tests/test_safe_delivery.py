@@ -11,7 +11,7 @@ primary serving when it is queued or on the next one to start.  With
 nothing to retry or sweep, no timer is left.
 """
 
-from conftest import build_two_child_ledgers
+from conftest import Trigger, build_two_child_ledgers
 from repro.core import TmpPhase2
 from repro.core.tmf import RETRY_INTERVAL
 from repro.encompass import SystemBuilder
@@ -82,15 +82,8 @@ def _cut_off_node3_at(system, node):
     """Isolate node3 at ``node``'s first ``ended`` broadcast, after node3
     voted."""
     network = system.cluster.network
-    cut = []
-
-    def on_record(record):
-        if (record.kind == "state_broadcast" and not cut
-                and record.node == node and record.state == "ended"):
-            cut.append(record.time)
-            network.partition(["node1", "node2"], ["node3"])
-
-    system.probe.subscribe(on_record)
+    Trigger(system.env, "state_broadcast", node=node, state="ended",
+            action=lambda _: network.partition(["node1", "node2"], ["node3"]))
 
 
 def test_unreachable_child_gets_its_outcome_after_the_heal():

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core import Tmfcom, TransactionAborted
+from repro.core import Tmfcom
 from repro.discprocess import FileSchema, KEY_SEQUENCED, PartitionSpec
 
-from conftest import TmfRig
+from conftest import TmfRig, end_cut_off_at_ack
 
 
 def schema(node="alpha"):
@@ -165,25 +165,14 @@ class TestResolution:
         tmfcom_remote = Tmfcom(tmf_remote)
         observations = {}
 
-        def committer(proc, transid):
-            try:
-                yield from tmf_home.end(proc, transid)
-                observations["home"] = "committed"
-            except TransactionAborted:
-                observations["home"] = "aborted"
-
         def body(proc):
             client = rig.clients["home"]
             yield from client.create_file(proc, rig.dictionary.schema("ops"))
             transid = yield from tmf_home.begin(proc)
             yield from client.insert(proc, "ops", {"k": 5}, transid=transid)
-            c = rig.cluster.os("home").spawn(
-                "$c", 1, lambda p: committer(p, transid), register=False
+            observations["home"] = yield from end_cut_off_at_ack(
+                rig, "home", transid, "remote", (["home"], ["remote"])
             )
-            while not tmf_remote.records[transid].phase1_acked:
-                yield rig.cluster.env.timeout(1)
-            rig.cluster.network.partition(["home"], ["remote"])
-            yield c.sim_process
             observations["transid"] = transid
 
         rig.run("home", body)

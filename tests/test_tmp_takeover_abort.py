@@ -14,8 +14,10 @@
 """
 
 from repro.apps.banking import check_consistency, install_banking, populate_banking
-from repro.core import TMP_NAME, TmpAbort, TxState
+from repro.core import TMP_NAME, TmpAbort
 from repro.encompass import SystemBuilder
+
+from conftest import Trigger
 
 ACCOUNTS = 20
 #: the transaction's home CPU, and the TMP (and AUDITPROCESS) primary's
@@ -54,14 +56,14 @@ def run_scenario():
         yield env.timeout(10_000.0)  # never ends the transaction itself
 
     def chaos(proc):
-        while "transid" not in seen or tmf.status(seen["transid"]) is None:
-            yield env.timeout(1.0)
+        yield Trigger(env, "begin_transaction")
         yield env.timeout(50.0)
-        node.fail_cpu(HOME_CPU)
         transid = seen["transid"]
         # Wait until the abort worker is inside the abort, then kill its CPU.
-        while tmf.broadcaster.current_state(transid) != TxState.ABORTING:
-            yield env.timeout(0.5)
+        aborting = Trigger(env, "state_broadcast", transid=str(transid),
+                           state="aborting")
+        node.fail_cpu(HOME_CPU)
+        yield aborting
         seen["tmp_failed_at"] = env.now
         node.fail_cpu(TMP_CPU)
         yield env.timeout(1_000.0)
@@ -120,8 +122,8 @@ def test_abort_after_the_commit_point_completes_the_commit():
 
     def aborted_teller(proc):
         transid = yield from posting(proc, "aborted", 1)
-        while "committed" not in seen or tmf.status(seen["committed"]).settling is False:
-            yield env.timeout(0.05)
+        # The other posting's commit begins: its settle broadcasts ENDING.
+        yield Trigger(env, "state_broadcast", state="ending")
         yield from tmf.abort(proc, transid, "user abort")
 
     def committed_teller(proc):
@@ -130,17 +132,16 @@ def test_abort_after_the_commit_point_completes_the_commit():
         yield from tmf.end(proc, transid)
         seen["ended"] = True
 
+    def commit_durable_while_abort_settles(record):
+        return (tmf.dispositions.get(seen.get("committed")) == "committed"
+                and tmf.status(seen["aborted"]).settling)
+
     def in_doubt_resolver(proc):
-        while "committed" not in seen:
-            yield env.timeout(1.0)
-        transid = seen["committed"]
         # Phase two under way (the commit record is durable) while the
-        # other transaction's abort is still settling.
-        while not (
-            tmf.dispositions.get(transid) == "committed"
-            and tmf.status(seen["aborted"]).settling
-        ):
-            yield env.timeout(0.05)
+        # other transaction's abort is still settling.  No record marks
+        # that window: the state is read at every record.
+        yield Trigger(env, when=commit_durable_while_abort_settles)
+        transid = seen["committed"]
         node.fail_cpu(TMP_CPU)
         # The new primary's worker resolves the aborting transaction;
         # this request, as a TCP resolving an in-doubt unit sends it,
