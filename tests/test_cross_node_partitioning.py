@@ -8,13 +8,14 @@ spanning partitions committed atomically.
 
 import pytest
 
-from repro.core import TransactionAborted
 from repro.discprocess import (
     FileSchema,
     KEY_SEQUENCED,
     PartitionSpec,
 )
 from repro.encompass import SystemBuilder
+
+from conftest import end_outcome
 
 
 @pytest.fixture
@@ -127,11 +128,7 @@ class TestCrossNodePartitioning:
             yield from client.update(proc, "customers", east_rec, transid=transid)
             yield from client.update(proc, "customers", west_rec, transid=transid)
             system.cluster.network.partition(["east", "central"], ["west"])
-            try:
-                yield from tmf.end(proc, transid)
-                outcome = "committed"
-            except TransactionAborted:
-                outcome = "aborted"
+            outcome = yield from end_outcome(tmf, proc, transid)
             system.cluster.network.heal()
             yield system.env.timeout(3000)  # safe-delivery abort drains
             east_after = yield from client.read(proc, "customers", (10,))
