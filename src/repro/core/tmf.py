@@ -8,7 +8,10 @@ protocols —
 * the **abbreviated two-phase commit** for transactions that stay within
   a node: phase one forces all the transaction's audit records to disc,
   the commit record written to the Monitor Audit Trail is the commit
-  point, and phase two releases locks;
+  point, and phase two releases locks.  A transaction that no volume or
+  node joined has nothing to make durable: it is decided without a
+  Monitor Audit Trail record (nothing to undo or redo, so presumed
+  abort after a total node failure is harmless);
 * the **distributed two-phase commit**: phase one is a critical-response
   wave down the transid-transmission tree (each node polls its own
   children in parallel, forcing its local audit while their votes are
@@ -129,6 +132,10 @@ class TmfNode:
         self._done_order: List[Transid] = []
         # The Monitor Audit Trail: history of commit/abort records.
         self.monitor_trail = AuditTrail(monitor_volume, prefix="MM")
+        # The node's decisions.  Only those of transactions with a
+        # participant (a local volume or a child node) are on the Monitor
+        # Audit Trail; a total node failure forgets the rest, which is
+        # presumed abort of transactions that have nothing to undo.
         self.dispositions: Dict[Transid, str] = {}
         # Registries for node-local housekeeping.
         self.audit_objects: Dict[str, AuditProcess] = {}
@@ -300,7 +307,7 @@ class TmfNode:
         proceed = yield from self._settle_guard(record)
         if not proceed:
             return record.done
-        # A durable disposition, or an abort already broadcast, is the
+        # A recorded disposition, or an abort already broadcast, is the
         # decision of a coordinator that then died: _resume carries it
         # through.
         state = self.broadcaster.current_state(transid)
@@ -314,18 +321,19 @@ class TmfNode:
                 # --- Commit point: the commit record reaches the Monitor
                 # Audit Trail.  "A transaction commits at the time its
                 # commit record is written to the Monitor Audit Trail."
-                # Counted in the step the record is appended, so a
-                # takeover during the write neither loses nor repeats it.
+                # (One without participants writes none.)  Counted in the
+                # step the decision is recorded, so a takeover during the
+                # write neither loses nor repeats it.
                 self.commits += 1
-                yield from self._write_completion(transid, "committed")
+                yield from self._write_completion(record, "committed")
         disposition = yield from self._resume(proc, record, record.abort_reason)
         if decide and disposition == "committed":
             self._trace("commit", transid=str(transid), children=len(record.children))
         return disposition
 
     def do_abort(self, proc: OsProcess, transid: Transid, reason: str) -> Generator:
-        """Abort ``transid`` — unless its commit record is already
-        durable: then it IS committed, and phase two is completed."""
+        """Abort ``transid`` — unless its commit is already decided:
+        then it IS committed, and phase two is completed."""
         record = self.records.get(transid)
         if record is None:
             return "aborted"
@@ -376,7 +384,7 @@ class TmfNode:
         if not proceed:
             return
         if self.dispositions.get(transid) != "committed":
-            yield from self._write_completion(transid, "committed")
+            yield from self._write_completion(record, "committed")
         yield from self._resume(proc, record, "")
         self._trace("phase2_applied", transid=str(transid))
 
@@ -473,11 +481,11 @@ class TmfNode:
     def _resume(self, proc: OsProcess, record: TransactionRecord, reason: str) -> Generator:
         """Carry a settling transaction to its end; return its disposition.
 
-        The durable disposition on the Monitor Audit Trail decides;
-        without one the transaction is backed out for ``reason``.  Every
-        step is safe to repeat, so a new TMP primary resumes wherever the
-        dead one stopped: a broadcast goes out only from the state it
-        leaves, and the completion record is written (and counted) once.
+        The node's recorded disposition decides; without one the
+        transaction is backed out for ``reason``.  Every step is safe to
+        repeat, so a new TMP primary resumes wherever the dead one
+        stopped: a broadcast goes out only from the state it leaves, and
+        the completion record is written (and counted) once.
         """
         transid = record.transid
         disposition = self.dispositions.get(transid)
@@ -519,7 +527,7 @@ class TmfNode:
                     # of the system.
                     self._trace("backout_failed", transid=str(transid), error=str(exc))
             self.aborts += 1
-            yield from self._write_completion(transid, "aborted")
+            yield from self._write_completion(record, "aborted")
         committed = disposition == "committed"
         state = self.broadcaster.current_state(transid)
         if committed and state == TxState.ENDING:
@@ -539,10 +547,20 @@ class TmfNode:
             self._trace("abort", transid=str(transid), reason=record.abort_reason)
         return disposition
 
-    def _write_completion(self, transid: Transid, disposition: str) -> Generator:
-        """Force a completion record to the Monitor Audit Trail."""
-        self.monitor_trail.append(CompletionRecord(transid, disposition))
+    def _write_completion(self, record: TransactionRecord, disposition: str) -> Generator:
+        """Decide ``record``'s transaction: force its completion record to
+        the Monitor Audit Trail.
+
+        A transaction no volume or node joined changed nothing and holds
+        no lock, so its fate needs no durable record: it is decided in
+        memory only.  No participant can join it later, since a
+        DISCPROCESS admits only an *active* transid.
+        """
+        transid = record.transid
         self.dispositions[transid] = disposition
+        if not (record.local_volumes or record.children):
+            return
+        self.monitor_trail.append(CompletionRecord(transid, disposition))
         start = self.env.now
         yield self.env.timeout(self.node_os.node.latencies.disc_write / 2)
         probe = self.env.probe
@@ -692,7 +710,7 @@ class TmfNode:
 
         Every transaction mid-commit/mid-abort at the moment of failure
         is released from ``settling`` and queued first for the new
-        primary, whose :meth:`_resume` completes it from its durable
+        primary, whose :meth:`_resume` completes it from its recorded
         disposition — "the backup ... carr[ies] through to completion
         any operation initiated by the primary".
         """

@@ -170,8 +170,9 @@ class _DeadlineQueue:
         if deadline < self._armed_at:
             self._arm(deadline, seq, timeout)
         elif armed.callbacks is None:
-            # A tombstone since the queue last ran empty.
-            if self._armed_at > env.now:
+            # A tombstone since the queue last ran empty, revived if the
+            # engine has not popped it yet.
+            if self._armed_at > env.horizon:
                 armed.callbacks = [self._pop]
                 self._live[armed._value[0]] = armed
             else:

@@ -29,6 +29,7 @@ class Environment:
 
     __slots__ = (
         "_now",
+        "_swept",
         "_queue",
         "_eid",
         "_active_process",
@@ -39,6 +40,8 @@ class Environment:
 
     def __init__(self):
         self._now = 0.0
+        # The latest time of a tombstone popped (see ``horizon``).
+        self._swept = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
@@ -53,6 +56,17 @@ class Environment:
     def now(self) -> float:
         """Current simulated time (milliseconds)."""
         return self._now
+
+    @property
+    def horizon(self) -> float:
+        """The latest time of a queue entry popped, tombstone or live:
+        an entry queued at a later time has not been popped.
+
+        A tombstone (an event processed already, or disarmed) moves no
+        clock, so a run to exhaustion ends ``now`` at its last live
+        event while its trailing tombstones take ``horizon`` past it.
+        """
+        return max(self._now, self._swept)
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -138,10 +152,14 @@ class Environment:
             if queue[0][0] > stop_time:
                 self._now = stop_time
                 break
-            self._now, _, event = heappop(queue)
+            when, _, event = heappop(queue)
             callbacks = event.callbacks
             if callbacks is None:
-                continue  # a tombstone: processed already, or disarmed
+                # A tombstone: processed already, or disarmed.
+                if when > self._swept:
+                    self._swept = when
+                continue
+            self._now = when
             self.events_processed += 1
             event.callbacks = None
             for callback in callbacks:

@@ -24,7 +24,7 @@ harness, the XRAY report and TMFCOM read the counts.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["NOTE_KINDS", "Probe", "TraceRecord"]
 
@@ -91,7 +91,10 @@ class Probe:
         #: every count of the run: event kinds and named counters alike
         self.counts: Dict[str, int] = {}
         self.records: List[TraceRecord] = []
-        self._subscribers: List[Callable[[TraceRecord], None]] = []
+        # Replaced, never mutated, by (un)subscribe: an emit iterates the
+        # tuple it started with, so a subscriber may unsubscribe inside
+        # its callback without making the next one miss the record.
+        self._subscribers: Tuple[Callable[[TraceRecord], None], ...] = ()
         #: True while any subscriber is registered.
         self.listening = False
         # Per-kind index over ``records``: experiment assertions select by
@@ -136,7 +139,7 @@ class Probe:
 
     def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
         """Invoke ``callback`` for every future record and note."""
-        self._subscribers.append(callback)
+        self._subscribers += (callback,)
         self.listening = True
 
     def unsubscribe(self, callback: Callable[[TraceRecord], None]) -> None:
@@ -148,11 +151,11 @@ class Probe:
         silently re-enables the record-allocation cost that
         ``keep_records=False`` was meant to avoid.
         """
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            pass
-        self.listening = bool(self._subscribers)
+        subscribers = list(self._subscribers)
+        if callback in subscribers:
+            subscribers.remove(callback)
+            self._subscribers = tuple(subscribers)
+        self.listening = bool(subscribers)
 
     @contextmanager
     def capture(self, kind: Optional[str] = None,

@@ -140,7 +140,7 @@ class Trigger(Event):
         timer.callbacks.append(self._expire)
         self._entry = (self.deadline, env.reserve_seq(), timer)
         env.schedule_at(timer, self.deadline, self._entry[1])
-        # Unsubscribing inside an emit would skip the next subscriber.
+        # Unsubscribed when processed, in the step after it fires.
         self.callbacks.append(lambda _: env.probe.unsubscribe(self._on_record))
         env.probe.subscribe(self._on_record)
 

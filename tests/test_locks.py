@@ -102,6 +102,23 @@ class TestBasicLocking:
         assert lm.holder_of_record("f", 1) is None
         assert lm.held_count() == 0
 
+    def test_granted_wait_leaves_the_run_ending_at_its_last_event(self, env, lm):
+        # The grant at 5 disarms the 10,000 ms deadline: its timer pops
+        # as a tombstone, which moves no clock.
+        def holder():
+            yield from lm.acquire_record("t1", "f", ("k",), timeout=100)
+            yield env.timeout(5)
+            lm.release_all("t1")
+
+        def waiter():
+            yield from lm.acquire_record("t2", "f", ("k",), timeout=10_000)
+
+        env.process(holder())
+        env.process(waiter())
+        env.run()
+        assert lm.holder_of_record("f", ("k",)) == "t2"
+        assert (env.now, env.horizon) == (5.0, 10_000.0)
+
     def test_fifo_grant_order(self, env, lm):
         granted = []
 

@@ -256,6 +256,33 @@ class TestDeadlineQueue:
 
         assert run_client(cluster, "alpha", client, cpu=2) == 20.5 + 10.25
 
+    def test_deadline_after_a_run_ended_on_the_disarmed_entry_fires(self):
+        # A run to exhaustion pops the answered request's disarmed entry
+        # (10.25) but leaves the clock at its last live event, before
+        # it: the next request's later deadline must arm an entry of its
+        # own, not revive the popped one.
+        cluster = make_cluster(latencies=self.LATENCIES)
+        EchoPair(cluster.os("alpha"), "$echo", 0, 1)
+        env = cluster.env
+
+        def first(proc):
+            yield from proc.request("alpha", "$echo", {}, timeout=10.0)
+
+        cluster.os("alpha").spawn("$first", 2, first, register=False)
+        env.run()
+        assert (env.now, env.horizon) == (0.5, 10.25)
+
+        def client(proc):
+            try:
+                yield from proc.request(
+                    "alpha", "$echo", {"wait": 50.0}, timeout=10.0
+                )
+            except RequestTimeout:
+                return env.now
+            return "reply"
+
+        assert run_client(cluster, "alpha", client, cpu=2) == 0.75 + 10.0
+
     def test_answered_requests_hold_no_queue_entry_or_message(self):
         cluster = make_cluster()
         pair = EchoPair(cluster.os("alpha"), "$echo", 0, 1)

@@ -83,6 +83,20 @@ class TestTracer:
         _emit_at(env, 2.0, "y")
         assert seen == ["x", "y"]
 
+    def test_unsubscribing_inside_a_callback_skips_no_one(self):
+        env = Environment()
+        seen = []
+
+        def once(record):
+            seen.append(("a", record.kind))
+            env.probe.unsubscribe(once)
+
+        env.probe.subscribe(once)
+        env.probe.subscribe(lambda record: seen.append(("b", record.kind)))
+        _emit_at(env, 1.0, "x")
+        _emit_at(env, 2.0, "y")
+        assert seen == [("a", "x"), ("b", "x"), ("b", "y")]
+
     def test_record_attribute_access(self):
         env = Environment()
         _emit_at(env, 1.0, "k", value=42)

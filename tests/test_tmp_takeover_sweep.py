@@ -11,8 +11,9 @@ record ends in ``aborted``, the outcome is counted once, and no volume
 holds a lock.  The same holds for a kill while the home node writes
 the commit or abort record itself, and for a kill at the aborting
 broadcast of a failed phase one whose request the new primary gets
-again while it resumes the abort, and for a retried request that
-already waits in the new primary's inbox when it starts serving.
+again while it resumes the abort, for a retried request that
+already waits in the new primary's inbox when it starts serving, and
+for a transaction no volume joined, whose decision writes no record.
 """
 
 import pytest
@@ -21,7 +22,7 @@ from repro.core import TMP_NAME, BackoutTx, ForceAudit, TmpCommit, TmpPhase1
 from repro.discprocess import FileSchema, KEY_SEQUENCED, PartitionSpec
 from repro.guardian import Message
 from repro.sim import Event
-from repro.simtest import agreement, no_stranded_locks
+from repro.simtest import agreement, figure3_edge, no_stranded_locks
 
 from conftest import TmfRig, Trigger, end_outcome, kill_tmp_primary_at
 
@@ -30,6 +31,7 @@ STATES = ("ending", "ended", "aborting", "aborted")
 TOPOLOGIES = {
     "one": (("alpha",), ("alpha",)),
     "wave": (("alpha", "beta", "gamma"), ("beta", "gamma")),
+    "none": (("alpha",), ()),
 }
 CASES = [("one", "alpha", state) for state in STATES] + [
     ("wave", node, state)
@@ -122,6 +124,23 @@ def test_takeover_at_broadcast_settles(topology, victim, state):
     assert kill.triggered, f"{victim} never broadcast {state}"
     assert rig.tmf[victim].tmp.takeovers == 1
     assert_settled(rig, seen, expected_fate(victim, state))
+
+
+def test_takeover_at_ending_without_participants_settles_once():
+    """No volume joined the transaction, so its decision writes no
+    completion record: a kill at its ending broadcast still ends it
+    once, with one outcome, through Figure 3 edges only."""
+    rig, seen, kill = run_case(
+        "none", True, lambda rig: kill_tmp_primary_at(rig.tmf["alpha"], "ending")
+    )
+    home = rig.tmf["alpha"]
+    assert kill.triggered and home.tmp.takeovers == 1
+    states = [record.state for record in rig.cluster.env.probe.select(
+        "state_broadcast", transid=str(seen["transid"]))]
+    assert all(map(figure3_edge, [None] + states, states)), states
+    assert [state for state in states if state in ("ended", "aborted")] == ["aborted"]
+    assert_settled(rig, seen, expected_fate("alpha", "ending"))
+    assert home.monitor_trail.total_records == 0
 
 
 def kill_in_completion_write(rig):
