@@ -10,38 +10,20 @@
 Run:  python examples/failure_drill.py
 """
 
-from repro.apps.banking import (
-    check_consistency,
-    debit_credit_program,
-    install_banking,
-    populate_banking,
-)
+from repro.apps.banking import build_banking_system, check_consistency
 from repro.core import Tmfcom
-from repro.encompass import SystemBuilder
-
-
-def build():
-    builder = SystemBuilder(seed=13)
-    builder.add_node("alpha", cpus=4)
-    builder.add_volume("alpha", "$data", cpus=(0, 1))
-    install_banking(builder, "alpha", "$data", server_instances=2)
-    builder.add_tcp("alpha", "$tcp1", cpus=(2, 3))
-    builder.add_program("alpha", "$tcp1", "debit-credit", debit_credit_program)
-    builder.add_terminal("alpha", "$tcp1", "T1", "debit-credit")
-    system = builder.build()
-    populate_banking(system, "alpha", branches=2, tellers_per_branch=2, accounts=8)
-    return system
 
 
 def post(system, amount, account=1):
-    return system.drive("alpha", "$tcp1", "T1", {
+    return system.drive("alpha", "$tcp1", "T0", {
         "account_id": account, "teller_id": 0, "branch_id": account % 2,
         "amount": amount, "allow_overdraft": True,
     })
 
 
 def main():
-    system = build()
+    system, _terminals = build_banking_system(seed=13, accounts=8, tellers=4,
+                                              terminals=1)
     node = system.cluster.node("alpha")
     dp = system.disc_processes[("alpha", "$data")]
 

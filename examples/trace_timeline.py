@@ -26,12 +26,7 @@ import json
 import random
 from pathlib import Path
 
-from repro.apps.banking import (
-    debit_credit_program,
-    install_banking,
-    populate_banking,
-)
-from repro.encompass import SystemBuilder
+from repro.apps.banking import build_banking_system, debit_credit_input
 from repro.simtest import Watchdog
 from repro.workloads import run_closed_loop
 
@@ -42,31 +37,13 @@ TIMELINE_PATH = (
 
 
 def run_traced(seed=7):
-    builder = SystemBuilder(seed=seed, trace=True)
-    builder.add_node("alpha", cpus=4)
-    builder.add_volume("alpha", "$data", cpus=(0, 1))
-    install_banking(builder, "alpha", "$data", server_instances=3)
-    builder.add_tcp("alpha", "$tcp1", cpus=(2, 3), restart_limit=8)
-    builder.add_program("alpha", "$tcp1", "debit-credit", debit_credit_program)
-    terminals = [f"T{i}" for i in range(4)]
-    for terminal in terminals:
-        builder.add_terminal("alpha", "$tcp1", terminal, "debit-credit")
-    system = builder.build()
+    system, terminals = build_banking_system(
+        seed=seed, accounts=10, tellers=4, terminals=4, trace=True,
+    )
     Watchdog(system)
-    populate_banking(system, "alpha", branches=2, tellers_per_branch=2,
-                     accounts=10)
-
-    def make_input(rng, terminal_id, iteration):
-        return {
-            "account_id": rng.randrange(10),
-            "teller_id": rng.randrange(4),
-            "branch_id": rng.randrange(2),
-            "amount": rng.choice([-20, -5, 5, 10, 25]),
-            "allow_overdraft": True,
-        }
-
     result = run_closed_loop(
-        system, "alpha", "$tcp1", terminals, make_input,
+        system, "alpha", "$tcp1", terminals,
+        debit_credit_input(10, 4, 2, (-20, -5, 5, 10, 25)),
         duration=2000.0, think_time=10.0, rng=random.Random(99),
     )
     return system, result

@@ -19,12 +19,10 @@ import random
 from pathlib import Path
 
 from repro.apps.banking import (
+    build_banking_system,
     check_consistency,
-    debit_credit_program,
-    install_banking,
-    populate_banking,
+    debit_credit_input,
 )
-from repro.encompass import SystemBuilder
 from repro.workloads import run_closed_loop
 
 # Example output stays out of the working tree: out/ is gitignored.
@@ -32,30 +30,11 @@ REPORT_PATH = Path(__file__).resolve().parent.parent / "out" / "xray_report.json
 
 
 def run_measured(seed=7):
-    builder = SystemBuilder(seed=seed, keep_trace=False, measure=True)
-    builder.add_node("alpha", cpus=4)
-    builder.add_volume("alpha", "$data", cpus=(0, 1))
-    install_banking(builder, "alpha", "$data", server_instances=3)
-    builder.add_tcp("alpha", "$tcp1", cpus=(2, 3), restart_limit=8)
-    builder.add_program("alpha", "$tcp1", "debit-credit", debit_credit_program)
-    terminals = [f"T{i}" for i in range(8)]
-    for terminal in terminals:
-        builder.add_terminal("alpha", "$tcp1", terminal, "debit-credit")
-    system = builder.build()
-    populate_banking(system, "alpha", branches=2, tellers_per_branch=4,
-                     accounts=10)  # only 10 accounts: hot!
-
-    def make_input(rng, terminal_id, iteration):
-        return {
-            "account_id": rng.randrange(10),
-            "teller_id": rng.randrange(8),
-            "branch_id": rng.randrange(2),
-            "amount": rng.choice([-20, -5, 5, 10, 25]),
-            "allow_overdraft": True,
-        }
-
+    # Only 10 accounts: hot!
+    system, terminals = build_banking_system(seed=seed, accounts=10, measure=True)
     result = run_closed_loop(
-        system, "alpha", "$tcp1", terminals, make_input,
+        system, "alpha", "$tcp1", terminals,
+        debit_credit_input(10, amounts=(-20, -5, 5, 10, 25)),
         duration=8000.0, think_time=10.0, rng=random.Random(99),
     )
     return system, result

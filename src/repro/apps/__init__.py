@@ -12,7 +12,9 @@
 from .banking import (
     bank_server,
     banking_schemas,
+    build_banking_system,
     check_consistency,
+    debit_credit_input,
     debit_credit_program,
     install_banking,
     populate_banking,
@@ -38,8 +40,10 @@ __all__ = [
     "ManufacturingApp",
     "bank_server",
     "banking_schemas",
+    "build_banking_system",
     "build_manufacturing_system",
     "check_consistency",
+    "debit_credit_input",
     "debit_credit_program",
     "install_banking",
     "install_order_entry",

@@ -19,7 +19,7 @@ atomicity experiments assert they hold after arbitrary failures.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..discprocess import (
     ENTRY_SEQUENCED,
@@ -32,6 +32,8 @@ from ..encompass import ScreenContext, ServerContext, SystemBuilder
 __all__ = [
     "banking_schemas",
     "bank_server",
+    "build_banking_system",
+    "debit_credit_input",
     "debit_credit_program",
     "install_banking",
     "populate_banking",
@@ -232,6 +234,59 @@ def populate_banking(
     node_os = system.cluster.os(node)
     proc = node_os.spawn("$loader", 0, loader, register=False)
     system.cluster.run(proc.sim_process)
+
+
+def build_banking_system(seed: int, cpus: int = 4, volumes: int = 1,
+                         accounts: int = 24, branches: int = 2, tellers: int = 8,
+                         terminals: int = 8, keep_trace: bool = False,
+                         cache_capacity: int = 256,
+                         **options: Any) -> Tuple[Any, List[str]]:
+    """The populated bank on node ``alpha`` and the names of its terminals
+    on TCP ``$tcp1``; ``options`` go to :class:`SystemBuilder`."""
+    builder = SystemBuilder(seed=seed, keep_trace=keep_trace, **options)
+    builder.add_node("alpha", cpus=cpus)
+    cpu_pairs = [(c, c + 1) for c in range(0, cpus - 1, 2)]
+    names = [f"$data{v}" if volumes > 1 else "$data" for v in range(volumes)]
+    for v, name in enumerate(names):
+        builder.add_volume("alpha", name, cpus=cpu_pairs[v % len(cpu_pairs)],
+                           cache_capacity=cache_capacity)
+    # Branch/teller on volume 0, history on volume 1, the account file
+    # key-range partitioned over the rest (over all, with one or two).
+    account_volumes = names[2:] or names
+    step = max(accounts // len(account_volumes), 1)
+    install_banking(
+        builder, "alpha", names[0], server_instances=3,
+        data_partitions=tuple(
+            PartitionSpec("alpha", name, low_key=(i * step,) if i else None)
+            for i, name in enumerate(account_volumes)
+        ),
+        meta_partition=PartitionSpec("alpha", names[0]),
+        history_partition=PartitionSpec("alpha", names[1 % volumes]),
+    )
+    builder.add_tcp("alpha", "$tcp1", cpus=(cpus - 2, cpus - 1), restart_limit=8)
+    builder.add_program("alpha", "$tcp1", "debit-credit", debit_credit_program)
+    terminal_ids = [f"T{i}" for i in range(terminals)]
+    for terminal in terminal_ids:
+        builder.add_terminal("alpha", "$tcp1", terminal, "debit-credit")
+    system = builder.build()
+    populate_banking(system, "alpha", branches=branches,
+                     tellers_per_branch=tellers // branches, accounts=accounts)
+    return system, terminal_ids
+
+
+def debit_credit_input(accounts: int, tellers: int = 8, branches: int = 2,
+                       amounts: Sequence[int] = (5, 10, 25, -5)) -> Callable:
+    """A ``run_closed_loop`` input maker: one random posting per screen."""
+    def make_input(rng, terminal_id, iteration):
+        return {
+            "account_id": rng.randrange(accounts),
+            "teller_id": rng.randrange(tellers),
+            "branch_id": rng.randrange(branches),
+            "amount": rng.choice(amounts),
+            "allow_overdraft": True,
+        }
+
+    return make_input
 
 
 def check_consistency(system: Any, node: str) -> Dict[str, Any]:

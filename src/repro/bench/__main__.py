@@ -13,9 +13,9 @@ it:
 ``--full`` also prints every experiment's paper table.  The committed
 baseline is a smoke report, so a full run skips the compare.
 
-``--update-baseline`` re-records the (smoke) baseline in place (do this
-in the same change that intentionally alters simulated behaviour, and
-say why in the commit message).
+``--update-baseline`` re-records the (smoke) baseline, only what the
+compare reads, in place (do this in the same change that intentionally
+alters simulated behaviour, and say why in the commit message).
 """
 
 from __future__ import annotations
@@ -106,6 +106,9 @@ def main(argv=None) -> int:
         print()
 
     out_path = Path(args.baseline if args.update_baseline else args.out)
+    if args.update_baseline:
+        for section in report["experiments"].values():
+            del section["info"], section["rows"]
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"repro.bench: report written to {out_path}")

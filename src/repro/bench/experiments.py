@@ -30,8 +30,9 @@ from statistics import median
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.apps.banking import (
+    build_banking_system,
     check_consistency,
-    debit_credit_program,
+    debit_credit_input,
     install_banking,
     populate_banking,
 )
@@ -77,76 +78,12 @@ Row = Dict[str, Any]
 
 
 # ----------------------------------------------------------------------
-# Shared builders
+# Shared helpers
 # ----------------------------------------------------------------------
-def _build_banking(
-    seed: int,
-    cpus: int = 4,
-    volumes: int = 1,
-    accounts: int = 24,
-    branches: int = 2,
-    tellers: int = 8,
-    terminals: int = 8,
-    keep_trace: bool = False,
-    cache_capacity: int = 256,
-    restart_limit: int = 8,
-    **options: Any,
-) -> Tuple[Any, List[str]]:
-    builder = SystemBuilder(seed=seed, keep_trace=keep_trace, **options)
-    builder.add_node("alpha", cpus=cpus)
-    cpu_pairs = [(c, c + 1) for c in range(0, cpus - 1, 2)]
-    volume_names = []
-    for v in range(volumes):
-        pair = cpu_pairs[v % len(cpu_pairs)]
-        name = f"$data{v}" if volumes > 1 else "$data"
-        builder.add_volume("alpha", name, cpus=pair, cache_capacity=cache_capacity)
-        volume_names.append(name)
-    if volumes == 1:
-        install_banking(builder, "alpha", "$data", server_instances=3)
-    else:
-        # Spread the files: branch/teller on volume 0, history on volume
-        # 1, the account file key-range partitioned over the rest.
-        account_volumes = volume_names[2:] if volumes > 2 else volume_names
-        step = max(accounts // len(account_volumes), 1)
-        partitions = [PartitionSpec("alpha", account_volumes[0])]
-        for index in range(1, len(account_volumes)):
-            partitions.append(
-                PartitionSpec(
-                    "alpha", account_volumes[index], low_key=(index * step,)
-                )
-            )
-        install_banking(
-            builder, "alpha", volume_names[0],
-            server_instances=3,
-            data_partitions=tuple(partitions),
-            meta_partition=PartitionSpec("alpha", volume_names[0]),
-            history_partition=PartitionSpec("alpha", volume_names[1 % volumes]),
-        )
-    tcp_cpus = (cpus - 2, cpus - 1)
-    builder.add_tcp("alpha", "$tcp1", cpus=tcp_cpus, restart_limit=restart_limit)
-    builder.add_program("alpha", "$tcp1", "debit-credit", debit_credit_program)
-    terminal_ids = [f"T{i}" for i in range(terminals)]
-    for terminal in terminal_ids:
-        builder.add_terminal("alpha", "$tcp1", terminal, "debit-credit")
-    system = builder.build()
-    populate_banking(system, "alpha", branches=branches,
-                     tellers_per_branch=tellers // branches, accounts=accounts)
-    return system, terminal_ids
-
-
 def _drive(system, terminals, duration, accounts, seed=5, think_time=15.0,
-           branches=2, tellers=8, amounts=(5, 10, 25, -5)):
-    def make_input(rng, terminal_id, iteration):
-        return {
-            "account_id": rng.randrange(accounts),
-            "teller_id": rng.randrange(tellers),
-            "branch_id": rng.randrange(branches),
-            "amount": rng.choice(amounts),
-            "allow_overdraft": True,
-        }
-
+           **posting):
     return run_closed_loop(
-        system, "alpha", "$tcp1", terminals, make_input,
+        system, "alpha", "$tcp1", terminals, debit_credit_input(accounts, **posting),
         duration=duration, think_time=think_time, rng=random.Random(seed),
     )
 
@@ -204,7 +141,7 @@ def e1_online_recovery(scale: str) -> Dict[str, Any]:
     episodes = []
     for fail_cpu, fail_at, duration, settle_ms in runs:
         restore_at = fail_at + 800.0
-        system, terminals = _build_banking(seed=41, accounts=32, terminals=8)
+        system, terminals = build_banking_system(seed=41, accounts=32, terminals=8)
 
         def chaos(proc, fail_cpu=fail_cpu, fail_at=fail_at,
                   restore_at=restore_at, system=system):
@@ -242,7 +179,7 @@ def e1_online_recovery(scale: str) -> Dict[str, Any]:
 def e2_checkpoint_vs_wal(scale: str) -> Dict[str, Any]:
     """checkpoint vs Write-Ahead-Log protection cost by disc speed"""
     duration, settle_ms = (2000.0, 1000.0) if scale == SMOKE else (5000.0, 3000.0)
-    system, terminals = _build_banking(seed=47, accounts=64, terminals=8)
+    system, terminals = build_banking_system(seed=47, accounts=64, terminals=8)
     if scale == FULL:
         durability = check_durability_at_commits(system)
     result = _drive(system, terminals, duration=duration, accounts=64)
@@ -376,7 +313,7 @@ def e4_locking(scale: str) -> Dict[str, Any]:
         else ((0.0, 1.2, 2.0), 4000.0, 3000.0))
     episodes = []
     for skew in skews:
-        system, terminals = _build_banking(seed=59, accounts=16, terminals=8)
+        system, terminals = build_banking_system(seed=59, accounts=16, terminals=8)
         rng = random.Random(61)
         chooser = KeyChooser(rng, 16, skew=skew)
 
@@ -462,7 +399,7 @@ def e5_rollforward(scale: str) -> Dict[str, Any]:
 
 
 def _e5_episode(pre_archive: float, post_archive: float, check_exact: bool):
-    system, terminals = _build_banking(seed=73, accounts=48, terminals=6)
+    system, terminals = build_banking_system(seed=73, accounts=48, terminals=6)
     dp = system.disc_processes[("alpha", "$data")]
     _drive(system, terminals, duration=pre_archive, accounts=48, seed=1)
     _settle(system)
@@ -506,7 +443,7 @@ def _e5_episode(pre_archive: float, post_archive: float, check_exact: bool):
 
 def _e5_normal_processing() -> Counters:
     """Normal processing forces audit, not data blocks: restart pays."""
-    system, terminals = _build_banking(seed=79, accounts=48, terminals=6)
+    system, terminals = build_banking_system(seed=79, accounts=48, terminals=6)
     _drive(system, terminals, duration=4000.0, accounts=48)
     _settle(system, 3000.0)
     dp = system.disc_processes[("alpha", "$data")]
@@ -636,7 +573,7 @@ def _e7_cache_sweep() -> List[Row]:
     """Bigger cache, better hit ratio, fewer physical reads."""
     rows = []
     for capacity in (8, 32, 256):
-        system, terminals = _build_banking(
+        system, terminals = build_banking_system(
             seed=89, accounts=256, terminals=6, cache_capacity=capacity,
         )
         _drive(system, terminals, duration=2500.0, accounts=256)
@@ -807,7 +744,7 @@ def e9_failure_sweep(scale: str) -> Dict[str, Any]:
         else (_E9_SWEEP, 1200.0, 900.0, 4000.0, 3000.0))
     episodes = []
     for picker, label in sweep:
-        system, terminals = _build_banking(seed=109, accounts=32, terminals=6)
+        system, terminals = build_banking_system(seed=109, accounts=32, terminals=6)
         node = system.cluster.node("alpha")
         component = picker(node)
 
@@ -968,7 +905,7 @@ def _metric_rows(metrics: Dict[str, Any]) -> List[Row]:
 def e11_boxcar(scale: str) -> Dict[str, Any]:
     """audit round-trips per commit under BOXCAR group commit"""
     duration = 1200.0 if scale == SMOKE else 4000.0
-    system, terminals = _build_banking(seed=127, accounts=32, terminals=8)
+    system, terminals = build_banking_system(seed=127, accounts=32, terminals=8)
     result = _drive(system, terminals, duration=duration, accounts=32, seed=6)
     _settle(system)
     dp = system.disc_processes[("alpha", "$data")]
@@ -1067,7 +1004,7 @@ def f2_configuration(scale: str) -> Dict[str, Any]:
     shapes = [(4, 2)] if scale == SMOKE else [(2, 1), (4, 2), (8, 4)]
     episodes = []
     for cpus, volumes in shapes:
-        system, terminals = _build_banking(
+        system, terminals = build_banking_system(
             seed=17, cpus=cpus, volumes=volumes, accounts=512, terminals=16,
             branches=8, tellers=16, cache_capacity=16,
         )
@@ -1097,7 +1034,7 @@ def f3_state_machine(scale: str) -> Dict[str, Any]:
     """observed state transitions under commits, restarts and a CPU outage"""
     duration, settle_ms = (2000.0, 1000.0) if scale == SMOKE else (3000.0, 3000.0)
     # Hot accounts give deadlock restarts; the CPU outage, automatic aborts.
-    system, terminals = _build_banking(
+    system, terminals = build_banking_system(
         seed=23, accounts=6, terminals=6, keep_trace=True
     )
 
@@ -1143,8 +1080,8 @@ def f3_state_machine(scale: str) -> Dict[str, Any]:
 def _f3_plain_broadcasts() -> Counters:
     """Broadcasts per transaction in a failure-free load (3: active,
     ending, ended, each to every CPU of the node)."""
-    system, terminals = _build_banking(seed=29, accounts=32, terminals=4,
-                                       keep_trace=True)
+    system, terminals = build_banking_system(seed=29, accounts=32, terminals=4,
+                                             keep_trace=True)
     _drive(system, terminals, duration=2000.0, accounts=32)
     tmf = system.tmf["alpha"]
     return {"plain_broadcasts": system.probe.counts.get("state_broadcast", 0),
@@ -1340,7 +1277,7 @@ def determinism_digests() -> Dict[str, str]:
     timeline across interpreter sessions — and across the optimisation
     itself — is strong evidence the simulated history is unchanged.
     """
-    system, terminals = _build_banking(
+    system, terminals = build_banking_system(
         seed=11, accounts=16, tellers=6, terminals=6,
         measure=True, trace=True,
     )

@@ -2,7 +2,6 @@
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from heapq import heapify
 
 import pytest
 
@@ -136,10 +135,8 @@ class Trigger(Event):
         super().__init__(env)
         self.kind, self.fields, self.when, self.action = kind, fields, when, action
         self.deadline = env.now + DEADLINE_MS
-        timer = env.event()
-        timer.callbacks.append(self._expire)
-        self._entry = (self.deadline, env.reserve_seq(), timer)
-        env.schedule_at(timer, self.deadline, self._entry[1])
+        self._timer = env.timeout(DEADLINE_MS)
+        self._timer.callbacks.append(self._expire)
         # Unsubscribed when processed, in the step after it fires.
         self.callbacks.append(lambda _: env.probe.unsubscribe(self._on_record))
         env.probe.subscribe(self._on_record)
@@ -149,11 +146,8 @@ class Trigger(Event):
                 or not _matches(record, self.fields)
                 or (self.when is not None and not self.when(record))):
             return
-        # The engine has no cancel: take the deadline out of its queue,
-        # so the run ends when it would have without this trigger.
-        queue = self.env._queue
-        queue.remove(self._entry)
-        heapify(queue)
+        # Disarmed, the deadline pops as a tombstone that moves no clock.
+        self._timer.callbacks = None
         self.succeed(record)
         if self.action is not None:
             self.action(record)

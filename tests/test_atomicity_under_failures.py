@@ -16,6 +16,7 @@ import pytest
 
 from repro.apps.banking import (
     check_consistency,
+    debit_credit_input,
     debit_credit_program,
     install_banking,
     populate_banking,
@@ -51,15 +52,6 @@ def drive_with_failures(seed, failure_kinds, failure_count, duration=6000.0):
     system = build_system(seed)
     rng = random.Random(seed * 7919)
 
-    def make_input(r, terminal_id, iteration):
-        return {
-            "account_id": r.randrange(20),
-            "teller_id": r.randrange(8),
-            "branch_id": r.randrange(2),
-            "amount": r.choice([5, 10, 25, -5]),
-            "allow_overdraft": True,
-        }
-
     # Protect one side of every mirror and one bus so the run cannot
     # reach an (expected, but out of scope here) multi-module data loss;
     # protect the terminal front-end node and the line to it entirely.
@@ -81,7 +73,7 @@ def drive_with_failures(seed, failure_kinds, failure_count, duration=6000.0):
         "term",
         "\\alpha.$tcp1",
         [f"T{t}" for t in range(6)],
-        make_input,
+        debit_credit_input(20),
         duration=duration,
         think_time=15.0,
         rng=rng,

@@ -215,6 +215,25 @@ def test_committed_baseline_matches_fresh_run():
     )
 
 
+def _assert_compared_keys_only(baseline):
+    assert sorted(baseline) == ["experiments", "mode", "schema"]
+    for name, section in baseline["experiments"].items():
+        assert sorted(section) == ["counters", "wall_ms"], name
+
+
+def test_committed_baseline_holds_only_what_the_compare_reads():
+    _assert_compared_keys_only(json.loads(BASELINE.read_text()))
+
+
+def test_update_baseline_writes_only_what_the_compare_reads(tmp_path):
+    baseline = tmp_path / "baseline.json"
+    assert main(["--only", "e10_process_pairs", "--update-baseline",
+                 "--baseline", str(baseline)]) == 0
+    written = json.loads(baseline.read_text())
+    _assert_compared_keys_only(written)
+    assert list(written["experiments"]) == ["e10_process_pairs"]
+
+
 # ----------------------------------------------------------------------
 # Command line
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ import random
 
 from repro.apps.banking import (
     check_consistency,
+    debit_credit_input,
     debit_credit_program,
     install_banking,
     populate_banking,
@@ -108,17 +109,8 @@ def test_shared_images_are_never_edited_in_place(monkeypatch):
 
     system.spawn("alpha", "$chaos", chaos, cpu=2)
 
-    def make_input(r, terminal_id, iteration):
-        return {
-            "account_id": r.randrange(120),
-            "teller_id": r.randrange(8),
-            "branch_id": r.randrange(2),
-            "amount": r.choice([5, 10, 25, -5]),
-            "allow_overdraft": True,
-        }
-
     result = run_closed_loop(
-        system, "term", "\\alpha.$tcp1", terminals, make_input,
+        system, "term", "\\alpha.$tcp1", terminals, debit_credit_input(120),
         duration=4_000.0, think_time=15.0, rng=random.Random(5),
     )
     settle = system.spawn(

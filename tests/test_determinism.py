@@ -10,12 +10,10 @@ wall-clock time or unseeded randomness cannot creep in silently.
 import pytest
 
 from repro.apps.banking import (
+    build_banking_system,
     check_consistency,
-    debit_credit_program,
-    install_banking,
-    populate_banking,
+    debit_credit_input,
 )
-from repro.encompass import SystemBuilder
 from repro.workloads import (
     FailureSchedule,
     random_failure_schedule,
@@ -25,18 +23,9 @@ import random
 
 
 def run_once(seed, with_failures):
-    builder = SystemBuilder(seed=seed, keep_trace=True)
-    builder.add_node("alpha", cpus=4)
-    builder.add_volume("alpha", "$data", cpus=(0, 1))
-    install_banking(builder, "alpha", "$data", server_instances=2)
-    builder.add_tcp("alpha", "$tcp1", cpus=(2, 3))
-    builder.add_program("alpha", "$tcp1", "post", debit_credit_program)
-    terminals = [f"T{i}" for i in range(4)]
-    for terminal in terminals:
-        builder.add_terminal("alpha", "$tcp1", terminal, "post")
-    system = builder.build()
-    populate_banking(system, "alpha", branches=2, tellers_per_branch=2,
-                     accounts=12)
+    system, terminals = build_banking_system(
+        seed=seed, accounts=12, tellers=4, terminals=4, keep_trace=True,
+    )
     rng = random.Random(seed)
     if with_failures:
         protect = []
@@ -48,17 +37,9 @@ def run_once(seed, with_failures):
         )
         FailureSchedule(system.cluster, events)
 
-    def make_input(r, terminal_id, iteration):
-        return {
-            "account_id": r.randrange(12),
-            "teller_id": r.randrange(4),
-            "branch_id": r.randrange(2),
-            "amount": r.choice([5, -5, 10]),
-            "allow_overdraft": True,
-        }
-
     result = run_closed_loop(
-        system, "alpha", "$tcp1", terminals, make_input,
+        system, "alpha", "$tcp1", terminals,
+        debit_credit_input(12, 4, 2, (5, -5, 10)),
         duration=2500.0, think_time=12.0, rng=rng,
     )
     report = check_consistency(system, "alpha")

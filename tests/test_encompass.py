@@ -6,7 +6,7 @@ assertions under concurrency and failures.
 import pytest
 
 from repro.apps.banking import (
-    bank_server,
+    build_banking_system,
     check_consistency,
     debit_credit_program,
     install_banking,
@@ -17,25 +17,9 @@ from repro.encompass import ServerClass, SystemBuilder, TerminalInput
 from conftest import Trigger
 
 
-def build_bank(seed=3, cpus=4, server_instances=2, restart_limit=5,
-               accounts=40, branches=2, tellers=4):
-    builder = SystemBuilder(seed=seed)
-    builder.add_node("alpha", cpus=cpus)
-    builder.add_volume("alpha", "$data", cpus=(0, 1))
-    install_banking(builder, "alpha", "$data", server_instances=server_instances)
-    builder.add_tcp("alpha", "$tcp1", cpus=(2, 3), restart_limit=restart_limit)
-    builder.add_program("alpha", "$tcp1", "debit-credit", debit_credit_program)
-    for t in range(8):
-        builder.add_terminal("alpha", "$tcp1", f"T{t}", "debit-credit")
-    system = builder.build()
-    populate_banking(system, "alpha", branches=branches,
-                     tellers_per_branch=tellers, accounts=accounts)
-    return system
-
-
 class TestQuickFlow:
     def test_single_posting_commits(self):
-        system = build_bank()
+        system, _terminals = build_banking_system(seed=3, accounts=40)
         reply = system.drive("alpha", "$tcp1", "T0", {
             "account_id": 1, "teller_id": 0, "branch_id": 1, "amount": 25,
         })
@@ -48,7 +32,7 @@ class TestQuickFlow:
         assert report["history_count"] == 1
 
     def test_insufficient_funds_aborts_voluntarily(self):
-        system = build_bank()
+        system, _terminals = build_banking_system(seed=3, accounts=40)
         reply = system.drive("alpha", "$tcp1", "T0", {
             "account_id": 1, "teller_id": 0, "branch_id": 1, "amount": -99999,
         })
@@ -64,7 +48,7 @@ class TestQuickFlow:
     def test_inventory_matches_figure2(self):
         """Figure 2's component classes: a TCP pair, server-class
         instances, DISCPROCESS and AUDITPROCESS pairs."""
-        system = build_bank()
+        system, _terminals = build_banking_system(seed=3, accounts=40)
         assert system.server_classes[("alpha", "$bank")].live_instances()
         for pair in (system.tcps[("alpha", "$tcp1")],
                      system.disc_processes[("alpha", "$data")],
@@ -74,7 +58,7 @@ class TestQuickFlow:
     def test_voluntary_abort_backs_out_applied_updates(self):
         """ABORT-TRANSACTION after updates to two accounts backs both out
         with no user-coded reversal, and is not restarted."""
-        system = build_bank()
+        system, _terminals = build_banking_system(seed=3, accounts=40)
         before = check_consistency(system, "alpha")
 
         def fickle_server(ctx, request):
@@ -105,7 +89,7 @@ class TestQuickFlow:
         assert after["account_total"] == before["account_total"]
 
     def test_unknown_terminal_rejected(self):
-        system = build_bank()
+        system, _terminals = build_banking_system(seed=3, accounts=40)
         reply = system.drive("alpha", "$tcp1", "T99", {"amount": 1})
         assert reply == {"ok": False, "error": "unknown_terminal"}
 
@@ -124,7 +108,7 @@ class TestQuickFlow:
 
 class TestConcurrencyAndRestart:
     def test_concurrent_postings_keep_invariants(self):
-        system = build_bank(accounts=10)
+        system, _terminals = build_banking_system(seed=3, accounts=10)
         results = []
 
         def user(proc, terminal, n, account):
@@ -231,7 +215,7 @@ class TestConcurrencyAndRestart:
 
 class TestTcpFaultTolerance:
     def test_tcp_takeover_preserves_terminal_service(self):
-        system = build_bank()
+        system, _terminals = build_banking_system(seed=3, accounts=40)
         tcp = system.tcps[("alpha", "$tcp1")]
         outcome = {}
 
@@ -259,7 +243,7 @@ class TestTcpFaultTolerance:
     def test_tcp_failure_mid_unit_aborts_and_rerun_commits_once(self):
         """The primary TCP dies while a unit is in flight: TMF backs the
         transaction out; the retried input re-runs it exactly once."""
-        system = build_bank()
+        system, _terminals = build_banking_system(seed=3, accounts=40)
         outcome = {}
 
         def user(proc):
@@ -290,7 +274,7 @@ class TestTcpFaultTolerance:
     def test_committed_unit_not_rerun_after_takeover(self):
         """If the unit committed and the TCP died before replying, the
         retried request answers from the checkpointed reply."""
-        system = build_bank()
+        system, _terminals = build_banking_system(seed=3, accounts=40)
         outcome = {}
 
         def user(proc):

@@ -5,7 +5,10 @@ on a working run: an empty or zero result means nothing unless the
 check examined something.
 """
 
-from repro.bench.experiments import _build_banking, _drive, _settle
+import random
+
+from repro.apps.banking import build_banking_system, debit_credit_input
+from repro.bench.experiments import _settle
 from repro.core import AuditTrail
 from repro.sim import Environment
 from repro.simtest import (
@@ -15,6 +18,7 @@ from repro.simtest import (
     figure3_edge,
     no_stranded_locks,
 )
+from repro.workloads import run_closed_loop
 
 from conftest import TmfRig
 from test_audit import make_volume, record
@@ -50,7 +54,7 @@ def test_figure3_edges():
 def _e2_episode(monkeypatch=None):
     """E2's episode (seed 47, 64 accounts, 2,000 ms driven, 1,000 ms
     settled), durability checked at every commit."""
-    system, terminals = _build_banking(seed=47, accounts=64, terminals=8)
+    system, terminals = build_banking_system(seed=47, accounts=64)
     if monkeypatch is not None:
         append_many = AuditTrail.append_many
         dropped = []
@@ -63,7 +67,10 @@ def _e2_episode(monkeypatch=None):
 
         monkeypatch.setattr(AuditTrail, "append_many", drop_one)
     totals = check_durability_at_commits(system)
-    result = _drive(system, terminals, duration=2000.0, accounts=64)
+    result = run_closed_loop(
+        system, "alpha", "$tcp1", terminals, debit_credit_input(64),
+        duration=2000.0, think_time=15.0, rng=random.Random(5),
+    )
     _settle(system, 1000.0)
     return result, totals
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.discprocess.locks import LockManager
+from repro.discprocess.locks import LockManager, LockTimeout
 from repro.sim import Environment
 
 
@@ -130,7 +130,7 @@ def test_release_all_always_leaves_no_trace(holders):
         for tx, key in holders:
             try:
                 yield from lm.acquire_record(tx, "f", key, timeout=0)
-            except Exception:
+            except LockTimeout:
                 pass
         for tx in {tx for tx, _ in holders}:
             lm.release_all(tx)

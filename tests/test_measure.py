@@ -20,13 +20,7 @@ Four properties pin the design:
 import math
 import random
 
-from repro.apps.banking import (
-    debit_credit_program,
-    install_banking,
-    populate_banking,
-)
-from repro.bench.experiments import _build_banking, _drive
-from repro.encompass import SystemBuilder
+from repro.apps.banking import build_banking_system, debit_credit_input
 from repro.guardian import Message
 from repro.measure import CATEGORIES, Histogram, MetricsRegistry, fold
 from repro.sim import Environment
@@ -327,12 +321,15 @@ def test_phase_without_an_active_span_lands_under_its_root():
 
 def test_every_instant_of_a_measured_run_has_a_named_cause():
     """The pinned digest run: the categories explain each transaction."""
-    system, terminals = _build_banking(
+    system, terminals = build_banking_system(
         seed=11, accounts=16, tellers=6, terminals=6,
         measure=True, trace=True,
     )
-    _drive(system, terminals, duration=1500.0, accounts=16, seed=99,
-           think_time=10.0, tellers=6, amounts=(-20, -5, 5, 10, 25))
+    run_closed_loop(
+        system, "alpha", "$tcp1", terminals,
+        debit_credit_input(16, 6, 2, (-20, -5, 5, 10, 25)),
+        duration=1500.0, think_time=10.0, rng=random.Random(99),
+    )
     collector = system.trace_collector
     closed = {t: w for t, w in collector.windows.items() if w.end is not None}
     assert closed
@@ -363,30 +360,12 @@ def test_every_instant_of_a_measured_run_has_a_named_cause():
 # ---------------------------------------------------------------------------
 
 def _run_banking(measure):
-    builder = SystemBuilder(seed=11, keep_trace=False, measure=measure)
-    builder.add_node("alpha", cpus=4)
-    builder.add_volume("alpha", "$data", cpus=(0, 1))
-    install_banking(builder, "alpha", "$data", server_instances=2)
-    builder.add_tcp("alpha", "$tcp1", cpus=(2, 3))
-    builder.add_program("alpha", "$tcp1", "post", debit_credit_program)
-    terminals = [f"T{i}" for i in range(4)]
-    for terminal in terminals:
-        builder.add_terminal("alpha", "$tcp1", terminal, "post")
-    system = builder.build()
-    populate_banking(system, "alpha", branches=2, tellers_per_branch=2,
-                     accounts=8)
-
-    def make_input(rng, terminal_id, iteration):
-        return {
-            "account_id": rng.randrange(8),
-            "teller_id": rng.randrange(4),
-            "branch_id": rng.randrange(2),
-            "amount": rng.choice([5, -5, 10]),
-            "allow_overdraft": True,
-        }
-
+    system, terminals = build_banking_system(
+        seed=11, accounts=8, tellers=4, terminals=4, measure=measure,
+    )
     result = run_closed_loop(
-        system, "alpha", "$tcp1", terminals, make_input,
+        system, "alpha", "$tcp1", terminals,
+        debit_credit_input(8, 4, 2, (5, -5, 10)),
         duration=1500.0, think_time=10.0, rng=random.Random(3),
     )
     return system, result
@@ -433,13 +412,15 @@ def test_reading_the_report_mid_run_leaves_the_run_unchanged():
     read evict blocks the drive then misses."""
     runs = []
     for read in (False, True):
-        system, terminals = _build_banking(
+        system, terminals = build_banking_system(
             seed=11, accounts=64, tellers=6, terminals=6, cache_capacity=4,
             measure=True, trace=True,
         )
         if read:
             system.xray_report()
-        result = _drive(system, terminals, duration=500.0, accounts=64,
-                        seed=99, think_time=10.0, tellers=6)
+        result = run_closed_loop(
+            system, "alpha", "$tcp1", terminals, debit_credit_input(64, 6),
+            duration=500.0, think_time=10.0, rng=random.Random(99),
+        )
         runs.append((system.env.events_processed, [m.end for m in result.metrics]))
     assert runs[0] == runs[1]

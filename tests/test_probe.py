@@ -10,48 +10,18 @@
 
 import random
 
-from repro.apps.banking import (
-    debit_credit_program,
-    install_banking,
-    populate_banking,
-)
+from repro.apps.banking import build_banking_system, debit_credit_input
 from repro.bench.experiments import _base_counters
 from repro.core import Tmfcom
-from repro.encompass import SystemBuilder
 from repro.workloads import FailureEvent, FailureSchedule, run_closed_loop
 
 ACCOUNTS = 8
 
 
-def _banking(seed, measure=False, keep_trace=True, trace=False):
-    builder = SystemBuilder(seed=seed, keep_trace=keep_trace, measure=measure,
-                            trace=trace)
-    builder.add_node("alpha", cpus=4)
-    builder.add_volume("alpha", "$data", cpus=(0, 1))
-    install_banking(builder, "alpha", "$data", server_instances=3)
-    builder.add_tcp("alpha", "$tcp1", cpus=(2, 3), restart_limit=8)
-    builder.add_program("alpha", "$tcp1", "post", debit_credit_program)
-    terminals = [f"T{i}" for i in range(8)]
-    for terminal in terminals:
-        builder.add_terminal("alpha", "$tcp1", terminal, "post")
-    system = builder.build()
-    populate_banking(system, "alpha", branches=2, tellers_per_branch=2,
-                     accounts=ACCOUNTS)
-    return system, terminals
-
-
 def _drive(system, terminals, duration):
-    def make_input(rng, terminal_id, iteration):
-        return {
-            "account_id": rng.randrange(ACCOUNTS),
-            "teller_id": rng.randrange(4),
-            "branch_id": rng.randrange(2),
-            "amount": rng.choice([5, -5, 10]),
-            "allow_overdraft": True,
-        }
-
     return run_closed_loop(
-        system, "alpha", "$tcp1", terminals, make_input,
+        system, "alpha", "$tcp1", terminals,
+        debit_credit_input(ACCOUNTS, 4, 2, (5, -5, 10)),
         duration=duration, think_time=10.0, rng=random.Random(3),
     )
 
@@ -61,8 +31,9 @@ def test_counts_are_always_on_and_every_reader_agrees():
     for measure in (False, True):
         for keep_trace in (False, True):
             for trace in (False, True):
-                system, terminals = _banking(seed=7, measure=measure,
-                                             keep_trace=keep_trace, trace=trace)
+                system, terminals = build_banking_system(
+                    seed=7, accounts=ACCOUNTS, tellers=4, keep_trace=keep_trace,
+                    measure=measure, trace=trace)
                 _drive(system, terminals, duration=1000.0)
                 runs[measure, keep_trace, trace] = system
     counts = runs[False, False, False].probe.counts
@@ -83,14 +54,16 @@ def test_counts_are_always_on_and_every_reader_agrees():
 def test_xray_report_does_not_depend_on_tracing():
     reports = []
     for trace in (False, True):
-        system, terminals = _banking(seed=7, measure=True, trace=trace)
+        system, terminals = build_banking_system(
+            seed=7, accounts=ACCOUNTS, tellers=4, measure=True, trace=trace)
         _drive(system, terminals, duration=1000.0)
         reports.append(system.xray_json())
     assert reports[0] == reports[1]
 
 
 def test_takeover_keeps_volume_statistics():
-    system, terminals = _banking(seed=41)
+    system, terminals = build_banking_system(seed=41, accounts=ACCOUNTS,
+                                             tellers=4, keep_trace=True)
     dp = system.disc_processes[("alpha", "$data")]
     fail_at = 1500.0
     primary = system.cluster.node("alpha").cpus[dp.primary_cpu]

@@ -25,11 +25,7 @@ import random
 import pytest
 
 from conftest import build_two_child_ledgers
-from repro.apps.banking import (
-    debit_credit_program,
-    install_banking,
-    populate_banking,
-)
+from repro.apps.banking import build_banking_system, debit_credit_input
 from repro.core import Tmfcom
 from repro.discprocess import FileSchema, KEY_SEQUENCED, PartitionSpec
 from repro.encompass import SystemBuilder
@@ -80,32 +76,15 @@ def test_tracer_kind_index_matches_full_scan_through_clear():
 # ---------------------------------------------------------------------------
 
 def _run_banking(trace):
-    builder = SystemBuilder(seed=11, keep_trace=trace, trace=trace)
-    builder.add_node("alpha", cpus=4)
-    builder.add_volume("alpha", "$data", cpus=(0, 1))
-    install_banking(builder, "alpha", "$data", server_instances=2)
-    builder.add_tcp("alpha", "$tcp1", cpus=(2, 3))
-    builder.add_program("alpha", "$tcp1", "post", debit_credit_program)
-    terminals = [f"T{i}" for i in range(4)]
-    for terminal in terminals:
-        builder.add_terminal("alpha", "$tcp1", terminal, "post")
-    system = builder.build()
+    system, terminals = build_banking_system(
+        seed=11, accounts=8, tellers=4, terminals=4, keep_trace=trace,
+        trace=trace,
+    )
     if trace:
         Watchdog(system)
-    populate_banking(system, "alpha", branches=2, tellers_per_branch=2,
-                     accounts=8)
-
-    def make_input(rng, terminal_id, iteration):
-        return {
-            "account_id": rng.randrange(8),
-            "teller_id": rng.randrange(4),
-            "branch_id": rng.randrange(2),
-            "amount": rng.choice([5, -5, 10]),
-            "allow_overdraft": True,
-        }
-
     result = run_closed_loop(
-        system, "alpha", "$tcp1", terminals, make_input,
+        system, "alpha", "$tcp1", terminals,
+        debit_credit_input(8, 4, 2, (5, -5, 10)),
         duration=1500.0, think_time=10.0, rng=random.Random(3),
     )
     return system, result
