@@ -1,11 +1,13 @@
-"""Failure drill: every failure class the paper discusses, narrated.
+"""Failure drill: the paper's hardware failure classes, narrated.
 
 1. single CPU failure — DISCPROCESS/TCP takeover, transactions continue;
 2. mirrored-drive failure — the volume keeps serving from its mirror;
 3. bus failure — invisible (the second bus carries the traffic);
-4. transaction deadlock — timeout, backout, automatic restart;
-5. total node failure — archive + ROLLFORWARD reconstruct exactly the
+4. total node failure — archive + ROLLFORWARD reconstruct exactly the
    committed state.
+
+(Transaction deadlock — timeout, backout, automatic restart — is shown
+by ``examples/banking_debit_credit.py``.)
 
 Run:  python examples/failure_drill.py
 """

@@ -557,6 +557,10 @@ def e7_storage(scale: str) -> Dict[str, Any]:
         "block_reads": store.counters.reads,
         "block_writes": store.counters.writes,
     }
+    # The ascending load's shape: blocks packed full, and the levels a
+    # keyed read descends (read after the I/O counters it adds to).
+    counters["blocks"] = len(list(store.blocks_of("t")))
+    counters["depth"] = tree.depth()
     rows = _measures("key-sequenced B-tree", f"{n} keys", **counters)
     if scale == FULL:
         rows += _e7_cache_sweep() + _e7_index_vs_scan() + _e7_compression()

@@ -6,6 +6,11 @@ blocks of data in main memory."  (paper, §Data Base Management)
 The cache is a write-back LRU sitting between the structured-file code
 and the mirrored disc: reads hit the cache when possible; writes dirty
 the cached copy and reach the platters on eviction or an explicit flush.
+The platters change at once; the DISCPROCESS books the time on the
+volume's arms, and a dirty block evicted to make room is written behind:
+the request whose miss evicted it waits only for its own read, while
+later requests queue behind the write on the arms.  Block images are
+never edited in place, so the evicted image is final.
 TMF is what makes write-back safe — an update is recoverable from its
 audit images (checkpointed to the backup DISCPROCESS before the update,
 forced to the audit trail at commit), so the data block itself need not

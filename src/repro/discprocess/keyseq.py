@@ -7,6 +7,12 @@ so the same code runs over a plain dict (unit tests) or the DISCPROCESS
 cache + mirrored disc (full system), with physical I/O counted by the
 store.
 
+A block that overflows splits at its midpoint, except where a key is
+appended past the last key of the file's rightmost block: there it
+splits at the insertion point, so the old block keeps every key it held
+and the new one starts with the appended key.  An ascending load (how
+files are populated) therefore leaves its blocks full, not half empty.
+
 Deletion is *lazy* (common in production engines): records are removed
 from their leaf but underfull leaves are not merged; an empty leaf is
 reclaimed only when the tree root collapses.  All invariants that matter
@@ -99,9 +105,9 @@ class KeySequencedFile:
     def insert(self, key: Key, record: Any) -> None:
         """Store a new record; raises :class:`DuplicateKey` if present."""
         header = list(self._header())  # copy-on-write
-        split = self._insert(header, header[1], key, record)
+        split = self._insert(header, header[1], key, record, True)
         if split is not None:
-            sep_key, new_child = split
+            sep_key, new_child, _at_end = split
             new_root = self._alloc(header)
             self.store.put(self.name, new_root, ["I", [sep_key], [header[1], new_child]])
             header[1] = new_root
@@ -182,8 +188,16 @@ class KeySequencedFile:
         return block_id, block
 
     def _insert(
-        self, header: List[Any], block_id: int, key: Key, record: Any
-    ) -> Optional[Tuple[Key, int]]:
+        self, header: List[Any], block_id: int, key: Key, record: Any,
+        rightmost: bool,
+    ) -> Optional[Tuple[Key, int, bool]]:
+        """Insert below ``block_id``; if the block split, return the
+        separator, the new block and whether the split was at the end.
+
+        ``rightmost`` says the block is the file's last at its level.  A
+        key past its last key (an append to the file) splits the leaf at
+        the end, and each block above that it overflows splits there too.
+        """
         block = self.store.get(self.name, block_id)
         if block[0] == "L":
             keys = block[1]
@@ -196,33 +210,36 @@ class KeySequencedFile:
             if len(new_block[1]) <= self.leaf_capacity:
                 self.store.put(self.name, block_id, new_block)
                 return None
-            mid = len(new_block[1]) // 2
+            at_end = rightmost and idx == len(keys)
+            mid = idx if at_end else len(new_block[1]) // 2
             right = ["L", new_block[1][mid:], new_block[2][mid:]]
             left = ["L", new_block[1][:mid], new_block[2][:mid]]
             right_id = self._alloc(header)
             self.store.put(self.name, block_id, left)
             self.store.put(self.name, right_id, right)
-            return right[1][0], right_id
+            return right[1][0], right_id, at_end
 
         idx = bisect_right(block[1], key)
-        split = self._insert(header, block[2][idx], key, record)
+        split = self._insert(
+            header, block[2][idx], key, record, rightmost and idx == len(block[1])
+        )
         if split is None:
             return None
-        sep_key, new_child = split
+        sep_key, new_child, at_end = split
         new_block = ["I", list(block[1]), list(block[2])]
         new_block[1].insert(idx, sep_key)
         new_block[2].insert(idx + 1, new_child)
         if len(new_block[1]) < self.fanout:
             self.store.put(self.name, block_id, new_block)
             return None
-        mid = len(new_block[1]) // 2
+        mid = idx if at_end else len(new_block[1]) // 2
         up_key = new_block[1][mid]
         right = ["I", new_block[1][mid + 1:], new_block[2][mid + 1:]]
         left = ["I", new_block[1][:mid], new_block[2][:mid + 1]]
         right_id = self._alloc(header)
         self.store.put(self.name, block_id, left)
         self.store.put(self.name, right_id, right)
-        return up_key, right_id
+        return up_key, right_id, at_end
 
     def _scan(
         self,

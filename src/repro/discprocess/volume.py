@@ -155,9 +155,10 @@ class DiscProcess(ProcessPair):
         # every straggling operation of an aborting transaction.
         self._inflight: Dict[str, int] = {}
         # Physical reads and writes made by each request being served,
-        # keyed by its handler process (volatile).  An access counts
-        # for the handler running when it is made, so a request that
-        # yields is not charged for what other requests do meanwhile.
+        # and how many of those writes it waits for, keyed by its
+        # handler process (volatile).  An access counts for the handler
+        # running when it is made, so a request that yields is not
+        # charged for what other requests do meanwhile.
         self._io_made: Dict[Optional[Process], List[int]] = {}
         # Built by _build_runtime, which a takeover runs again.
         self.cache: Optional[BlockCache] = None
@@ -276,7 +277,7 @@ class DiscProcess(ProcessPair):
         op = _OPS.get(payload.__class__) or _unknown_op(payload)
         hits = self.cache.stats.hits
         handler = self.env.active_process
-        io = self._io_made[handler] = [0, 0]
+        io = self._io_made[handler] = [0, 0, 0]
         try:
             reply = yield from self._dispatch(proc, message, op)
         except _Refused as refusal:
@@ -391,7 +392,10 @@ class DiscProcess(ProcessPair):
         return {"ok": True, "rows": fast_deepcopy(rows)}
 
     def _flush_cache(self, proc, message, payload, file) -> Dict[str, Any]:
-        return {"ok": True, "blocks_written": self.store.flush()}
+        written = self.store.flush()
+        # A flush replies once its writes are on the platters.
+        self._io_made[self.env.active_process][2] += written
+        return {"ok": True, "blocks_written": written}
 
     # ------------------------------------------------------------------
     # Keyed reads and explicit locks
@@ -985,18 +989,28 @@ class DiscProcess(ProcessPair):
     def _charge_io(self, io: List[int], hits: int) -> Generator:
         """Wait out the request's own disc accesses, then its cache hits.
 
-        ``io`` holds the physical reads and writes the request made.
-        They run on the volume's arms in the order the cache makes
-        them, the reads then the write-backs, each behind the accesses
-        already booked on its arm.
+        ``io`` holds the physical reads and writes the request made, and
+        how many of those writes are its own (an explicit flush's).  They
+        run on the volume's arms in the order the cache makes them, the
+        reads, then the own writes, then the write-backs of the dirty
+        blocks it evicted, each behind the accesses already booked on
+        its arm.  The request waits only until its reads and own writes
+        end: the write-backs are written behind, booked on the arms (so
+        later requests queue behind them) but not waited for.  The
+        platters changed when the block was evicted, so this moves only
+        who waits, not what any read sees.
         """
-        reads, writes = io
+        reads, writes, own_writes = io
         latencies = self.node_os.node.latencies
         now = self.env.now
         if reads or writes:
             end = self.volume.book(
-                now, reads, latencies.disc_read, writes, latencies.disc_write
+                now, reads, latencies.disc_read, own_writes, latencies.disc_write
             )
+            if writes > own_writes:
+                self.volume.book(
+                    end, writes=writes - own_writes, write_ms=latencies.disc_write
+                )
             if end > now:
                 yield self.env.timeout(end - now)
         hit_cost = (self.cache.stats.hits - hits) * latencies.cache_hit

@@ -4,7 +4,9 @@ A cache miss reads from whichever serviceable drive is free first, so a
 mirrored pair serves two misses at once; a write occupies every
 serviceable drive.  A failed drive takes no I/O until it is revived.
 The schedule lives with the volume, so a DISCPROCESS takeover keeps it,
-and each request books exactly the physical accesses it made.
+and each request books exactly the physical accesses it made.  A request
+waits for its reads (and a flush for its writes), not for the write-back
+of a dirty block it evicted, which runs on the arms behind it.
 """
 
 from types import SimpleNamespace
@@ -227,6 +229,68 @@ def test_each_request_books_the_accesses_it_made():
     made = (counters.reads - before[0], counters.writes - before[1])
     assert made[0] >= 8 and made[1] > 0
     assert (booked["reads"], booked["writes"]) == made
+
+
+# ----------------------------------------------------------------------
+# Write-behind: a miss that evicts a dirty block replies once its read
+# ends; the write-back still holds both arms after it
+# ----------------------------------------------------------------------
+def make_dirty_rig():
+    """A volume with a 2-block cache whose next miss evicts a dirty
+    block, with the arms idle."""
+    rig, dp = make_rig(cache_capacity=2)
+
+    def dirty(proc):
+        yield from rig.client.write_slot(proc, "slots", 0, {"b": "new"})
+        yield from reader(rig, 1, {})(proc)
+        yield rig.cluster.env.timeout(1_000.0)  # the arms fall idle
+
+    rig.run(dirty)
+    return rig, dp
+
+
+def test_a_miss_that_evicts_a_dirty_block_replies_after_its_read():
+    lone = lone_read()
+    rig, dp = make_dirty_rig()
+    writebacks = dp.cache.stats.dirty_writebacks
+    assert read_together(rig, [2]) == [lone]
+    assert dp.cache.stats.dirty_writebacks == writebacks + 1
+
+
+def test_the_next_read_waits_for_the_write_back_on_both_arms():
+    # Alone, the second miss would take the other arm at once.
+    lone = lone_read()
+    rig, _dp = make_dirty_rig()
+    assert read_together(rig, [2, 3]) == [lone, lone + WRITE + READ]
+
+
+def test_a_flush_replies_after_its_writes():
+    rig, _dp = make_dirty_rig()
+    env = rig.cluster.env
+    took = []
+
+    def flush(proc):
+        start = env.now
+        written = yield from rig.client.flush_volume(proc, "$data")
+        took.append((written, env.now - start))
+
+    rig.run(flush)
+    rig.run(flush)
+    (written, dirty), (none, clean) = took
+    assert written > 0 and none == 0
+    assert dirty == clean + written * WRITE
+
+
+def test_write_behind_books_the_same_arm_time():
+    # Two misses, one of which evicts a dirty block: each access is
+    # booked once, the read over the two arms and the write on both.
+    rig, dp = make_dirty_rig()
+    counters = dp.store.counters
+    before = (counters.reads, counters.writes, dp.volume.busy_ms)
+    read_together(rig, [2, 3])
+    made = (counters.reads - before[0], counters.writes - before[1])
+    assert made == (2, 1)
+    assert dp.volume.busy_ms - before[2] == 2 * READ / 2 + WRITE
 
 
 # ----------------------------------------------------------------------

@@ -134,6 +134,84 @@ class TestKeySequenced:
         tree.check_invariants()
         assert tree.keys() == [(i,) for i in range(1, 200, 2)]
 
+    # Split rule: a key appended past the last key of the file splits
+    # its rightmost blocks at the end; every other split is at the midpoint.
+    def load(self, keys, **kwargs):
+        tree, store = self.make(**kwargs)
+        for k in keys:
+            tree.insert((k,), k)
+            tree.check_invariants()
+        return tree, store
+
+    @staticmethod
+    def shape(store):
+        """Leaf sizes in key order, and each interior block's separator count."""
+        leaves, interiors = [], []
+
+        def walk(block_id):
+            block = store.get("f", block_id)
+            if block[0] == "L":
+                leaves.append(len(block[1]))
+                return
+            interiors.append(len(block[1]))
+            for child in block[2]:
+                walk(child)
+
+        walk(store.get("f", 0)[1])
+        return leaves, interiors
+
+    def test_ascending_load_packs_leaves_full(self):
+        tree, store = self.make()
+        for k in range(1024):
+            tree.insert((k,), k)
+        tree.check_invariants()
+        leaves, _interiors = self.shape(store)
+        assert leaves == [16] * 64
+        assert len(list(store.blocks_of("f"))) == 70  # header, root, 4 interiors, 64 leaves
+        assert tree.depth() == 3
+
+    def test_loads_that_never_append_split_at_the_midpoint(self):
+        # A descending load, and a shuffled one whose largest key comes
+        # first, never append past the file's last key: every split is
+        # at the midpoint, leaving the blocks they always have.
+        import random
+        tree, store = self.make()
+        for k in reversed(range(1024)):
+            tree.insert((k,), k)
+        assert len(list(store.blocks_of("f"))) == 129
+        keys = list(range(1023))
+        random.Random(1).shuffle(keys)
+        tree, store = self.make()
+        for k in [1023] + keys:
+            tree.insert((k,), k)
+        tree.check_invariants()
+        assert len(list(store.blocks_of("f"))) == 104
+
+    def test_insert_into_a_packed_rightmost_leaf_splits_at_the_midpoint(self):
+        tree, store = self.load(range(0, 64, 2))
+        assert self.shape(store)[0] == [16, 16]
+        tree.insert((47,), 47)
+        tree.check_invariants()
+        assert self.shape(store)[0] == [16, 8, 9]
+
+    def test_append_past_a_non_rightmost_leaf_splits_at_the_midpoint(self):
+        tree, store = self.load(range(0, 64, 2))
+        assert self.shape(store)[0] == [16, 16]
+        tree.insert((31,), 31)  # past 30, the first leaf's last key
+        tree.check_invariants()
+        assert self.shape(store)[0] == [8, 9, 16]
+
+    def test_small_fanout_loads_keep_invariants_at_every_step(self):
+        import random
+        shuffled = list(range(300))
+        random.Random(7).shuffle(shuffled)
+        for keys in (reversed(range(300)), shuffled, range(300)):
+            tree, store = self.load(keys, leaf_capacity=4, fanout=4)
+            assert tree.keys() == [(k,) for k in range(300)]
+        leaves, interiors = self.shape(store)  # the ascending load's
+        assert leaves[:-1] == [4] * (len(leaves) - 1)
+        assert 0 in interiors  # an interior end split leaves one child
+
     @settings(max_examples=40, deadline=None)
     @given(
         ops=st.lists(
